@@ -1,44 +1,45 @@
 //! Criterion benchmark W-1: wall-clock throughput of the functional
-//! (thread-parallel) MCCP over core counts — the multi-core claim on real
-//! silicon (this host) rather than the modeled 190 MHz clock.
+//! engine against host parallelism — functional shards of an
+//! `MccpCluster`, fanned out over the persistent shard pool by
+//! `run_threaded` — the multi-core claim on real silicon (this host)
+//! rather than the modeled 190 MHz clock.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use mccp_core::functional::{PacketJob, ParallelMccp};
-use mccp_core::protocol::Algorithm;
-use mccp_core::Direction;
+use mccp_sdr::qos::DispatchPolicy;
+use mccp_sdr::workload::{Workload, WorkloadSpec};
+use mccp_sdr::{ClusterConfig, MccpCluster, Standard};
 
-fn jobs(n: usize, payload: usize) -> Vec<PacketJob> {
-    (0..n as u64)
-        .map(|id| PacketJob {
-            id,
-            algorithm: Algorithm::AesGcm128,
-            direction: Direction::Encrypt,
-            key: vec![7u8; 16],
-            iv: {
-                let mut iv = vec![0u8; 12];
-                iv[4..].copy_from_slice(&id.to_be_bytes());
-                iv
-            },
-            aad: vec![0u8; 12],
-            body: vec![0xA5u8; payload],
-            tag: None,
-            tag_len: 16,
-        })
-        .collect()
+/// `packets` fixed-size packets spread round-robin over `standards`.
+fn workload(standards: Vec<Standard>, packets: usize, payload: usize) -> Workload {
+    Workload::generate(WorkloadSpec {
+        standards,
+        packets,
+        seed: 7,
+        fixed_payload_len: Some(payload),
+        mean_interarrival_cycles: None,
+    })
 }
 
-fn bench_core_scaling(c: &mut Criterion) {
+fn bench_shard_scaling(c: &mut Criterion) {
     let mut g = c.benchmark_group("functional-gcm-2kb");
     const PACKETS: usize = 64;
     const PAYLOAD: usize = 2048;
     g.throughput(Throughput::Bytes((PACKETS * PAYLOAD) as u64));
     g.sample_size(10);
-    for cores in [1usize, 2, 4, 8] {
-        g.bench_with_input(BenchmarkId::new("cores", cores), &cores, |b, &n| {
-            let mccp = ParallelMccp::new(n);
+    // Eight GCM-128 channels, so channel affinity alone spreads the
+    // packets over up to eight shards.
+    let standards = vec![Standard::Wimax; 8];
+    let work = workload(standards.clone(), PACKETS, PAYLOAD);
+    for shards in [1usize, 2, 4, 8] {
+        g.bench_with_input(BenchmarkId::new("shards", shards), &shards, |b, &n| {
+            let config = ClusterConfig {
+                shards: n,
+                ..ClusterConfig::default()
+            };
+            let mut cluster = MccpCluster::functional(config, &standards, 7);
             b.iter(|| {
-                let out = mccp.process_batch(jobs(PACKETS, PAYLOAD));
-                assert_eq!(out.len(), PACKETS);
+                let report = cluster.run_threaded(&work, DispatchPolicy::Fifo);
+                assert_eq!(report.merged.packets, PACKETS);
             });
         });
     }
@@ -48,33 +49,25 @@ fn bench_core_scaling(c: &mut Criterion) {
 fn bench_mixed_modes(c: &mut Criterion) {
     let mut g = c.benchmark_group("functional-multi-standard");
     const PACKETS: usize = 48;
-    g.throughput(Throughput::Bytes((PACKETS * 1024) as u64));
+    const PAYLOAD: usize = 1024;
+    g.throughput(Throughput::Bytes((PACKETS * PAYLOAD) as u64));
     g.sample_size(10);
-    let mccp = ParallelMccp::new(4);
+    // GCM-128, CCM-128 and CTR-128 in turn.
+    let standards = vec![Standard::Wimax, Standard::Wifi, Standard::Umts];
+    let work = workload(standards.clone(), PACKETS, PAYLOAD);
+    let config = ClusterConfig {
+        shards: 4,
+        ..ClusterConfig::default()
+    };
+    let mut cluster = MccpCluster::functional(config, &standards, 7);
     g.bench_function("gcm+ccm+ctr-mix", |b| {
         b.iter(|| {
-            let mut batch = jobs(PACKETS, 1024);
-            for (i, j) in batch.iter_mut().enumerate() {
-                match i % 3 {
-                    0 => {}
-                    1 => {
-                        j.algorithm = Algorithm::AesCcm128;
-                        j.iv.truncate(11);
-                        j.tag_len = 8;
-                    }
-                    _ => {
-                        j.algorithm = Algorithm::AesCtr128;
-                        j.iv = vec![0u8; 16];
-                        j.tag_len = 0;
-                    }
-                }
-            }
-            let out = mccp.process_batch(batch);
-            assert!(out.iter().all(|o| o.result.is_ok()));
+            let report = cluster.run_threaded(&work, DispatchPolicy::Fifo);
+            assert_eq!(report.merged.packets, PACKETS);
         });
     });
     g.finish();
 }
 
-criterion_group!(benches, bench_core_scaling, bench_mixed_modes);
+criterion_group!(benches, bench_shard_scaling, bench_mixed_modes);
 criterion_main!(benches);

@@ -8,10 +8,9 @@
 //! ```
 
 use mccp_core::MccpConfig;
-use mccp_sdr::driver::RunReport;
 use mccp_sdr::qos::DispatchPolicy;
 use mccp_sdr::workload::{Workload, WorkloadSpec};
-use mccp_sdr::{RadioDriver, Standard};
+use mccp_sdr::{ClusterConfig, MccpCluster, RunReport, Standard};
 use std::time::Instant;
 
 const PACKETS: usize = 400;
@@ -31,10 +30,15 @@ impl Sample {
 }
 
 fn run_mode(workload: &Workload, fast_forward: bool) -> (Sample, RunReport) {
-    let mut radio = RadioDriver::new(MccpConfig::default(), &workload.spec.standards, SEED);
-    radio.mccp_mut().set_fast_forward(fast_forward);
+    let mut radio = MccpCluster::cycle_accurate(
+        ClusterConfig::default(),
+        MccpConfig::default(),
+        &workload.spec.standards,
+        SEED,
+    );
+    radio.backend_mut(0).set_fast_forward(fast_forward);
     let t0 = Instant::now();
-    let report = radio.run(workload, DispatchPolicy::Fifo);
+    let report = radio.run(workload, DispatchPolicy::Fifo).merged;
     let host_seconds = t0.elapsed().as_secs_f64();
     (
         Sample {

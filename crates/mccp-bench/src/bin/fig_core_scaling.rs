@@ -8,7 +8,7 @@
 use mccp_core::MccpConfig;
 use mccp_sdr::qos::DispatchPolicy;
 use mccp_sdr::workload::{Workload, WorkloadSpec};
-use mccp_sdr::{RadioDriver, Standard};
+use mccp_sdr::{ClusterConfig, MccpCluster, Standard};
 
 fn main() {
     println!("Aggregate throughput vs core count (saturated WiMax/GCM load)\n");
@@ -29,7 +29,8 @@ fn main() {
     let mut base = 0.0f64;
     let mut prev = 0.0f64;
     for n in 1..=8usize {
-        let mut radio = RadioDriver::new(
+        let mut radio = MccpCluster::cycle_accurate(
+            ClusterConfig::default(),
             MccpConfig {
                 n_cores: n,
                 ..MccpConfig::default()
@@ -37,8 +38,9 @@ fn main() {
             &spec.standards,
             7,
         );
-        let report = radio.run(&workload, DispatchPolicy::Fifo);
-        radio.verify(&workload, &report).expect("outputs verified");
+        let run = radio.run(&workload, DispatchPolicy::Fifo);
+        radio.verify(&workload, &run).expect("outputs verified");
+        let report = run.merged;
         let mbps = report.throughput_mbps();
         if n == 1 {
             base = mbps;

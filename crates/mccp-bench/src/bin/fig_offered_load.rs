@@ -9,7 +9,7 @@
 use mccp_core::MccpConfig;
 use mccp_sdr::qos::DispatchPolicy;
 use mccp_sdr::workload::{Workload, WorkloadSpec};
-use mccp_sdr::{RadioDriver, Standard};
+use mccp_sdr::{ClusterConfig, MccpCluster, Standard};
 
 fn main() {
     println!("Sojourn time vs offered load (WiMax/GCM, 1 KB packets, 4 cores)\n");
@@ -30,9 +30,15 @@ fn main() {
             mean_interarrival_cycles: Some(mean_gap),
         };
         let workload = Workload::generate(spec.clone());
-        let mut radio = RadioDriver::new(MccpConfig::default(), &spec.standards, 3);
-        let report = radio.run(&workload, DispatchPolicy::Fifo);
-        radio.verify(&workload, &report).expect("verified");
+        let mut radio = MccpCluster::cycle_accurate(
+            ClusterConfig::default(),
+            MccpConfig::default(),
+            &spec.standards,
+            3,
+        );
+        let run = radio.run(&workload, DispatchPolicy::Fifo);
+        radio.verify(&workload, &run).expect("verified");
+        let report = run.merged;
 
         let mut sojourns: Vec<u64> = report
             .records

@@ -9,11 +9,11 @@
 //! ```
 
 use mccp_core::{ChannelBackend, FunctionalBackend, Mccp, MccpConfig};
-use mccp_sdr::driver::RunReport;
 use mccp_sdr::qos::DispatchPolicy;
 use mccp_sdr::workload::{Workload, WorkloadSpec};
 use mccp_sdr::{
-    MccpService, QosClass, RadioDriver, ServiceChannelId, ServiceConfig, ServiceError, Standard,
+    ClusterConfig, MccpCluster, MccpService, QosClass, RunReport, ServiceChannelId, ServiceConfig,
+    ServiceError, Standard,
 };
 
 #[derive(Clone, Copy, PartialEq)]
@@ -22,26 +22,33 @@ enum Engine {
     Functional,
 }
 
-/// One verified duplex round on any engine: encrypt the workload,
-/// reference-check every record, decrypt it back through a fresh
-/// receiver. Returns the transmitter (for metrics), the tx report, and
-/// the receive cycles.
+/// One verified duplex round on any engine: encrypt the workload on a
+/// one-shard cluster, reference-check every record, decrypt it back
+/// through a fresh receiver. Returns the transmitter (for metrics), the
+/// tx report, and the receive cycles.
 fn round_on<B: ChannelBackend>(
     mk: impl Fn() -> B,
     spec: &WorkloadSpec,
     workload: &Workload,
     round: usize,
-) -> (RadioDriver<B>, RunReport, u64) {
-    let mut tx = RadioDriver::with_backend(mk(), &spec.standards, round as u64);
+) -> (MccpCluster<B>, RunReport, u64) {
+    let one_shard = |b: B| {
+        MccpCluster::with_backends(
+            ClusterConfig::default(),
+            vec![b],
+            &spec.standards,
+            round as u64,
+        )
+    };
+    let mut tx = one_shard(mk());
     // Metrics + spans only (capacity 0): soak runs for a long time, so
     // keep the event log out of memory and read the registry instead.
-    tx.backend_mut().enable_telemetry(0);
-    let report = tx.run(workload, DispatchPolicy::Fifo);
-    let verified = tx.verify(workload, &report).expect("verify");
-    assert_eq!(verified, report.packets);
-    let mut rx = RadioDriver::with_backend(mk(), &spec.standards, round as u64);
-    let rx_cycles = rx.run_receive(workload, &report);
-    (tx, report, rx_cycles)
+    tx.backend_mut(0).enable_telemetry(0);
+    let run = tx.run(workload, DispatchPolicy::Fifo);
+    let verified = tx.verify(workload, &run).expect("verify");
+    assert_eq!(verified, run.merged.packets);
+    let rx_cycles = one_shard(mk()).run_receive(workload, &run.merged);
+    (tx, run.merged, rx_cycles)
 }
 
 fn main() {
@@ -96,7 +103,7 @@ fn main() {
                 let (mut tx, report, rx_cycles) =
                     round_on(|| Mccp::new(MccpConfig::default()), &spec, &workload, round);
                 print_round(round, &report);
-                print_core_metrics(tx.mccp_mut());
+                print_core_metrics(tx.backend_mut(0));
                 (report, rx_cycles)
             }
             Engine::Functional => {
@@ -106,7 +113,7 @@ fn main() {
                 // Per-core utilization and FIFO pressure only exist on
                 // the cycle-accurate engine; report the lifecycle
                 // counters instead.
-                let snap = tx.backend_mut().telemetry_snapshot();
+                let snap = tx.backend_mut(0).telemetry_snapshot();
                 println!(
                     "    metrics: {} submitted / {} completed",
                     snap.counter("mccp_requests_submitted_total"),

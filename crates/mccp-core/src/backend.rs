@@ -251,8 +251,7 @@ impl ChannelBackend for Mccp {
     }
 
     /// Stores the key bytes under the first free [`KeyId`] (allocated
-    /// ascending from 1 — the same sequence the pre-trait `RadioDriver`
-    /// produced) and opens the channel on it.
+    /// ascending from 1) and opens the channel on it.
     fn open_channel(
         &mut self,
         algorithm: Algorithm,
@@ -344,8 +343,7 @@ impl ChannelBackend for Mccp {
     /// One scheduling quantum of the simulator: leap a quiescent span
     /// (capped at `bound`) when fast-forward is on, else simulate one
     /// cycle. Completions only occur on active ticks, so polling after
-    /// every `step` call never misses one — this is exactly the clock
-    /// advance the pre-trait `RadioDriver::run` loop performed inline.
+    /// every `step` call never misses one.
     fn step(&mut self, bound: u64) -> u64 {
         if bound == 0 {
             return 0;

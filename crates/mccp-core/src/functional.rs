@@ -1,14 +1,12 @@
-//! The fast functional mode: the MCCP's *architecture* (independent cores
-//! consuming a multi-channel packet stream) mapped onto OS threads, with
-//! the reference `mccp-aes` implementations as the datapath.
+//! The fast functional engine: the MCCP's control protocol behind the
+//! [`ChannelBackend`] trait, with the reference `mccp-aes` implementations
+//! as the datapath.
 //!
 //! Bit-identical results to the cycle-accurate simulator, no cycle
-//! accounting — this is what the Criterion wall-clock benchmarks drive,
-//! and it doubles as a loosely coupled work-queue demonstration: one
-//! crossbeam channel feeds `n` workers (the Task Scheduler's first-idle
-//! dispatch degenerates to work stealing from a shared queue), each worker
-//! owns a private key cache (its Key Cache), and results flow back over a
-//! second channel.
+//! accounting — this is what the wall-clock benchmarks and the service
+//! plane's fast path drive. Host parallelism comes from sharding: one
+//! [`FunctionalBackend`] per shard, each with its own key-context cache,
+//! fanned out across threads by the `mccp-sdr` cluster.
 
 use crate::backend::{ChannelBackend, Completion, EngineHealth};
 use crate::fault::{FaultKind, FaultPlan, FaultTrigger};
@@ -16,43 +14,12 @@ use crate::format::Direction;
 use crate::pipeline::{run_stages_functional, PipelineGraph, PipelineKind};
 use crate::protocol::{Algorithm, ChannelId, MccpError, Mode, RequestId};
 use crate::warmcache::{WarmCache, WarmStats};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use mccp_aes::modes::{
     cbc_mac, ccm_open_detached, ccm_seal, ctr_xcrypt, CcmParams, GcmContext, ModeError,
 };
 use mccp_aes::Aes;
 use mccp_telemetry::{Event, Snapshot, Telemetry};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-
-/// One packet's worth of work.
-#[derive(Clone, Debug)]
-pub struct PacketJob {
-    pub id: u64,
-    pub algorithm: Algorithm,
-    pub direction: Direction,
-    pub key: Vec<u8>,
-    pub iv: Vec<u8>,
-    pub aad: Vec<u8>,
-    /// Plaintext (encrypt) or ciphertext (decrypt).
-    pub body: Vec<u8>,
-    /// Received tag (decrypt of authenticated modes).
-    pub tag: Option<Vec<u8>>,
-    pub tag_len: usize,
-}
-
-/// The outcome of one job.
-#[derive(Clone, Debug)]
-pub struct PacketOutcome {
-    pub id: u64,
-    /// Worker that processed the packet (which "core").
-    pub core: usize,
-    /// `body || tag` for encryption, plaintext for decryption; or the
-    /// mode error (e.g. `AuthFail`).
-    pub result: Result<Vec<u8>, ModeError>,
-}
 
 /// A Key Cache entry: the expanded AES key schedule plus, lazily, the GCM
 /// hash-key powers `H^1..H^8`.
@@ -81,9 +48,9 @@ impl KeyCtx {
     }
 }
 
-/// The mode dispatch shared by the worker pool and [`FunctionalBackend`]:
-/// one packet through the reference implementation of its mode, using the
-/// per-key cached state (key schedule + GHASH powers) in `ctx`.
+/// [`FunctionalBackend`]'s mode dispatch: one packet through the
+/// reference implementation of its mode, using the per-key cached state
+/// (key schedule + GHASH powers) in `ctx`.
 #[allow(clippy::too_many_arguments)]
 fn run_mode(
     ctx: &mut KeyCtx,
@@ -125,132 +92,6 @@ fn run_mode(
 /// workload's key count, far below a million-channel service's — idle
 /// channels' schedules age out instead of pinning memory.
 pub const DEFAULT_KEY_CACHE_CAPACITY: usize = 4096;
-
-fn process(job: &PacketJob, cache: &mut WarmCache<Vec<u8>, KeyCtx>) -> Result<Vec<u8>, ModeError> {
-    let ctx = cache.get_or_insert_with(&job.key, || KeyCtx::new(&job.key));
-    run_mode(
-        ctx,
-        job.algorithm,
-        job.direction,
-        &job.iv,
-        &job.aad,
-        &job.body,
-        job.tag.as_deref(),
-        job.tag_len,
-    )
-}
-
-/// The thread-parallel MCCP.
-pub struct ParallelMccp {
-    job_tx: Option<Sender<PacketJob>>,
-    outcome_rx: Receiver<PacketOutcome>,
-    workers: Vec<JoinHandle<()>>,
-    n_workers: usize,
-    /// Packets processed per worker (relaxed counters; exact once the
-    /// batch has been fully collected).
-    packet_counts: Arc<Vec<AtomicU64>>,
-}
-
-impl ParallelMccp {
-    /// Spawns `n_cores` worker threads.
-    ///
-    /// # Panics
-    /// Panics if `n_cores` is zero.
-    pub fn new(n_cores: usize) -> Self {
-        assert!(n_cores >= 1, "at least one core");
-        let (job_tx, job_rx) = unbounded::<PacketJob>();
-        let (outcome_tx, outcome_rx) = unbounded::<PacketOutcome>();
-        let packet_counts: Arc<Vec<AtomicU64>> =
-            Arc::new((0..n_cores).map(|_| AtomicU64::new(0)).collect());
-        let workers = (0..n_cores)
-            .map(|core| {
-                let rx: Receiver<PacketJob> = job_rx.clone();
-                let tx = outcome_tx.clone();
-                let counts = Arc::clone(&packet_counts);
-                std::thread::Builder::new()
-                    .name(format!("mccp-core-{core}"))
-                    .spawn(move || {
-                        // Per-core key cache, like the hardware Key Cache:
-                        // bounded, LRU — idle keys' schedules age out.
-                        let mut cache: WarmCache<Vec<u8>, KeyCtx> =
-                            WarmCache::new(DEFAULT_KEY_CACHE_CAPACITY);
-                        while let Ok(job) = rx.recv() {
-                            let result = process(&job, &mut cache);
-                            counts[core].fetch_add(1, Ordering::Relaxed);
-                            if tx
-                                .send(PacketOutcome {
-                                    id: job.id,
-                                    core,
-                                    result,
-                                })
-                                .is_err()
-                            {
-                                break;
-                            }
-                        }
-                    })
-                    .expect("spawn worker")
-            })
-            .collect();
-        ParallelMccp {
-            job_tx: Some(job_tx),
-            outcome_rx,
-            workers,
-            n_workers: n_cores,
-            packet_counts,
-        }
-    }
-
-    /// Worker count.
-    pub fn n_cores(&self) -> usize {
-        self.n_workers
-    }
-
-    /// Packets processed so far, per worker (the functional-mode analogue
-    /// of the simulator's per-core utilization telemetry). Exact after the
-    /// batch's outcomes have all been collected.
-    pub fn per_core_packets(&self) -> Vec<u64> {
-        self.packet_counts
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    /// Enqueues a job (non-blocking).
-    pub fn submit(&self, job: PacketJob) {
-        self.job_tx
-            .as_ref()
-            .expect("not shut down")
-            .send(job)
-            .expect("workers alive");
-    }
-
-    /// Receives one outcome, blocking.
-    pub fn collect_one(&self) -> PacketOutcome {
-        self.outcome_rx.recv().expect("workers alive")
-    }
-
-    /// Processes a batch and returns outcomes sorted by job id.
-    pub fn process_batch(&self, jobs: Vec<PacketJob>) -> Vec<PacketOutcome> {
-        let n = jobs.len();
-        for job in jobs {
-            self.submit(job);
-        }
-        let mut out: Vec<PacketOutcome> = (0..n).map(|_| self.collect_one()).collect();
-        out.sort_by_key(|o| o.id);
-        out
-    }
-}
-
-impl Drop for ParallelMccp {
-    fn drop(&mut self) {
-        // Close the queue and join the workers.
-        self.job_tx.take();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
-}
 
 /// A live channel on the functional engine.
 #[derive(Clone, Debug)]
@@ -690,106 +531,96 @@ mod tests {
     use super::*;
     use mccp_aes::modes::gcm_seal;
 
-    fn gcm_job(id: u64, payload: &[u8]) -> PacketJob {
-        PacketJob {
-            id,
-            algorithm: Algorithm::AesGcm128,
-            direction: Direction::Encrypt,
-            key: vec![7u8; 16],
-            iv: vec![id as u8; 12],
-            aad: b"hdr".to_vec(),
-            body: payload.to_vec(),
-            tag: None,
-            tag_len: 16,
-        }
+    const KEY: [u8; 16] = [7u8; 16];
+
+    /// Submits one packet and returns its completion (processing is
+    /// synchronous, so it is pollable at once).
+    fn run_one(
+        b: &mut FunctionalBackend,
+        ch: ChannelId,
+        direction: Direction,
+        iv: &[u8],
+        body: &[u8],
+        tag: Option<&[u8]>,
+    ) -> Completion {
+        let id = b
+            .submit_packet(ch, direction, iv, b"hdr", body, tag)
+            .expect("accepted");
+        let done = b.poll_completion().expect("synchronous completion");
+        assert_eq!(done.request, id);
+        done
     }
 
     #[test]
-    fn batch_matches_reference_and_uses_workers() {
-        let m = ParallelMccp::new(4);
-        let jobs: Vec<PacketJob> = (0..32).map(|i| gcm_job(i, &[i as u8; 100])).collect();
-        let outcomes = m.process_batch(jobs.clone());
-        assert_eq!(outcomes.len(), 32);
-        for (job, out) in jobs.iter().zip(outcomes.iter()) {
-            assert_eq!(job.id, out.id);
-            let aes = Aes::new(&job.key);
-            let expect = gcm_seal(&aes, &job.iv, &job.aad, &job.body, 16).unwrap();
-            assert_eq!(out.result.as_ref().unwrap(), &expect);
+    fn gcm_output_matches_reference() {
+        let mut b = FunctionalBackend::new();
+        let ch = b.open_channel(Algorithm::AesGcm128, &KEY, 16).unwrap();
+        let aes = Aes::new(&KEY);
+        for i in 0..32u8 {
+            let iv = [i; 12];
+            let body = vec![i; 100];
+            let done = run_one(&mut b, ch, Direction::Encrypt, &iv, &body, None);
+            assert!(done.auth_ok);
+            let expect = gcm_seal(&aes, &iv, b"hdr", &body, 16).unwrap();
+            assert_eq!(done.body, expect[..100]);
+            assert_eq!(done.tag, expect[100..]);
         }
-        // Core attribution is well-formed. (Whether >1 worker participates
-        // is scheduling-dependent — a single fast worker can legitimately
-        // drain a small queue — so distribution is asserted statistically
-        // by the Criterion scaling bench, not here.)
-        assert!(outcomes.iter().all(|o| o.core < 4));
+        assert_eq!(b.in_flight(), 0);
     }
 
     #[test]
-    fn decrypt_roundtrip_and_authfail() {
-        let m = ParallelMccp::new(2);
-        let enc = m.process_batch(vec![gcm_job(1, b"secret data")]);
-        let sealed = enc[0].result.clone().unwrap();
-        let (ct, tag) = sealed.split_at(sealed.len() - 16);
+    fn decrypt_roundtrip_and_bad_tag_fails_auth() {
+        let mut b = FunctionalBackend::new();
+        let ch = b.open_channel(Algorithm::AesGcm128, &KEY, 16).unwrap();
+        let iv = [1u8; 12];
+        let sealed = run_one(&mut b, ch, Direction::Encrypt, &iv, b"secret data", None);
 
-        let mut dec_job = gcm_job(2, ct);
-        dec_job.direction = Direction::Decrypt;
-        dec_job.iv = vec![1u8; 12];
-        dec_job.tag = Some(tag.to_vec());
-        let out = m.process_batch(vec![dec_job.clone()]);
-        assert_eq!(out[0].result.as_ref().unwrap(), b"secret data");
+        let opened = run_one(
+            &mut b,
+            ch,
+            Direction::Decrypt,
+            &iv,
+            &sealed.body,
+            Some(&sealed.tag),
+        );
+        assert!(opened.auth_ok);
+        assert_eq!(opened.body, b"secret data");
 
-        dec_job.tag = Some(vec![0u8; 16]);
-        dec_job.id = 3;
-        let out = m.process_batch(vec![dec_job]);
-        assert_eq!(out[0].result, Err(ModeError::AuthFail));
+        let forged = run_one(
+            &mut b,
+            ch,
+            Direction::Decrypt,
+            &iv,
+            &sealed.body,
+            Some(&[0u8; 16]),
+        );
+        assert!(!forged.auth_ok, "a bad tag must fail authentication");
+        assert!(
+            forged.body.is_empty(),
+            "nothing is released on auth failure"
+        );
     }
 
     #[test]
     fn all_modes_run() {
-        let m = ParallelMccp::new(2);
-        let mk = |id, alg, iv: Vec<u8>, tag_len| PacketJob {
-            id,
-            algorithm: alg,
-            direction: Direction::Encrypt,
-            key: vec![1u8; 16],
-            iv,
-            aad: vec![],
-            body: vec![0xAB; 64],
-            tag: None,
-            tag_len,
-        };
-        let jobs = vec![
-            mk(0, Algorithm::AesGcm128, vec![0; 12], 16),
-            mk(1, Algorithm::AesCcm128, vec![0; 11], 8),
-            mk(2, Algorithm::AesCtr128, vec![0; 16], 0),
-            mk(3, Algorithm::AesCbcMac128, vec![], 16),
+        let mut b = FunctionalBackend::new();
+        let body = [0xABu8; 64];
+        // (algorithm, IV, tag length) -> (body length, tag length) out.
+        let cases = [
+            (Algorithm::AesGcm128, vec![0u8; 12], 16, (64, 16)),
+            (Algorithm::AesCcm128, vec![0u8; 11], 8, (64, 8)),
+            (Algorithm::AesCtr128, vec![0u8; 16], 16, (64, 0)),
+            (Algorithm::AesCbcMac128, vec![], 16, (0, 16)),
         ];
-        let out = m.process_batch(jobs);
-        assert!(out.iter().all(|o| o.result.is_ok()));
-        assert_eq!(out[0].result.as_ref().unwrap().len(), 64 + 16);
-        assert_eq!(out[1].result.as_ref().unwrap().len(), 64 + 8);
-        assert_eq!(out[2].result.as_ref().unwrap().len(), 64);
-        assert_eq!(out[3].result.as_ref().unwrap().len(), 16);
-    }
-
-    #[test]
-    fn per_core_packet_counts_sum_to_batch() {
-        let m = ParallelMccp::new(4);
-        let jobs: Vec<PacketJob> = (0..32).map(|i| gcm_job(i, &[i as u8; 64])).collect();
-        let outcomes = m.process_batch(jobs);
-        let counts = m.per_core_packets();
-        assert_eq!(counts.len(), 4);
-        assert_eq!(counts.iter().sum::<u64>(), 32);
-        // Counts agree with the outcome attribution.
-        for (core, &count) in counts.iter().enumerate() {
-            let attributed = outcomes.iter().filter(|o| o.core == core).count() as u64;
-            assert_eq!(count, attributed, "core {core}");
+        for (alg, iv, tag_len, (body_len, out_tag_len)) in cases {
+            let ch = b.open_channel(alg, &KEY, tag_len).unwrap();
+            let done = run_one(&mut b, ch, Direction::Encrypt, &iv, &body, None);
+            assert!(done.auth_ok, "{alg:?}");
+            assert_eq!(done.body.len(), body_len, "{alg:?} body");
+            assert_eq!(done.tag.len(), out_tag_len, "{alg:?} tag");
+            if alg == Algorithm::AesCbcMac128 {
+                assert_eq!(done.tag, cbc_mac(&Aes::new(&KEY), &body, 16).unwrap());
+            }
         }
-    }
-
-    #[test]
-    fn shutdown_joins_cleanly() {
-        let m = ParallelMccp::new(3);
-        m.process_batch(vec![gcm_job(0, b"x")]);
-        drop(m); // must not hang
     }
 }

@@ -16,9 +16,10 @@
 //!   *theoretical* column of Table II.
 //! * [`reconfig`] — partial reconfiguration of the Cryptographic Unit
 //!   region (Table IV: AES ↔ Whirlpool bitstreams, CompactFlash vs RAM).
-//! * [`functional`] — a fast thread-parallel functional mode (one OS
-//!   thread per core) for wall-clock benchmarking; bit-identical output,
-//!   no cycle accounting.
+//! * [`functional`] — [`FunctionalBackend`], the fast functional engine:
+//!   the same control protocol with the reference `mccp-aes`
+//!   implementations as the datapath; bit-identical output, no cycle
+//!   accounting.
 //!
 //! ```
 //! use mccp_core::{Mccp, MccpConfig};

@@ -1,5 +1,14 @@
-//! A sharded multi-engine cluster: N [`ChannelBackend`] shards serving
-//! one multi-channel workload.
+//! The batch replayer: N [`ChannelBackend`] shards serving one finished
+//! multi-channel workload.
+//!
+//! The crate has two front ends. [`MccpService`](crate::MccpService) is
+//! the API for long-lived channels that open, close and rekey while
+//! traffic flows. [`MccpCluster`] replays a workload that is known in
+//! full up front on 1 to N shards and reports what every packet cost. A
+//! one-shard cluster is the plain communication-controller loop: it keeps
+//! every idle core busy (the paper's as-fast-as-possible dispatch,
+//! §III.C) and measures aggregate throughput and per-packet latency in
+//! the engine's clock.
 //!
 //! The paper scales a single MCCP by adding cores; a communication
 //! gateway terminating many radio links scales further by replicating
@@ -26,16 +35,113 @@
 //! [`MccpCluster::run_threaded`] fans them out across OS threads.
 
 use crate::channel::SecureChannel;
-use crate::driver::{verify_records, PacketRecord, RunReport, VerifyError};
 use crate::qos::{channel_slo, DispatchPolicy};
 use crate::standards::Standard;
 use crate::workload::Workload;
-use mccp_core::protocol::{ChannelId, KeyId, MccpError, RequestId};
+use mccp_core::protocol::{ChannelId, KeyId, MccpError, Mode};
 use mccp_core::{ChannelBackend, Completion, Direction, FunctionalBackend, Mccp, MccpConfig};
+use mccp_sim::throughput_mbps;
 use mccp_telemetry::slo::{ChannelAttainment, HealthScore, SloEngine};
 use mccp_telemetry::trace::{Attempt, AttemptOutcome, PacketJourney};
 use mccp_telemetry::{metrics, Snapshot, WallProfile};
 use std::collections::VecDeque;
+
+/// One finished packet with its provenance (for verification).
+#[derive(Clone, Debug)]
+pub struct PacketRecord {
+    pub packet_idx: usize,
+    pub channel: usize,
+    pub iv: Vec<u8>,
+    pub ciphertext: Vec<u8>,
+    pub tag: Vec<u8>,
+    /// Cycles from submission to Data Available (service time).
+    pub latency: u64,
+    /// Cycles from the start of the run to Data Available — includes
+    /// queueing, which is what a QoS policy actually shapes.
+    pub completed_at: u64,
+}
+
+/// The outcome of one workload run.
+#[derive(Clone, Debug)]
+pub struct RunReport {
+    /// Total simulated cycles from first submission to last retrieval.
+    pub cycles: u64,
+    pub packets: usize,
+    pub payload_bits: u64,
+    pub records: Vec<PacketRecord>,
+}
+
+impl RunReport {
+    /// Aggregate throughput at the modeled 190 MHz clock.
+    pub fn throughput_mbps(&self) -> f64 {
+        throughput_mbps(self.payload_bits, self.cycles)
+    }
+
+    /// Mean packet latency in cycles.
+    pub fn mean_latency(&self) -> f64 {
+        if self.records.is_empty() {
+            return 0.0;
+        }
+        self.records.iter().map(|r| r.latency as f64).sum::<f64>() / self.records.len() as f64
+    }
+
+    /// Maximum packet latency in cycles.
+    pub fn max_latency(&self) -> u64 {
+        self.records.iter().map(|r| r.latency).max().unwrap_or(0)
+    }
+
+    /// Latency percentile. `p` is clamped to `0.0..=1.0` (so `p <= 0.0`
+    /// is the minimum, `p >= 1.0` the maximum, and NaN maps to the
+    /// minimum); an empty record set reports 0.
+    pub fn latency_percentile(&self, p: f64) -> u64 {
+        if self.records.is_empty() {
+            return 0;
+        }
+        let p = if p.is_nan() { 0.0 } else { p.clamp(0.0, 1.0) };
+        let mut l: Vec<u64> = self.records.iter().map(|r| r.latency).collect();
+        l.sort_unstable();
+        let idx = ((l.len() - 1) as f64 * p).round() as usize;
+        l[idx]
+    }
+}
+
+/// Why a packet record failed reference verification.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum VerifyErrorKind {
+    /// The engine's ciphertext differs from the reference computation.
+    CiphertextMismatch,
+    /// The engine's authentication tag differs from the reference.
+    TagMismatch,
+    /// The reference implementation rejected the packet's parameters
+    /// (bad IV length, oversize payload, …).
+    Reference(String),
+}
+
+/// A typed verification failure: which packet, on which channel, failed
+/// how — matchable by harnesses, unlike a formatted string.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct VerifyError {
+    pub packet_idx: usize,
+    pub channel: usize,
+    pub kind: VerifyErrorKind,
+}
+
+impl std::fmt::Display for VerifyError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "packet {} on channel {}: ",
+            self.packet_idx, self.channel
+        )?;
+        match &self.kind {
+            VerifyErrorKind::CiphertextMismatch => write!(f, "ciphertext mismatch"),
+            VerifyErrorKind::TagMismatch => write!(f, "tag mismatch"),
+            VerifyErrorKind::Reference(e) => write!(f, "reference rejected packet: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for VerifyError {}
 
 /// Cluster shape and dispatch policy knobs.
 #[derive(Clone, Copy, Debug)]
@@ -216,12 +322,6 @@ pub struct MccpCluster<B: ChannelBackend> {
     /// sized `min(shards, host_parallelism())`, so no per-run spawning and
     /// no oversubscription.
     pool: Option<crate::pool::ShardPool>,
-    /// Monotonic salt sequence for runtime opens — disjoint from the
-    /// construction-time `0x1000_0000 + i` salts, so churned channels
-    /// never share an IV salt with the static table or each other.
-    salt_seq: u32,
-    /// Lifecycle churn counters: runtime (opens, closes).
-    churn: (u64, u64),
 }
 
 impl MccpCluster<FunctionalBackend> {
@@ -256,10 +356,13 @@ impl MccpCluster<Mccp> {
 }
 
 impl<B: ChannelBackend> MccpCluster<B> {
-    /// Builds a cluster from pre-constructed shards. Derives session keys
-    /// exactly as [`crate::RadioDriver::with_backend`] does and opens
-    /// every channel on every shard; all shards must allocate the same
+    /// Builds a cluster from pre-constructed shards with one channel per
+    /// standard, opened on every shard; all shards must allocate the same
     /// handle sequence (the [`ChannelBackend`] determinism contract).
+    /// Session keys are derived deterministically from `key_seed` (test
+    /// reproducibility — a real radio would run a key exchange here), so
+    /// the same `(standards, key_seed)` pair yields the same keys, handles
+    /// and IV sequences on every engine.
     ///
     /// # Panics
     /// Panics if `backends` is empty or a shard allocates a divergent
@@ -314,8 +417,6 @@ impl<B: ChannelBackend> MccpCluster<B> {
             handles,
             shard_kills: Vec::new(),
             pool: None,
-            salt_seq: 0,
-            churn: (0, 0),
         }
     }
 
@@ -350,128 +451,6 @@ impl<B: ChannelBackend> MccpCluster<B> {
     /// The central channel table.
     pub fn channels(&self) -> &[SecureChannel] {
         &self.channels
-    }
-
-    /// OPEN at runtime on *every* shard (work-stealing and failover can
-    /// move any channel's packets to any shard, so all engines must hold
-    /// the binding). The salt comes from the cluster's monotonic
-    /// sequence, so churned channels never reuse an IV. Returns the
-    /// channel's index into [`channels`](Self::channels); indices are
-    /// never recycled.
-    ///
-    /// # Panics
-    /// Panics if a shard allocates a divergent handle (determinism-
-    /// contract violation, same as at construction).
-    pub fn open_channel(&mut self, standard: Standard, key: &[u8]) -> Result<usize, MccpError> {
-        let profile = standard.profile();
-        let tag_len = if profile.tag_len == 0 {
-            16
-        } else {
-            profile.tag_len
-        };
-        let mut handle = None;
-        for (s, b) in self.backends.iter_mut().enumerate() {
-            let h = b.open_channel(profile.algorithm, key, tag_len)?;
-            match handle {
-                None => handle = Some(h),
-                Some(h0) => assert_eq!(h0, h, "shard {s} diverged on runtime channel handle"),
-            }
-        }
-        let handle = handle.expect("at least one shard");
-        self.salt_seq = self.salt_seq.wrapping_add(1);
-        let idx = self.channels.len();
-        let mut ch = SecureChannel::new(
-            profile,
-            KeyId(0),
-            0x2000_0000u32.wrapping_add(self.salt_seq),
-        );
-        ch.handle = Some(handle);
-        self.channels.push(ch);
-        self.keys.push(key.to_vec());
-        self.handles.push(handle);
-        self.churn.0 += 1;
-        self.backends[0].telemetry_counter_add("mccp_cluster_channels_opened_total", 1);
-        Ok(idx)
-    }
-
-    /// CLOSE on every shard. Errors with [`MccpError::Busy`] if any shard
-    /// still holds in-flight work for the channel (shards already closed
-    /// in the same call stay closed — re-invoke after draining to finish).
-    pub fn close_channel(&mut self, channel: usize) -> Result<(), MccpError> {
-        let ch = self
-            .channels
-            .get_mut(channel)
-            .ok_or(MccpError::BadChannel)?;
-        let handle = ch.handle.ok_or(MccpError::BadChannel)?;
-        for b in &mut self.backends {
-            match b.close_channel(handle) {
-                // A shard that never served the channel after a previous
-                // partial close reports BadChannel — already closed there.
-                Ok(()) | Err(MccpError::BadChannel) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        ch.handle = None;
-        self.churn.1 += 1;
-        self.backends[0].telemetry_counter_add("mccp_cluster_channels_closed_total", 1);
-        Ok(())
-    }
-
-    /// ENCRYPT: submits one packet on `channel`'s affinity shard with a
-    /// centrally assigned IV (peek/commit — a backpressured submission
-    /// never burns a nonce). Returns the serving shard and request id.
-    pub fn submit(
-        &mut self,
-        channel: usize,
-        aad: &[u8],
-        payload: &[u8],
-    ) -> Result<(usize, RequestId), MccpError> {
-        let shards = self.backends.len();
-        let ch = self
-            .channels
-            .get_mut(channel)
-            .ok_or(MccpError::BadChannel)?;
-        let handle = ch.handle.ok_or(MccpError::BadChannel)?;
-        let iv = ch.peek_iv();
-        let shard = channel % shards;
-        let id = self.backends[shard].submit_packet(
-            handle,
-            Direction::Encrypt,
-            &iv,
-            aad,
-            payload,
-            None,
-        )?;
-        self.channels[channel].commit_iv();
-        Ok((shard, id))
-    }
-
-    /// Advances every shard's clock by at most `bound` cycles; returns
-    /// the largest advance.
-    pub fn step_all(&mut self, bound: u64) -> u64 {
-        self.backends
-            .iter_mut()
-            .map(|b| if b.in_flight() > 0 { b.step(bound) } else { 0 })
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Pops the next finished lifecycle request from any shard, with the
-    /// shard it completed on.
-    pub fn poll(&mut self) -> Option<(usize, Completion)> {
-        for (s, b) in self.backends.iter_mut().enumerate() {
-            if let Some(c) = b.poll_completion() {
-                return Some((s, c));
-            }
-        }
-        None
-    }
-
-    /// Runtime lifecycle churn: `(channels opened, channels closed)` via
-    /// [`open_channel`](Self::open_channel) /
-    /// [`close_channel`](Self::close_channel).
-    pub fn churn_stats(&self) -> (u64, u64) {
-        self.churn
     }
 
     /// Assigns IVs centrally in policy order and routes each packet to
@@ -847,13 +826,147 @@ impl<B: ChannelBackend> MccpCluster<B> {
     }
 
     /// Verifies every merged record against the reference (`mccp-aes`)
-    /// implementations. Returns the number of packets checked.
+    /// implementations. Returns the number of packets checked. Records may
+    /// come from any engine or shard layout; only bytes matter.
     pub fn verify(
         &self,
         workload: &Workload,
         report: &ClusterReport,
     ) -> Result<usize, VerifyError> {
-        verify_records(workload, &report.merged.records, &self.channels, &self.keys)
+        use mccp_aes::modes::{ccm_seal, ctr_xcrypt, CcmParams, GcmContext};
+
+        let records = &report.merged.records;
+        // One expanded key schedule — and, for GCM channels, one set of
+        // cached hash-key powers — per *channel*, not per record.
+        let channels = self.channels.len();
+        let mut aes_by_ch: Vec<Option<mccp_aes::Aes>> = (0..channels).map(|_| None).collect();
+        let mut gcm_by_ch: Vec<Option<GcmContext<mccp_aes::Aes>>> =
+            (0..channels).map(|_| None).collect();
+
+        for rec in records {
+            let fail = |kind| VerifyError {
+                packet_idx: rec.packet_idx,
+                channel: rec.channel,
+                kind,
+            };
+            let reference = |e: String| fail(VerifyErrorKind::Reference(e));
+            let pkt = &workload.packets[rec.packet_idx];
+            let ch = &self.channels[rec.channel];
+            let aes = aes_by_ch[rec.channel]
+                .get_or_insert_with(|| mccp_aes::Aes::new(&self.keys[rec.channel]));
+            let (expect_ct, expect_tag): (Vec<u8>, Vec<u8>) = match ch.profile.algorithm.mode() {
+                Mode::Gcm => {
+                    let ctx =
+                        gcm_by_ch[rec.channel].get_or_insert_with(|| GcmContext::new(aes.clone()));
+                    let out = ctx
+                        .seal(&rec.iv, &pkt.aad, &pkt.payload, 16)
+                        .map_err(|e| reference(e.to_string()))?;
+                    let n = pkt.payload.len();
+                    (out[..n].to_vec(), out[n..].to_vec())
+                }
+                Mode::Ccm => {
+                    let params = CcmParams {
+                        nonce_len: rec.iv.len(),
+                        tag_len: ch.profile.tag_len,
+                    };
+                    let out = ccm_seal(&*aes, &params, &rec.iv, &pkt.aad, &pkt.payload)
+                        .map_err(|e| reference(e.to_string()))?;
+                    let n = pkt.payload.len();
+                    (out[..n].to_vec(), out[n..].to_vec())
+                }
+                Mode::Ctr => {
+                    let mut body = pkt.payload.clone();
+                    let ctr0: [u8; 16] = rec.iv.as_slice().try_into().map_err(|_| {
+                        reference(format!("CTR IV must be 16 bytes, got {}", rec.iv.len()))
+                    })?;
+                    ctr_xcrypt(&*aes, &ctr0, &mut body).map_err(|e| reference(e.to_string()))?;
+                    (body, Vec::new())
+                }
+                Mode::CbcMac => {
+                    let mac = mccp_aes::modes::cbc_mac(&*aes, &pkt.payload, 16)
+                        .map_err(|e| reference(e.to_string()))?;
+                    (Vec::new(), mac)
+                }
+            };
+            if rec.ciphertext != expect_ct {
+                return Err(fail(VerifyErrorKind::CiphertextMismatch));
+            }
+            if rec.tag != expect_tag {
+                return Err(fail(VerifyErrorKind::TagMismatch));
+            }
+        }
+        Ok(records.len())
+    }
+
+    /// The receiver role: decrypts a previously produced run back through
+    /// shard 0 (every shard holds every channel under the same handle, with
+    /// the same keys and IVs) and checks every payload round-trips.
+    /// Returns the total decrypt cycles.
+    ///
+    /// # Panics
+    /// Panics if an authentic packet fails authentication or mismatches —
+    /// either is an engine bug, not a workload condition.
+    pub fn run_receive(&mut self, workload: &Workload, sent: &RunReport) -> u64 {
+        let backend = &mut self.backends[0];
+        let start = backend.now();
+        for rec in &sent.records {
+            let pkt = &workload.packets[rec.packet_idx];
+            let handle = self.handles[rec.channel];
+            let mode = self.channels[rec.channel].profile.algorithm.mode();
+            let id = match mode {
+                Mode::Gcm | Mode::Ccm => backend.submit_packet(
+                    handle,
+                    Direction::Decrypt,
+                    &rec.iv,
+                    &pkt.aad,
+                    &rec.ciphertext,
+                    Some(&rec.tag),
+                ),
+                // CTR decrypt = encrypt with the same counter block.
+                Mode::Ctr => backend.submit_packet(
+                    handle,
+                    Direction::Decrypt,
+                    &rec.iv,
+                    &[],
+                    &rec.ciphertext,
+                    None,
+                ),
+                // Verify-by-recompute: MAC the payload again and compare.
+                Mode::CbcMac => {
+                    backend.submit_packet(handle, Direction::Encrypt, &[], &[], &pkt.payload, None)
+                }
+            }
+            .expect("core available");
+            let done = complete_one(backend, 100_000_000);
+            assert_eq!(done.request, id);
+            match mode {
+                Mode::Gcm | Mode::Ccm => {
+                    assert!(done.auth_ok, "authentic packet must decrypt");
+                    assert_eq!(done.body, pkt.payload, "round-trip mismatch");
+                }
+                Mode::Ctr => assert_eq!(done.body, pkt.payload, "round-trip mismatch"),
+                Mode::CbcMac => assert_eq!(done.tag, rec.tag, "MAC verify mismatch"),
+            }
+        }
+        backend.now() - start
+    }
+}
+
+/// Steps the engine until one completion is pollable, then pops it.
+///
+/// # Panics
+/// Panics if nothing completes within `max_cycles`.
+fn complete_one<B: ChannelBackend>(backend: &mut B, max_cycles: u64) -> Completion {
+    let mut spent = 0u64;
+    loop {
+        if let Some(c) = backend.poll_completion() {
+            return c;
+        }
+        assert!(
+            spent < max_cycles,
+            "request wedged after {max_cycles} cycles"
+        );
+        spent += backend.step(max_cycles - spent);
     }
 }
 
@@ -889,18 +1002,20 @@ struct AttemptEvent {
 }
 
 /// A queued attempt: the job's slot in `queue`, failed attempts so far,
-/// and the shard-local cycle before which backoff holds it back.
+/// and the shard-local cycle it may be submitted at — its arrival, or the
+/// end of its retry backoff.
 #[derive(Clone, Copy)]
 struct Try {
     q: usize,
     attempt: u32,
-    eligible_at: u64,
+    ready_at: u64,
 }
 
-/// One shard's serving loop: the [`crate::RadioDriver::run`] engine loop
-/// with pre-assigned IVs — submit arrived jobs in queue order until the
-/// engine reports `NoResource`, advance the clock, poll completions —
-/// plus the fault-recovery plane: faulted packets are resubmitted with
+/// One shard's serving loop: submit arrived jobs in queue order (IVs
+/// pre-assigned) until the engine reports `NoResource`, advance the clock
+/// — leaping quiescent spans up to the next arrival, an external event the
+/// engine's horizon cannot see — and poll completions. On top of that sits
+/// the fault-recovery plane: faulted packets are resubmitted with
 /// exponential backoff, quarantined cores are hard-reset after a
 /// cool-down, and a killed shard hands its leftovers back as orphans.
 fn run_shard<B: ChannelBackend>(
@@ -917,7 +1032,7 @@ fn run_shard<B: ChannelBackend>(
         .map(|q| Try {
             q,
             attempt: 0,
-            eligible_at: 0,
+            ready_at: workload.packets[queue[q].pkt_idx].arrival_cycle,
         })
         .collect();
     // (request, queue slot, failed attempts so far, shard-local submit cycle)
@@ -990,9 +1105,7 @@ fn run_shard<B: ChannelBackend>(
 
         loop {
             let now = backend.now() - start;
-            let Some(pos) = pending.iter().position(|t| {
-                t.eligible_at <= now && workload.packets[queue[t.q].pkt_idx].arrival_cycle <= now
-            }) else {
+            let Some(pos) = pending.iter().position(|t| t.ready_at <= now) else {
                 break;
             };
             let t = pending[pos];
@@ -1050,7 +1163,7 @@ fn run_shard<B: ChannelBackend>(
                         retries += 1;
                         backend.telemetry_counter_add("mccp_cluster_retries_total", 1);
                         pending[pos].attempt = failed;
-                        pending[pos].eligible_at = now + backoff_cycles(&retry, failed);
+                        pending[pos].ready_at = now + backoff_cycles(&retry, failed);
                     }
                 }
                 Err(e) => panic!("packet {} rejected: {e}", job.pkt_idx),
@@ -1064,11 +1177,7 @@ fn run_shard<B: ChannelBackend>(
         let now = backend.now() - start;
         let wait_bound = pending
             .iter()
-            .map(|t| {
-                workload.packets[queue[t.q].pkt_idx]
-                    .arrival_cycle
-                    .max(t.eligible_at)
-            })
+            .map(|t| t.ready_at)
             .filter(|&a| a > now)
             .map(|a| a - now)
             .min()
@@ -1137,7 +1246,7 @@ fn run_shard<B: ChannelBackend>(
                     pending.push_back(Try {
                         q,
                         attempt: failed,
-                        eligible_at: now + backoff_cycles(&retry, failed),
+                        ready_at: now + backoff_cycles(&retry, failed),
                     });
                 } else {
                     // The engine's RequestFailed already closed the span's
@@ -1367,54 +1476,198 @@ mod tests {
         assert_eq!(stealing.verify(&workload, &r).unwrap(), 16);
     }
 
+    /// A one-shard cycle-accurate cluster: the plain batch replayer.
+    fn cycle_radio(config: MccpConfig, standards: &[Standard], key_seed: u64) -> MccpCluster<Mccp> {
+        MccpCluster::cycle_accurate(ClusterConfig::default(), config, standards, key_seed)
+    }
+
     #[test]
-    fn cluster_lifecycle_open_submit_poll_close() {
-        let standards = vec![Standard::Wifi, Standard::Wimax];
-        let mut cluster = MccpCluster::functional(
-            ClusterConfig {
-                shards: 2,
-                work_stealing: false,
-                telemetry_capacity: None,
-                retry: RetryPolicy::default(),
-                observe: false,
-            },
-            &standards,
-            7,
-        );
-        // Runtime channel 2 → affinity shard 0 (2 % 2).
-        let idx = cluster
-            .open_channel(Standard::Umts, &[0x33; 16])
-            .expect("runtime open");
-        assert_eq!(idx, 2);
-        let (shard, id) = cluster.submit(idx, b"", &[9u8; 80]).expect("accepted");
-        assert_eq!(shard, 0);
-        let (done_shard, done) = loop {
-            if let Some(c) = cluster.poll() {
-                break c;
-            }
-            cluster.step_all(100_000);
-        };
-        assert_eq!((done_shard, done.request), (shard, id));
-        assert!(done.auth_ok);
-        assert_eq!(done.body.len(), 80);
-        cluster.close_channel(idx).expect("drained channel closes");
-        assert_eq!(
-            cluster.submit(idx, b"", &[1u8; 8]),
-            Err(MccpError::BadChannel)
-        );
-        assert_eq!(cluster.churn_stats(), (1, 1));
-        // The batch path still serves the static table afterwards.
+    fn multi_standard_run_verifies() {
         let spec = WorkloadSpec {
-            standards: standards.clone(),
-            packets: 4,
-            seed: 11,
-            fixed_payload_len: Some(160),
+            standards: vec![Standard::Wifi, Standard::Wimax, Standard::Umts],
+            packets: 12,
+            seed: 42,
+            fixed_payload_len: Some(200),
             mean_interarrival_cycles: None,
         };
-        let workload = Workload::generate(spec);
-        let r = cluster.run(&workload, DispatchPolicy::Fifo);
-        assert_eq!(r.merged.packets, 4);
-        assert_eq!(cluster.verify(&workload, &r).unwrap(), 4);
+        let workload = Workload::generate(spec.clone());
+        let mut radio = cycle_radio(MccpConfig::default(), &spec.standards, 7);
+        let report = radio.run(&workload, DispatchPolicy::Fifo);
+        assert_eq!(report.merged.packets, 12);
+        assert!(report.aggregate_throughput_mbps() > 0.0);
+        let checked = radio.verify(&workload, &report).expect("all verified");
+        assert_eq!(checked, 12);
+    }
+
+    #[test]
+    fn functional_backend_run_verifies() {
+        // The same workload through the functional engine: every record
+        // still checks against the reference implementations.
+        let spec = WorkloadSpec {
+            standards: vec![Standard::Wifi, Standard::Wimax, Standard::Umts],
+            packets: 12,
+            seed: 42,
+            fixed_payload_len: Some(200),
+            mean_interarrival_cycles: None,
+        };
+        let workload = Workload::generate(spec.clone());
+        let mut radio = MccpCluster::functional(ClusterConfig::default(), &spec.standards, 7);
+        let report = radio.run(&workload, DispatchPolicy::Fifo);
+        assert_eq!(report.merged.packets, 12);
+        let checked = radio.verify(&workload, &report).expect("all verified");
+        assert_eq!(checked, 12);
+        // And the functional engine decrypts its own output back.
+        let mut rx = MccpCluster::functional(ClusterConfig::default(), &spec.standards, 7);
+        rx.run_receive(&workload, &report.merged);
+    }
+
+    #[test]
+    fn four_cores_beat_one_core_on_throughput() {
+        let spec = WorkloadSpec {
+            standards: vec![Standard::Wimax],
+            packets: 8,
+            seed: 1,
+            fixed_payload_len: Some(1024),
+            mean_interarrival_cycles: None,
+        };
+        let workload = Workload::generate(spec.clone());
+
+        let r4 = cycle_radio(MccpConfig::default(), &spec.standards, 3)
+            .run(&workload, DispatchPolicy::Fifo)
+            .merged;
+        let cfg1 = MccpConfig {
+            n_cores: 1,
+            ..MccpConfig::default()
+        };
+        let r1 = cycle_radio(cfg1, &spec.standards, 3)
+            .run(&workload, DispatchPolicy::Fifo)
+            .merged;
+
+        assert!(
+            r4.throughput_mbps() > 3.0 * r1.throughput_mbps(),
+            "4 cores: {:.0} Mbps, 1 core: {:.0} Mbps",
+            r4.throughput_mbps(),
+            r1.throughput_mbps()
+        );
+    }
+
+    #[test]
+    fn duplex_roundtrip_through_hardware() {
+        // Transmit with one radio, receive with another (fresh MCCP, same
+        // keys) — every packet decrypts back through the simulator.
+        let spec = WorkloadSpec {
+            standards: vec![Standard::Wifi, Standard::Wimax, Standard::Umts],
+            packets: 9,
+            seed: 77,
+            fixed_payload_len: Some(120),
+            mean_interarrival_cycles: None,
+        };
+        let workload = Workload::generate(spec.clone());
+        let mut tx = cycle_radio(MccpConfig::default(), &spec.standards, 5);
+        let report = tx.run(&workload, DispatchPolicy::Fifo);
+        let mut rx = cycle_radio(MccpConfig::default(), &spec.standards, 5);
+        let cycles = rx.run_receive(&workload, &report.merged);
+        assert!(cycles > 0);
+    }
+
+    #[test]
+    fn telemetry_counts_offered_and_served_per_channel() {
+        let spec = WorkloadSpec {
+            standards: vec![Standard::Wifi, Standard::Umts],
+            packets: 10,
+            seed: 13,
+            fixed_payload_len: Some(96),
+            mean_interarrival_cycles: None,
+        };
+        let workload = Workload::generate(spec.clone());
+        let mut radio = cycle_radio(MccpConfig::default(), &spec.standards, 2);
+        radio.backend_mut(0).enable_telemetry(1024);
+        let report = radio.run(&workload, DispatchPolicy::Fifo);
+        assert_eq!(report.merged.packets, 10);
+
+        let snap = radio.backend_mut(0).telemetry_snapshot();
+        for ch in 0..spec.standards.len() {
+            let expect = workload.packets.iter().filter(|p| p.channel == ch).count() as u64;
+            let offered = snap.counter(&metrics::series(
+                "mccp_sdr_offered_packets_total",
+                "channel",
+                ch,
+            ));
+            let served = snap.counter(&metrics::series(
+                "mccp_sdr_served_packets_total",
+                "channel",
+                ch,
+            ));
+            assert_eq!(offered, expect, "offered on channel {ch}");
+            assert_eq!(served, expect, "served on channel {ch}");
+            let bytes = snap.counter(&metrics::series(
+                "mccp_sdr_served_bytes_total",
+                "channel",
+                ch,
+            ));
+            assert_eq!(bytes, expect * 96, "bytes on channel {ch}");
+        }
+        // The simulator-side lifecycle counters agree with the run report.
+        assert_eq!(snap.counter("mccp_requests_submitted_total"), 10);
+        assert_eq!(snap.counter("mccp_requests_completed_total"), 10);
+    }
+
+    #[test]
+    fn latency_stats_are_consistent() {
+        let spec = WorkloadSpec {
+            standards: vec![Standard::SecureVoice],
+            packets: 6,
+            seed: 5,
+            fixed_payload_len: Some(64),
+            mean_interarrival_cycles: None,
+        };
+        let workload = Workload::generate(spec.clone());
+        let report = cycle_radio(MccpConfig::default(), &spec.standards, 1)
+            .run(&workload, DispatchPolicy::Fifo)
+            .merged;
+        assert!(report.mean_latency() > 0.0);
+        assert!(report.max_latency() >= report.latency_percentile(0.5));
+        assert_eq!(report.latency_percentile(1.0), report.max_latency());
+    }
+
+    fn report_with_latencies(latencies: &[u64]) -> RunReport {
+        RunReport {
+            cycles: 1,
+            packets: latencies.len(),
+            payload_bits: 0,
+            records: latencies
+                .iter()
+                .enumerate()
+                .map(|(i, &l)| PacketRecord {
+                    packet_idx: i,
+                    channel: 0,
+                    iv: Vec::new(),
+                    ciphertext: Vec::new(),
+                    tag: Vec::new(),
+                    latency: l,
+                    completed_at: l,
+                })
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn latency_percentile_empty_records() {
+        let r = report_with_latencies(&[]);
+        for p in [-1.0, 0.0, 0.5, 1.0, 2.0, f64::NAN] {
+            assert_eq!(r.latency_percentile(p), 0);
+        }
+    }
+
+    #[test]
+    fn latency_percentile_clamps_p() {
+        let r = report_with_latencies(&[30, 10, 20, 50, 40]);
+        assert_eq!(r.latency_percentile(0.0), 10, "p=0 is the minimum");
+        assert_eq!(r.latency_percentile(1.0), 50, "p=1 is the maximum");
+        assert_eq!(r.latency_percentile(-0.3), 10, "p<0 clamps to minimum");
+        assert_eq!(r.latency_percentile(7.0), 50, "p>1 clamps to maximum");
+        assert_eq!(r.latency_percentile(f64::NAN), 10, "NaN maps to minimum");
+        assert_eq!(r.latency_percentile(0.5), 30, "median of five");
     }
 
     #[test]

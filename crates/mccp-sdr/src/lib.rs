@@ -13,21 +13,26 @@
 //!   (deterministic counters, never reused).
 //! * [`workload`] — deterministic multi-channel packet-stream generation
 //!   (seeded; reproducible across runs).
-//! * [`driver`] — the communication-controller role: formats packets,
-//!   drives the MCCP's control protocol, keeps all cores fed, and measures
-//!   aggregate throughput and per-packet latency.
 //! * [`qos`] — a priority-aware dispatch policy (the paper's §VIII
 //!   future-work discussion made concrete) plus the service plane's QoS
 //!   classes and admission watermarks.
-//! * [`slab`] / [`service`] — the always-on service plane: a sharded
-//!   generational channel slab, bounded ingestion queues with per-class
-//!   admission control, and an LRU warm set of engine bindings, so
-//!   100k+ mostly-idle sessions are held open safely and cheaply.
+//!
+//! Two front ends drive the engines, each with one job:
+//!
+//! * [`service`] (over [`slab`]) — [`MccpService`], the API for
+//!   long-lived channels that open, close and rekey while traffic flows:
+//!   a sharded generational channel slab, bounded ingestion queues with
+//!   per-class admission control, and an LRU warm set of engine bindings,
+//!   so 100k+ mostly-idle sessions are held open safely and cheaply.
+//! * [`cluster`] — [`MccpCluster`], which replays a finished workload on
+//!   1 to N shards. One shard is the communication-controller role:
+//!   drive the control protocol, keep all cores fed, and measure
+//!   aggregate throughput and per-packet latency. More shards add
+//!   channel-affinity dispatch, work stealing and fault recovery.
 
 pub mod adversary;
 pub mod channel;
 pub mod cluster;
-pub mod driver;
 pub mod pool;
 pub mod qos;
 pub mod service;
@@ -37,8 +42,10 @@ pub mod workload;
 
 pub use adversary::{run_adversary_suite, AdversaryReport};
 pub use channel::SecureChannel;
-pub use cluster::{ClusterConfig, ClusterReport, MccpCluster, ShardReport};
-pub use driver::{PacketRecord, RadioDriver, RunReport, VerifyError, VerifyErrorKind};
+pub use cluster::{
+    ClusterConfig, ClusterReport, MccpCluster, PacketRecord, RunReport, ShardReport, VerifyError,
+    VerifyErrorKind,
+};
 pub use pool::{host_parallelism, ShardPool, SERIAL_FALLBACK_BYTES};
 pub use qos::{qos_class, AdmissionConfig, QosClass};
 pub use service::{Delivery, MccpService, ServiceConfig, ServiceError, ServiceReport};

@@ -175,7 +175,7 @@ pub struct ClassLatency {
 /// Summarizes a run's completion times by priority class.
 pub fn latency_by_class(
     packets: &[RadioPacket],
-    records: &[crate::driver::PacketRecord],
+    records: &[crate::cluster::PacketRecord],
 ) -> Vec<ClassLatency> {
     let mut classes: Vec<u8> = packets.iter().map(|p| p.priority).collect();
     classes.sort_unstable();
@@ -292,7 +292,7 @@ mod tests {
 
     #[test]
     fn class_summary_counts() {
-        use crate::driver::PacketRecord;
+        use crate::cluster::PacketRecord;
         let pkts = vec![pkt(0), pkt(1), pkt(0)];
         let records: Vec<PacketRecord> = (0..3)
             .map(|i| PacketRecord {

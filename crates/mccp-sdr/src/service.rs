@@ -1,12 +1,11 @@
 //! The always-on service plane: open/submit/pump/close over a sharded
 //! generational slab, with bounded ingestion queues and QoS admission.
 //!
-//! The batch layers ([`RadioDriver`](crate::driver::RadioDriver),
-//! [`MccpCluster`](crate::cluster::MccpCluster)) run a workload to
-//! completion and exit — fine for benchmarking, wrong for a deployed
-//! multi-channel terminal that holds sessions open for hours and sees
-//! traffic arrive continuously. [`MccpService`] is the long-lived
-//! front-end:
+//! The batch replayer ([`MccpCluster`](crate::cluster::MccpCluster)) runs
+//! a finished workload to completion and exits — fine for benchmarking,
+//! wrong for a deployed multi-channel terminal that holds sessions open
+//! for hours and sees traffic arrive continuously. [`MccpService`] is the
+//! long-lived front-end, and the only one with a channel lifecycle:
 //!
 //! * **State** — channels live in per-shard [`ChannelSlab`]s keyed by
 //!   generational [`ServiceChannelId`]s, so 100k+ mostly-idle sessions

@@ -1,19 +1,18 @@
 //! Backend equivalence: the [`ChannelBackend`] contract's core promise —
 //! the cycle-accurate simulator, the functional engine, and any cluster
-//! sharding of either produce *bit-identical* ciphertext, tags, and IV
-//! assignments for the same workload.
+//! sharding of either (one shard up) produce *bit-identical* ciphertext,
+//! tags, and IV assignments for the same workload.
 //!
 //! All runs here use the FIFO policy on batch workloads: per-channel IV
 //! assignment order is then identical across engines by construction
 //! (Priority + Poisson arrivals + core backpressure can legitimately
 //! reorder which packet of a channel gets which counter value).
 
-use mccp_core::{ChannelBackend, FaultPlan, FunctionalBackend, MccpConfig};
+use mccp_core::{ChannelBackend, FaultPlan, FunctionalBackend, Mccp, MccpConfig};
 use mccp_sdr::cluster::{ClusterConfig, ClusterReport, MccpCluster, RetryPolicy};
-use mccp_sdr::driver::PacketRecord;
 use mccp_sdr::qos::DispatchPolicy;
 use mccp_sdr::workload::{Workload, WorkloadSpec};
-use mccp_sdr::{RadioDriver, Standard};
+use mccp_sdr::{PacketRecord, Standard};
 use mccp_telemetry::trace::AttemptOutcome;
 use proptest::prelude::*;
 
@@ -32,6 +31,21 @@ fn spec(packets: usize, seed: u64, payload: Option<usize>) -> WorkloadSpec {
         fixed_payload_len: payload,
         mean_interarrival_cycles: None,
     }
+}
+
+/// A one-shard cluster on a per-tick cycle-accurate MCCP.
+fn cycle_radio(standards: &[Standard], key_seed: u64) -> MccpCluster<Mccp> {
+    MccpCluster::with_backends(
+        ClusterConfig::default(),
+        vec![Mccp::new(MccpConfig::default())],
+        standards,
+        key_seed,
+    )
+}
+
+/// A one-shard cluster on the functional engine.
+fn functional_radio(standards: &[Standard], key_seed: u64) -> MccpCluster<FunctionalBackend> {
+    MccpCluster::functional(ClusterConfig::default(), standards, key_seed)
 }
 
 /// Asserts two record sets agree packet-for-packet on everything both
@@ -59,13 +73,13 @@ fn assert_bytes_equal(a: &[PacketRecord], b: &[PacketRecord], what: &str) {
 fn cycle_and_functional_agree_packet_for_packet() {
     let spec = spec(24, 0xE0_01, None);
     let workload = Workload::generate(spec.clone());
-    let mut cycle = RadioDriver::new(MccpConfig::default(), &spec.standards, 7);
+    let mut cycle = cycle_radio(&spec.standards, 7);
     let r_cycle = cycle.run(&workload, DispatchPolicy::Fifo);
-    let mut functional = RadioDriver::with_backend(FunctionalBackend::new(), &spec.standards, 7);
+    let mut functional = functional_radio(&spec.standards, 7);
     let r_functional = functional.run(&workload, DispatchPolicy::Fifo);
     assert_bytes_equal(
-        &r_cycle.records,
-        &r_functional.records,
+        &r_cycle.merged.records,
+        &r_functional.merged.records,
         "cycle vs functional",
     );
     // Both also pass the independent reference check.
@@ -74,40 +88,14 @@ fn cycle_and_functional_agree_packet_for_packet() {
 }
 
 #[test]
-fn one_shard_cluster_matches_single_backend_run() {
-    let spec = spec(20, 0xE0_02, Some(180));
-    let workload = Workload::generate(spec.clone());
-    let mut single = RadioDriver::with_backend(FunctionalBackend::new(), &spec.standards, 5);
-    let solo = single.run(&workload, DispatchPolicy::Fifo);
-    let mut cluster = MccpCluster::functional(
-        ClusterConfig {
-            shards: 1,
-            work_stealing: true,
-            telemetry_capacity: None,
-            retry: RetryPolicy::default(),
-            observe: false,
-        },
-        &spec.standards,
-        5,
-    );
-    let clustered = cluster.run(&workload, DispatchPolicy::Fifo);
-    assert_bytes_equal(
-        &solo.records,
-        &clustered.merged.records,
-        "1-shard cluster vs single backend",
-    );
-    assert_eq!(clustered.merged.packets, solo.packets);
-    assert_eq!(clustered.merged.payload_bits, solo.payload_bits);
-}
-
-#[test]
 fn sharded_cluster_with_stealing_matches_single_backend_bytes() {
     // Stolen packets keep their centrally assigned IVs, so even a
     // rebalanced 4-shard layout reproduces the single-engine bytes.
     let spec = spec(30, 0xE0_03, None);
     let workload = Workload::generate(spec.clone());
-    let mut single = RadioDriver::with_backend(FunctionalBackend::new(), &spec.standards, 11);
-    let solo = single.run(&workload, DispatchPolicy::Fifo);
+    let solo = functional_radio(&spec.standards, 11)
+        .run(&workload, DispatchPolicy::Fifo)
+        .merged;
     let mut cluster = MccpCluster::functional(
         ClusterConfig {
             shards: 4,
@@ -311,13 +299,13 @@ proptest! {
     ) {
         let spec = spec(packets, seed, Some(payload));
         let workload = Workload::generate(spec.clone());
-        let mut cycle = RadioDriver::new(MccpConfig::default(), &spec.standards, seed ^ 1);
+        let mut cycle = cycle_radio(&spec.standards, seed ^ 1);
         let r_cycle = cycle.run(&workload, DispatchPolicy::Fifo);
-        let mut functional =
-            RadioDriver::with_backend(FunctionalBackend::new(), &spec.standards, seed ^ 1);
+        let mut functional = functional_radio(&spec.standards, seed ^ 1);
         let r_functional = functional.run(&workload, DispatchPolicy::Fifo);
-        prop_assert_eq!(r_cycle.records.len(), r_functional.records.len());
-        for (x, y) in r_cycle.records.iter().zip(r_functional.records.iter()) {
+        let (xs, ys) = (&r_cycle.merged.records, &r_functional.merged.records);
+        prop_assert_eq!(xs.len(), ys.len());
+        for (x, y) in xs.iter().zip(ys.iter()) {
             prop_assert_eq!(&x.iv, &y.iv, "packet {} IV", x.packet_idx);
             prop_assert_eq!(&x.ciphertext, &y.ciphertext, "packet {} ciphertext", x.packet_idx);
             prop_assert_eq!(&x.tag, &y.tag, "packet {} tag", x.packet_idx);

@@ -203,10 +203,28 @@ proptest! {
 
 /// A deterministic worst case the random walk may miss: hammer one
 /// register so a single slot recycles many times back-to-back, proving
-/// generation bumps and fresh salts on the exact same slot index.
+/// generation bumps and fresh salts on the exact same slot index. On the
+/// cycle engine, one shard takes all 300 opens, so the 255-slot Key Memory
+/// must recycle its key slots too.
 #[test]
 fn single_slot_recycles_hundreds_of_times_without_iv_reuse() {
-    let mut svc = MccpService::new(churn_config(), |_| FunctionalBackend::new());
+    recycle_one_slot(MccpService::new(churn_config(), |_| {
+        FunctionalBackend::new()
+    }));
+    recycle_one_slot(MccpService::new(
+        ServiceConfig {
+            shards: 1,
+            ..churn_config()
+        },
+        |_| {
+            let mut engine = Mccp::new(MccpConfig::default());
+            engine.set_fast_forward(true);
+            engine
+        },
+    ));
+}
+
+fn recycle_one_slot<B: ChannelBackend>(mut svc: MccpService<B>) {
     let mut seen_ivs: HashSet<Vec<u8>> = HashSet::new();
     let mut prior: Option<ServiceChannelId> = None;
     for round in 0..300u32 {

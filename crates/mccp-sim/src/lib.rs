@@ -14,8 +14,6 @@
 //!   instruction memory two neighbouring cores share.
 //! * [`resources`] — FPGA area accounting (slices / BRAMs on the paper's
 //!   Virtex-4 SX35) used to regenerate the area columns of Tables III/IV.
-//! * [`trace`] — a lightweight cycle-stamped event tracer for debugging and
-//!   for the waveform-style reports in the examples.
 //! * [`vcd`] — a Value Change Dump writer, so simulations can be inspected
 //!   in GTKWave like any other hardware model.
 
@@ -24,14 +22,12 @@ pub mod clocked;
 pub mod fifo;
 pub mod resources;
 pub mod shift_register;
-pub mod trace;
 pub mod vcd;
 
 pub use clocked::Clocked;
 pub use fifo::HwFifo;
 pub use resources::{ResourceReport, Resources};
 pub use shift_register::ShiftRegister32;
-pub use trace::Tracer;
 pub use vcd::VcdWriter;
 
 /// The MCCP's clock frequency on the Virtex-4 SX35-11 (paper §VII.A).

@@ -28,11 +28,10 @@
 //!
 //! # Zero overhead when disabled
 //!
-//! The contract mirrors `mccp_sim::trace::Tracer`: a disabled
-//! [`Telemetry`] reduces every instrumentation call to one branch on a
-//! bool. Events are built lazily ([`Telemetry::emit_with`] takes a
-//! closure), so no allocation or formatting happens unless telemetry is
-//! on. The cycle-budget tests in `mccp-bench` hold the model to this.
+//! A disabled [`Telemetry`] reduces every instrumentation call to one
+//! branch on a bool. Events are built lazily ([`Telemetry::emit_with`]
+//! takes a closure), so no allocation or formatting happens unless
+//! telemetry is on. The cycle-budget tests in `mccp-bench` hold the model to this.
 //!
 //! # Determinism
 //!

@@ -12,7 +12,7 @@
 use mccp::core::MccpConfig;
 use mccp::sdr::qos::{latency_by_class, DispatchPolicy};
 use mccp::sdr::workload::{Workload, WorkloadSpec};
-use mccp::sdr::{RadioDriver, Standard};
+use mccp::sdr::{ClusterConfig, MccpCluster, Standard};
 
 fn main() {
     let spec = WorkloadSpec {
@@ -31,11 +31,17 @@ fn main() {
     );
 
     for policy in [DispatchPolicy::Fifo, DispatchPolicy::Priority] {
-        let mut radio = RadioDriver::new(MccpConfig::default(), &spec.standards, 99);
-        let report = radio.run(&workload, policy);
+        let mut radio = MccpCluster::cycle_accurate(
+            ClusterConfig::default(),
+            MccpConfig::default(),
+            &spec.standards,
+            99,
+        );
+        let run = radio.run(&workload, policy);
         let verified = radio
-            .verify(&workload, &report)
+            .verify(&workload, &run)
             .expect("all ciphertexts match the NIST reference");
+        let report = run.merged;
         println!("\n--- dispatch policy: {policy:?} ---");
         println!(
             "  {} packets verified; aggregate {:.0} Mbps at 190 MHz; {} cycles total",

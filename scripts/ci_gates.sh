@@ -16,6 +16,32 @@ stage_build() { cargo build --release --workspace; }
 
 stage_test() { cargo test --workspace -q; }
 
+# Runs a command and diffs its stdout against golden/<name>.txt.
+golden_diff() {
+  local name="$1"
+  shift
+  if ! "$@" | diff -u "golden/${name}.txt" -; then
+    echo "golden: '$*' no longer matches golden/${name}.txt" >&2
+    return 1
+  fi
+}
+
+# The paper-fidelity outputs (Table II/IV, loop budgets, the derived
+# figures, the soaks and the multi-channel example) are deterministic, so
+# any byte of difference from golden/ is a real behaviour change. To
+# accept an intended change, rerun the command into its golden file.
+stage_golden() {
+  local bin=(cargo run -q --release -p mccp-bench --bin)
+  golden_diff table2_throughput "${bin[@]}" table2_throughput
+  golden_diff loop_cycles "${bin[@]}" loop_cycles
+  golden_diff table4_reconfig "${bin[@]}" table4_reconfig
+  golden_diff fig_core_scaling "${bin[@]}" fig_core_scaling
+  golden_diff fig_offered_load "${bin[@]}" fig_offered_load
+  golden_diff soak_100 "${bin[@]}" soak -- 100
+  golden_diff soak_100_functional "${bin[@]}" soak -- 100 --engine functional
+  golden_diff multichannel_radio cargo run -q --release --example multichannel_radio
+}
+
 stage_cycle_identity() { cargo test -p mccp-core --test cycle_identity -q; }
 
 stage_backend_equivalence() { cargo test -p mccp-sdr --test backend_equivalence -q; }
@@ -163,6 +189,7 @@ stage_fmt() { cargo fmt --all -- --check; }
 STAGES=(
   build
   test
+  golden
   cycle-identity
   backend-equivalence
   fault-plane
@@ -183,7 +210,7 @@ STAGES=(
 )
 
 BUILD_TEST_STAGES=(
-  build test cycle-identity backend-equivalence fault-plane service-churn
+  build test golden cycle-identity backend-equivalence fault-plane service-churn
   pipeline-equivalence service-smoke chaos-smoke obs-overhead
   kernel-equivalence perf-smoke bench-reconfig keylife adversarial
   bench-schema benches-compile

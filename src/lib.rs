@@ -20,10 +20,13 @@
 //!   background start/finalize timing contract.
 //! * [`core`] — the MCCP itself: task scheduler, crossbar, key scheduler,
 //!   cryptographic cores, control protocol, mode firmware, the analytical
-//!   performance model, partial reconfiguration, and a fast thread-parallel
-//!   functional mode.
+//!   performance model, partial reconfiguration, and a fast functional
+//!   engine with bit-identical output and no cycle accounting.
 //! * [`sdr`] — the communication-controller substrate: channel profiles,
-//!   NIST-conformant packet formatting, and multi-channel workload generation.
+//!   NIST-conformant packet formatting, multi-channel workload generation,
+//!   and the two front ends — `MccpService` for long-lived channels that
+//!   open, close and rekey, `MccpCluster` to replay a finished workload on
+//!   1 to N shards.
 //! * [`telemetry`] — typed cycle-domain events, per-core/per-channel metrics,
 //!   request spans, and exporters (JSON-lines, Prometheus text, utilization
 //!   reports, VCD) shared by the simulator and the benchmark harness.

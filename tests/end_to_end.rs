@@ -199,8 +199,7 @@ fn oversize_packet_streams_through_shallow_fifo() {
 
 #[test]
 fn functional_mode_agrees_with_cycle_accurate() {
-    use mccp::core::functional::{PacketJob, ParallelMccp};
-    use mccp::core::Direction;
+    use mccp::core::{ChannelBackend, Direction, FunctionalBackend};
 
     let key = [0x3Cu8; 16];
     let mut sim = mccp_with(&key);
@@ -209,19 +208,14 @@ fn functional_mode_agrees_with_cycle_accurate() {
     let iv = [6u8; 12];
     let hw = sim.encrypt_packet(ch, b"hdr", &body, &iv).unwrap();
 
-    let par = ParallelMccp::new(2);
-    let out = par.process_batch(vec![PacketJob {
-        id: 0,
-        algorithm: Algorithm::AesGcm128,
-        direction: Direction::Encrypt,
-        key: key.to_vec(),
-        iv: iv.to_vec(),
-        aad: b"hdr".to_vec(),
-        body: body.clone(),
-        tag: None,
-        tag_len: 16,
-    }]);
-    let sealed = out[0].result.clone().unwrap();
-    assert_eq!(&sealed[..body.len()], hw.ciphertext.as_slice());
-    assert_eq!(&sealed[body.len()..], hw.tag.as_slice());
+    let mut functional = FunctionalBackend::new();
+    let fch = functional
+        .open_channel(Algorithm::AesGcm128, &key, 16)
+        .unwrap();
+    functional
+        .submit_packet(fch, Direction::Encrypt, &iv, b"hdr", &body, None)
+        .unwrap();
+    let sw = functional.poll_completion().unwrap();
+    assert_eq!(sw.body, hw.ciphertext);
+    assert_eq!(sw.tag, hw.tag);
 }

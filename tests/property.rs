@@ -120,23 +120,17 @@ proptest! {
         body in proptest::collection::vec(any::<u8>(), 0..600),
         aad in proptest::collection::vec(any::<u8>(), 0..32),
     ) {
-        use mccp::core::functional::{PacketJob, ParallelMccp};
-        use mccp::core::Direction;
-        let par = ParallelMccp::new(3);
-        let out = par.process_batch(vec![PacketJob {
-            id: 1,
-            algorithm: Algorithm::AesGcm128,
-            direction: Direction::Encrypt,
-            key: key.to_vec(),
-            iv: vec![9u8; 12],
-            aad: aad.clone(),
-            body: body.clone(),
-            tag: None,
-            tag_len: 16,
-        }]);
+        use mccp::core::{ChannelBackend, Direction, FunctionalBackend};
+        let mut functional = FunctionalBackend::new();
+        let ch = functional.open_channel(Algorithm::AesGcm128, &key, 16).unwrap();
+        functional
+            .submit_packet(ch, Direction::Encrypt, &[9u8; 12], &aad, &body, None)
+            .unwrap();
+        let out = functional.poll_completion().unwrap();
         let aes = Aes::new(&key);
         let reference = gcm_seal(&aes, &[9u8; 12], &aad, &body, 16).unwrap();
-        prop_assert_eq!(out[0].result.as_ref().unwrap(), &reference);
+        prop_assert_eq!(&out.body[..], &reference[..body.len()]);
+        prop_assert_eq!(&out.tag[..], &reference[body.len()..]);
     }
 }
 

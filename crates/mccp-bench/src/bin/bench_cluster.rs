@@ -8,8 +8,10 @@
 //!   payload bits over the cluster *makespan* (slowest shard) at the
 //!   190 MHz clock. This is the serving capacity a real N-device
 //!   deployment would have, and is host-independent.
-//! - **functional wall-clock** — functional shards on one OS thread
-//!   each. Honest host numbers: on a host with fewer cores than shards
+//! - **functional wall-clock** — functional shards through `run`'s
+//!   fan-out (`min(shards, host_parallelism)` lanes; batches under
+//!   `serial_fallback_bytes` of queued payload stay on one thread).
+//!   Honest host numbers: on a host with fewer cores than shards
 //!   (`host_parallelism` is recorded), wall-clock cannot scale with the
 //!   shard count; the modeled curve is the scaling claim.
 //!
@@ -24,7 +26,7 @@
 //! ```
 
 use mccp_core::MccpConfig;
-use mccp_sdr::cluster::{ClusterConfig, MccpCluster, RetryPolicy};
+use mccp_sdr::cluster::{ClusterConfig, MccpCluster};
 use mccp_sdr::qos::DispatchPolicy;
 use mccp_sdr::workload::{RadioPacket, Workload, WorkloadSpec};
 use mccp_sdr::{Standard, SERIAL_FALLBACK_BYTES};
@@ -39,8 +41,7 @@ struct Point {
     shards: usize,
     modeled_makespan_cycles: u64,
     modeled_aggregate_mbps: f64,
-    functional_serial_wall_seconds: f64,
-    functional_threaded_wall_seconds: f64,
+    functional_wall_seconds: f64,
     functional_wall_mbps: f64,
     functional_effective_parallelism: f64,
     stolen_packets: usize,
@@ -48,11 +49,9 @@ struct Point {
 
 struct SweepPoint {
     payload_bytes: usize,
-    serial_wall_seconds: f64,
-    serial_mbps: f64,
-    serial_packets_per_sec: f64,
-    threaded_wall_seconds: f64,
-    threaded_mbps: f64,
+    wall_seconds: f64,
+    mbps: f64,
+    packets_per_sec: f64,
 }
 
 fn main() {
@@ -93,12 +92,11 @@ fn main() {
             shards,
             work_stealing: true,
             telemetry_capacity: None,
-            retry: RetryPolicy::default(),
             observe: false,
         };
 
-        // Modeled curve: cycle-accurate shards, sequential host execution
-        // (modeled cycles are host-independent).
+        // Modeled curve: cycle-accurate shards (modeled cycles are
+        // host-independent).
         let mut cycle =
             MccpCluster::cycle_accurate(cfg, MccpConfig::default(), &standards, KEY_SEED);
         let modeled = cycle.run(&workload, DispatchPolicy::Fifo);
@@ -107,21 +105,8 @@ fn main() {
             packets
         );
 
-        // Functional wall-clock curves. The serial run is the honest
-        // baseline for host speedup claims: on a host with
-        // `host_parallelism == 1` the threaded run cannot beat it, and
-        // recording only the threaded number would report a meaningless
-        // 1.0x "speedup" that actually measures thread overhead.
-        let mut serial = MccpCluster::functional(cfg, &standards, KEY_SEED);
-        let serial_wall = serial.run(&workload, DispatchPolicy::Fifo);
-        assert_eq!(
-            serial
-                .verify(&workload, &serial_wall)
-                .expect("serial verify"),
-            packets
-        );
         let mut functional = MccpCluster::functional(cfg, &standards, KEY_SEED);
-        let wall = functional.run_threaded(&workload, DispatchPolicy::Fifo);
+        let wall = functional.run(&workload, DispatchPolicy::Fifo);
         assert_eq!(
             functional
                 .verify(&workload, &wall)
@@ -134,20 +119,17 @@ fn main() {
             shards,
             modeled_makespan_cycles: modeled.merged.cycles,
             modeled_aggregate_mbps: modeled.aggregate_throughput_mbps(),
-            functional_serial_wall_seconds: serial_wall.wall_seconds,
-            functional_threaded_wall_seconds: wall.wall_seconds,
+            functional_wall_seconds: wall.wall_seconds,
             functional_wall_mbps: bits / wall.wall_seconds.max(1e-12) / 1e6,
             functional_effective_parallelism: wall.wall.effective_parallelism(),
             stolen_packets: modeled.stolen_packets,
         };
         println!(
             "  {shards} shard(s): modeled {} cyc makespan -> {:.0} Mbps aggregate; \
-             functional serial {:.4}s / threaded {:.4}s -> {:.0} Mbps \
-             (effective parallelism {:.2}); {} stolen",
+             functional {:.4}s -> {:.0} Mbps (effective parallelism {:.2}); {} stolen",
             point.modeled_makespan_cycles,
             point.modeled_aggregate_mbps,
-            point.functional_serial_wall_seconds,
-            point.functional_threaded_wall_seconds,
+            point.functional_wall_seconds,
             point.functional_wall_mbps,
             point.functional_effective_parallelism,
             point.stolen_packets
@@ -187,37 +169,24 @@ fn main() {
             shards: 4,
             work_stealing: true,
             telemetry_capacity: None,
-            retry: RetryPolicy::default(),
             observe: false,
         };
-        let mut serial = MccpCluster::functional(cfg, &standards, KEY_SEED);
-        let serial_run = serial.run(&wl, DispatchPolicy::Fifo);
+        let mut cluster = MccpCluster::functional(cfg, &standards, KEY_SEED);
+        let run = cluster.run(&wl, DispatchPolicy::Fifo);
         assert_eq!(
-            serial
-                .verify(&wl, &serial_run)
-                .expect("sweep serial verify"),
+            cluster.verify(&wl, &run).expect("sweep verify"),
             sweep_packets
         );
-        let mut threaded = MccpCluster::functional(cfg, &standards, KEY_SEED);
-        let threaded_run = threaded.run_threaded(&wl, DispatchPolicy::Fifo);
-        assert_eq!(
-            threaded
-                .verify(&wl, &threaded_run)
-                .expect("sweep threaded verify"),
-            sweep_packets
-        );
-        let bits = serial_run.merged.payload_bits as f64;
+        let wall = run.wall_seconds.max(1e-12);
         let point = SweepPoint {
             payload_bytes: payload,
-            serial_wall_seconds: serial_run.wall_seconds,
-            serial_mbps: bits / serial_run.wall_seconds.max(1e-12) / 1e6,
-            serial_packets_per_sec: sweep_packets as f64 / serial_run.wall_seconds.max(1e-12),
-            threaded_wall_seconds: threaded_run.wall_seconds,
-            threaded_mbps: bits / threaded_run.wall_seconds.max(1e-12) / 1e6,
+            wall_seconds: run.wall_seconds,
+            mbps: run.merged.payload_bits as f64 / wall / 1e6,
+            packets_per_sec: sweep_packets as f64 / wall,
         };
         println!(
-            "  sweep {payload} B: serial {:.0} Mbps ({:.0} pkt/s), threaded {:.0} Mbps",
-            point.serial_mbps, point.serial_packets_per_sec, point.threaded_mbps
+            "  sweep {payload} B: {:.0} Mbps ({:.0} pkt/s)",
+            point.mbps, point.packets_per_sec
         );
         sweep.push(point);
     }
@@ -263,19 +232,14 @@ fn main() {
             format!(
                 "    {{\"shards\": {}, \"modeled_makespan_cycles\": {}, \
                  \"modeled_aggregate_mbps\": {:.1}, \"modeled_speedup\": {:.2}, \
-                 \"functional_serial_wall_seconds\": {:.6}, \
-                 \"functional_threaded_wall_seconds\": {:.6}, \
-                 \"functional_wall_mbps\": {:.1}, \
-                 \"functional_thread_speedup\": {:.2}, \
+                 \"functional_wall_seconds\": {:.6}, \"functional_wall_mbps\": {:.1}, \
                  \"functional_effective_parallelism\": {:.2}, \"stolen_packets\": {}}}",
                 p.shards,
                 p.modeled_makespan_cycles,
                 p.modeled_aggregate_mbps,
                 p.modeled_aggregate_mbps / base.modeled_aggregate_mbps,
-                p.functional_serial_wall_seconds,
-                p.functional_threaded_wall_seconds,
+                p.functional_wall_seconds,
                 p.functional_wall_mbps,
-                p.functional_serial_wall_seconds / p.functional_threaded_wall_seconds.max(1e-12),
                 p.functional_effective_parallelism,
                 p.stolen_packets
             )
@@ -285,15 +249,9 @@ fn main() {
         .iter()
         .map(|p| {
             format!(
-                "    {{\"payload_bytes\": {}, \"serial_wall_seconds\": {:.6}, \
-                 \"serial_mbps\": {:.1}, \"serial_packets_per_sec\": {:.0}, \
-                 \"threaded_wall_seconds\": {:.6}, \"threaded_mbps\": {:.1}}}",
-                p.payload_bytes,
-                p.serial_wall_seconds,
-                p.serial_mbps,
-                p.serial_packets_per_sec,
-                p.threaded_wall_seconds,
-                p.threaded_mbps
+                "    {{\"payload_bytes\": {}, \"wall_seconds\": {:.6}, \
+                 \"mbps\": {:.1}, \"packets_per_sec\": {:.0}}}",
+                p.payload_bytes, p.wall_seconds, p.mbps, p.packets_per_sec
             )
         })
         .collect();
@@ -303,9 +261,9 @@ fn main() {
          \"host_parallelism\": {host_parallelism},\n  \
          \"serial_fallback_bytes\": {SERIAL_FALLBACK_BYTES},\n  \
          \"note\": \"modeled curve is host-independent serving capacity (makespan at 190 MHz); \
-         functional_thread_speedup compares the same shard count serial vs threaded and is \
-         bounded by host_parallelism; batches under serial_fallback_bytes of queued payload \
-         run on the caller thread (no cross-thread hand-off)\",\n  \"points\": [\n{}\n  ],\n  \
+         functional wall-clock runs each shard count through the cluster's fan-out over \
+         min(shards, host_parallelism) threads and is bounded by host_parallelism; batches \
+         under serial_fallback_bytes of queued payload run on the caller thread\",\n  \"points\": [\n{}\n  ],\n  \
          \"payload_sweep\": {{\"shards\": 4, \"packets\": {}, \"engine\": \"functional\", \
          \"points\": [\n{}\n  ]}},\n  \
          \"skewed_load\": {{\"shards\": 4, \"packets\": {}, \"hot_channels\": [0, 4], \
@@ -368,7 +326,6 @@ fn run_skewed_arm(standards: &[Standard], packets: usize) -> SkewResult {
         shards: 4,
         work_stealing: stealing,
         telemetry_capacity: None,
-        retry: RetryPolicy::default(),
         observe: false,
     };
     let mut lazy = MccpCluster::cycle_accurate(cfg(false), MccpConfig::default(), standards, 21);

@@ -32,8 +32,10 @@
 use mccp_aes::modes::gcm_seal;
 use mccp_aes::Aes;
 use mccp_core::model::ECC_SCALAR_MULT_CYCLES;
-use mccp_core::protocol::{Algorithm, MccpError};
-use mccp_core::{AdversaryPlan, ChannelBackend, Direction, FunctionalBackend, Mccp, MccpConfig};
+use mccp_core::protocol::Algorithm;
+use mccp_core::{
+    submit_and_wait, AdversaryPlan, ChannelBackend, Direction, FunctionalBackend, Mccp, MccpConfig,
+};
 use mccp_sdr::{
     run_adversary_suite, AdversaryReport, MccpService, QosClass, ServiceConfig, ServiceError,
     Standard,
@@ -225,26 +227,6 @@ struct OverlapResult {
     hidden_cycles: u64,
 }
 
-fn run_one_packet(m: &mut Mccp, ch: mccp_core::protocol::ChannelId, iv: &[u8], body: &[u8]) {
-    let req = loop {
-        match m.submit_packet(ch, Direction::Encrypt, iv, AAD, body, None) {
-            Ok(r) => break r,
-            Err(MccpError::NoResource | MccpError::HandshakePending) => {
-                m.step(4096);
-            }
-            Err(e) => panic!("submit: {e:?}"),
-        }
-    };
-    loop {
-        if let Some(c) = m.poll_completion() {
-            assert_eq!(c.request, req);
-            assert!(c.auth_ok);
-            return;
-        }
-        m.step(4096);
-    }
-}
-
 /// Measures the cycle-exact traffic makespan with and without a pending
 /// ECC handshake on the same engine. The handshake is a cycle horizon on
 /// the asymmetric unit — it must not occupy a crypto core, so the two
@@ -268,12 +250,15 @@ fn handshake_overlap(packets: usize) -> OverlapResult {
         });
         for i in 0..packets {
             let iv = [i as u8 + 1; 12];
-            run_one_packet(&mut m, live, &iv, &body);
+            let done = submit_and_wait(&mut m, live, Direction::Encrypt, &iv, AAD, &body, None);
+            assert!(done.expect("submit").auth_ok);
         }
         let traffic_done = m.now();
         let mut total = traffic_done;
         if let Some(p) = pending {
-            run_one_packet(&mut m, p, &[0xEE; 12], &body);
+            let done =
+                submit_and_wait(&mut m, p, Direction::Encrypt, &[0xEE; 12], AAD, &body, None);
+            assert!(done.expect("submit").auth_ok);
             total = m.now();
         }
         (traffic_done, total)
@@ -325,9 +310,11 @@ fn key_leak_scan() -> (usize, u64) {
     m.enable_telemetry(4096);
     let ch = m.open_channel(Algorithm::AesGcm128, &key0, 16).unwrap();
     let body = vec![0x7Eu8; 512];
-    run_one_packet(&mut m, ch, &[1u8; 12], &body);
+    let done = submit_and_wait(&mut m, ch, Direction::Encrypt, &[1u8; 12], AAD, &body, None);
+    assert!(done.expect("submit").auth_ok);
     assert_eq!(m.rekey_channel(ch, &key1).unwrap(), 1);
-    run_one_packet(&mut m, ch, &[2u8; 12], &body);
+    let done = submit_and_wait(&mut m, ch, Direction::Encrypt, &[2u8; 12], AAD, &body, None);
+    assert!(done.expect("submit").auth_ok);
 
     let events = m.telemetry_mut().take_events();
     let snapshot = m.telemetry_snapshot();

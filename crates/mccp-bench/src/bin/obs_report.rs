@@ -26,7 +26,7 @@
 //! ```
 
 use mccp_core::MccpConfig;
-use mccp_sdr::cluster::{ClusterConfig, ClusterReport, MccpCluster, RetryPolicy};
+use mccp_sdr::cluster::{ClusterConfig, ClusterReport, MccpCluster};
 use mccp_sdr::qos::DispatchPolicy;
 use mccp_sdr::workload::{Workload, WorkloadSpec};
 use mccp_sdr::Standard;
@@ -78,7 +78,6 @@ fn main() {
         shards,
         work_stealing: true,
         telemetry_capacity: if observe { Some(4096) } else { None },
-        retry: RetryPolicy::default(),
         observe,
     };
     let run = |observe: bool| -> ClusterReport {

@@ -26,7 +26,7 @@ enum Engine {
 /// one-shard cluster, reference-check every record, decrypt it back
 /// through a fresh receiver. Returns the transmitter (for metrics), the
 /// tx report, and the receive cycles.
-fn round_on<B: ChannelBackend>(
+fn round_on<B: ChannelBackend + Send>(
     mk: impl Fn() -> B,
     spec: &WorkloadSpec,
     workload: &Workload,

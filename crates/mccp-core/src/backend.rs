@@ -243,6 +243,56 @@ pub trait ChannelBackend {
     fn reset_core(&mut self, core: usize) -> Result<(), MccpError>;
 }
 
+/// Cycle bound for [`submit_and_wait`]: far past any handshake or packet
+/// the engines model, so hitting it means the engine wedged.
+const SUBMIT_AND_WAIT_MAX_CYCLES: u64 = 100_000_000;
+
+/// Submits one packet and steps the engine until its completion arrives,
+/// for callers that drive one packet at a time (receivers, attack drivers,
+/// tests). While the engine refuses with [`MccpError::NoResource`] or
+/// [`MccpError::HandshakePending`], it steps 4096 cycles and resubmits;
+/// any other submit error is returned as-is, so a caller can count typed
+/// rejections.
+///
+/// # Panics
+/// Panics if the completion has not arrived within 100M cycles, or if the
+/// first completion belongs to another request (the engine must have had
+/// nothing else in flight).
+pub fn submit_and_wait<B: ChannelBackend + ?Sized>(
+    backend: &mut B,
+    channel: ChannelId,
+    direction: Direction,
+    iv: &[u8],
+    aad: &[u8],
+    body: &[u8],
+    tag: Option<&[u8]>,
+) -> Result<Completion, MccpError> {
+    let mut spent = 0u64;
+    let request = loop {
+        match backend.submit_packet(channel, direction, iv, aad, body, tag) {
+            Ok(request) => break request,
+            Err(MccpError::NoResource | MccpError::HandshakePending) => {}
+            Err(e) => return Err(e),
+        }
+        spent += backend.step(4096);
+        assert!(
+            spent < SUBMIT_AND_WAIT_MAX_CYCLES,
+            "submission refused for {spent} cycles"
+        );
+    };
+    loop {
+        if let Some(done) = backend.poll_completion() {
+            assert_eq!(done.request, request, "another request was in flight");
+            return Ok(done);
+        }
+        spent += backend.step(4096);
+        assert!(
+            spent < SUBMIT_AND_WAIT_MAX_CYCLES,
+            "request wedged after {spent} cycles"
+        );
+    }
+}
+
 use crate::mccp::Mccp;
 
 impl ChannelBackend for Mccp {

@@ -529,27 +529,10 @@ impl ChannelBackend for FunctionalBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::submit_and_wait;
     use mccp_aes::modes::gcm_seal;
 
     const KEY: [u8; 16] = [7u8; 16];
-
-    /// Submits one packet and returns its completion (processing is
-    /// synchronous, so it is pollable at once).
-    fn run_one(
-        b: &mut FunctionalBackend,
-        ch: ChannelId,
-        direction: Direction,
-        iv: &[u8],
-        body: &[u8],
-        tag: Option<&[u8]>,
-    ) -> Completion {
-        let id = b
-            .submit_packet(ch, direction, iv, b"hdr", body, tag)
-            .expect("accepted");
-        let done = b.poll_completion().expect("synchronous completion");
-        assert_eq!(done.request, id);
-        done
-    }
 
     #[test]
     fn gcm_output_matches_reference() {
@@ -559,13 +542,15 @@ mod tests {
         for i in 0..32u8 {
             let iv = [i; 12];
             let body = vec![i; 100];
-            let done = run_one(&mut b, ch, Direction::Encrypt, &iv, &body, None);
+            let done = submit_and_wait(&mut b, ch, Direction::Encrypt, &iv, b"hdr", &body, None)
+                .expect("accepted");
             assert!(done.auth_ok);
             let expect = gcm_seal(&aes, &iv, b"hdr", &body, 16).unwrap();
             assert_eq!(done.body, expect[..100]);
             assert_eq!(done.tag, expect[100..]);
         }
         assert_eq!(b.in_flight(), 0);
+        assert_eq!(b.now(), 0, "every completion was pollable without a step");
     }
 
     #[test]
@@ -573,32 +558,46 @@ mod tests {
         let mut b = FunctionalBackend::new();
         let ch = b.open_channel(Algorithm::AesGcm128, &KEY, 16).unwrap();
         let iv = [1u8; 12];
-        let sealed = run_one(&mut b, ch, Direction::Encrypt, &iv, b"secret data", None);
+        let sealed = submit_and_wait(
+            &mut b,
+            ch,
+            Direction::Encrypt,
+            &iv,
+            b"hdr",
+            b"secret data",
+            None,
+        )
+        .expect("accepted");
 
-        let opened = run_one(
+        let opened = submit_and_wait(
             &mut b,
             ch,
             Direction::Decrypt,
             &iv,
+            b"hdr",
             &sealed.body,
             Some(&sealed.tag),
-        );
+        )
+        .expect("accepted");
         assert!(opened.auth_ok);
         assert_eq!(opened.body, b"secret data");
 
-        let forged = run_one(
+        let forged = submit_and_wait(
             &mut b,
             ch,
             Direction::Decrypt,
             &iv,
+            b"hdr",
             &sealed.body,
             Some(&[0u8; 16]),
-        );
+        )
+        .expect("accepted");
         assert!(!forged.auth_ok, "a bad tag must fail authentication");
         assert!(
             forged.body.is_empty(),
             "nothing is released on auth failure"
         );
+        assert_eq!(b.now(), 0, "every completion was pollable without a step");
     }
 
     #[test]
@@ -614,7 +613,8 @@ mod tests {
         ];
         for (alg, iv, tag_len, (body_len, out_tag_len)) in cases {
             let ch = b.open_channel(alg, &KEY, tag_len).unwrap();
-            let done = run_one(&mut b, ch, Direction::Encrypt, &iv, &body, None);
+            let done = submit_and_wait(&mut b, ch, Direction::Encrypt, &iv, b"hdr", &body, None)
+                .expect("accepted");
             assert!(done.auth_ok, "{alg:?}");
             assert_eq!(done.body.len(), body_len, "{alg:?} body");
             assert_eq!(done.tag.len(), out_tag_len, "{alg:?} tag");
@@ -622,5 +622,6 @@ mod tests {
                 assert_eq!(done.tag, cbc_mac(&Aes::new(&KEY), &body, 16).unwrap());
             }
         }
+        assert_eq!(b.now(), 0, "every completion was pollable without a step");
     }
 }

@@ -51,7 +51,7 @@ pub mod reconfig;
 mod scheduler;
 pub mod warmcache;
 
-pub use backend::{ChannelBackend, Completion, CoreHealth, EngineHealth};
+pub use backend::{submit_and_wait, ChannelBackend, Completion, CoreHealth, EngineHealth};
 pub use fault::{AdversaryKind, AdversaryPlan, FaultKind, FaultPlan, FaultTrigger};
 pub use format::{Direction, ProcessedPacket};
 pub use functional::FunctionalBackend;

@@ -23,7 +23,7 @@ use mccp_aes::modes::gcm_seal;
 use mccp_aes::Aes;
 use mccp_core::format::Direction;
 use mccp_core::protocol::{Algorithm, ChannelId, MccpError};
-use mccp_core::{AdversaryKind, AdversaryPlan, ChannelBackend, Completion};
+use mccp_core::{submit_and_wait, AdversaryKind, AdversaryPlan, ChannelBackend, Completion};
 
 /// One legitimate frame captured off the victim channel.
 #[derive(Clone)]
@@ -65,41 +65,6 @@ impl AdversaryReport {
     }
 }
 
-/// Submits one packet and drains the engine until its completion arrives.
-/// Panics if the engine wedges (attack traffic must never hang a backend).
-fn run_one<B: ChannelBackend>(
-    backend: &mut B,
-    ch: ChannelId,
-    direction: Direction,
-    iv: &[u8],
-    aad: &[u8],
-    body: &[u8],
-    tag: Option<&[u8]>,
-) -> Result<Completion, MccpError> {
-    let mut req = None;
-    for _ in 0..1_000_000 {
-        match backend.submit_packet(ch, direction, iv, aad, body, tag) {
-            Ok(r) => {
-                req = Some(r);
-                break;
-            }
-            Err(MccpError::NoResource) => {
-                backend.step(4096);
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    let req = req.expect("engine accepted within bound");
-    for _ in 0..1_000_000 {
-        if let Some(c) = backend.poll_completion() {
-            assert_eq!(c.request, req, "single packet in flight");
-            return Ok(c);
-        }
-        backend.step(4096);
-    }
-    panic!("completion never arrived");
-}
-
 fn encrypt_frame<B: ChannelBackend>(
     backend: &mut B,
     ch: ChannelId,
@@ -107,7 +72,7 @@ fn encrypt_frame<B: ChannelBackend>(
     aad: &[u8],
     payload: &[u8],
 ) -> Frame {
-    let c = run_one(backend, ch, Direction::Encrypt, iv, aad, payload, None)
+    let c = submit_and_wait(backend, ch, Direction::Encrypt, iv, aad, payload, None)
         .expect("legit encrypt accepted");
     assert!(c.auth_ok);
     Frame {
@@ -128,7 +93,7 @@ fn probe_matches_oracle<B: ChannelBackend>(
     iv: &[u8],
 ) -> bool {
     let payload = b"post-attack probe: state must be untouched";
-    let c = match run_one(backend, ch, Direction::Encrypt, iv, b"probe", payload, None) {
+    let c = match submit_and_wait(backend, ch, Direction::Encrypt, iv, b"probe", payload, None) {
         Ok(c) => c,
         Err(_) => return false,
     };
@@ -197,7 +162,7 @@ pub fn run_adversary_suite<B: ChannelBackend>(
                 let mut ct = frame.ct.clone();
                 let idx = byte % ct.len();
                 ct[idx] ^= xor;
-                let c = run_one(
+                let c = submit_and_wait(
                     backend,
                     ch,
                     Direction::Decrypt,
@@ -213,7 +178,7 @@ pub fn run_adversary_suite<B: ChannelBackend>(
                 let mut tag = frame.tag.clone();
                 let b = (bit as usize) % (tag.len() * 8);
                 tag[b / 8] ^= 1 << (b % 8);
-                let c = run_one(
+                let c = submit_and_wait(
                     backend,
                     ch,
                     Direction::Decrypt,
@@ -236,7 +201,7 @@ pub fn run_adversary_suite<B: ChannelBackend>(
             }
             AdversaryKind::TruncateFrame { bytes } => {
                 let keep = frame.ct.len().saturating_sub(bytes.max(1));
-                let c = run_one(
+                let c = submit_and_wait(
                     backend,
                     ch,
                     Direction::Decrypt,
@@ -251,7 +216,7 @@ pub fn run_adversary_suite<B: ChannelBackend>(
             AdversaryKind::ExtendFrame { bytes, fill } => {
                 let mut ct = frame.ct.clone();
                 ct.resize(ct.len() + bytes.max(1), fill);
-                let c = run_one(
+                let c = submit_and_wait(
                     backend,
                     ch,
                     Direction::Decrypt,

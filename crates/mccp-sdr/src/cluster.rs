@@ -31,15 +31,19 @@
 //! Every shard opens every channel (same keys, same handle sequence), so
 //! any shard can serve any packet. Shards run to completion on their own
 //! clocks; the cluster's modeled makespan is the slowest shard's cycle
-//! count. Functional shards are plain [`Send`] values, so
-//! [`MccpCluster::run_threaded`] fans them out across OS threads.
+//! count. [`MccpCluster::run`] serves every pass (the main one and each
+//! failover pass) through one fan-out on [`std::thread::scope`]: a pass
+//! carrying at least [`SERIAL_FALLBACK_BYTES`] of queued payload spreads
+//! the shards over `min(shards, host_parallelism())` lanes, anything
+//! smaller runs on the caller's thread. Per-shard outcomes fold into the
+//! report in shard order, so no result depends on thread timing.
 
 use crate::channel::SecureChannel;
 use crate::qos::{channel_slo, DispatchPolicy};
 use crate::standards::Standard;
 use crate::workload::Workload;
 use mccp_core::protocol::{ChannelId, KeyId, MccpError, Mode};
-use mccp_core::{ChannelBackend, Completion, Direction, FunctionalBackend, Mccp, MccpConfig};
+use mccp_core::{submit_and_wait, ChannelBackend, Direction, FunctionalBackend, Mccp, MccpConfig};
 use mccp_sim::throughput_mbps;
 use mccp_telemetry::slo::{ChannelAttainment, HealthScore, SloEngine};
 use mccp_telemetry::trace::{Attempt, AttemptOutcome, PacketJourney};
@@ -153,8 +157,6 @@ pub struct ClusterConfig {
     pub work_stealing: bool,
     /// Enable each shard's telemetry pipeline (ring capacity per shard).
     pub telemetry_capacity: Option<usize>,
-    /// Fault-recovery policy (retry, backoff, core-reset cool-down).
-    pub retry: RetryPolicy,
     /// Enable the observability plane: per-packet causal journeys
     /// ([`ClusterReport::journeys`]) and the per-channel SLO attainment
     /// table ([`ClusterReport::slo`]). Off by default; when off, the
@@ -168,49 +170,95 @@ impl Default for ClusterConfig {
             shards: 1,
             work_stealing: true,
             telemetry_capacity: None,
-            retry: RetryPolicy::default(),
             observe: false,
         }
     }
 }
 
-/// How the dispatcher reacts when an engine reports a fault instead of a
-/// completion.
-///
-/// A faulted packet never produced output (the engine wipes on failure),
-/// so resubmitting it *with its original IV* is safe: same key, same
-/// plaintext, same IV is byte-for-byte the same computation — no nonce is
-/// burned and none is reused across distinct plaintexts.
-#[derive(Clone, Copy, Debug)]
-pub struct RetryPolicy {
-    /// Total attempts per packet (first try included). Packets still
-    /// failing after this many are reported in
-    /// [`ClusterReport::abandoned`], never silently dropped.
-    pub max_attempts: u32,
-    /// Backoff before retry `n` is `base << (n - 1)` cycles, capped.
-    pub backoff_base_cycles: u64,
-    pub backoff_cap_cycles: u64,
-    /// Cycles a quarantined core cools down before the dispatcher issues
-    /// a hard reset to reclaim it.
-    pub reset_delay_cycles: u64,
-}
+// Fault recovery. A faulted packet never produced output (the engine
+// wipes on failure), so resubmitting it *with its original IV* is safe:
+// same key, same plaintext, same IV is byte-for-byte the same computation
+// — no nonce is burned and none is reused across distinct plaintexts.
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 3,
-            backoff_base_cycles: 2048,
-            backoff_cap_cycles: 65_536,
-            reset_delay_cycles: 4096,
-        }
-    }
-}
+/// Total attempts per packet (first try included). Packets still failing
+/// after this many are reported in [`ClusterReport::abandoned`], never
+/// silently dropped.
+const MAX_ATTEMPTS: u32 = 3;
+/// Backoff before retry `n` is `BACKOFF_BASE_CYCLES << (n - 1)` cycles,
+/// capped at `BACKOFF_CAP_CYCLES`.
+const BACKOFF_BASE_CYCLES: u64 = 2048;
+const BACKOFF_CAP_CYCLES: u64 = 65_536;
+/// Cycles a quarantined core cools down before the dispatcher issues a
+/// hard reset to reclaim it.
+const RESET_DELAY_CYCLES: u64 = 4096;
 
-fn backoff_cycles(retry: &RetryPolicy, failed_attempts: u32) -> u64 {
-    retry
-        .backoff_base_cycles
+fn backoff_cycles(failed_attempts: u32) -> u64 {
+    BACKOFF_BASE_CYCLES
         .saturating_mul(1u64 << failed_attempts.saturating_sub(1).min(16))
-        .min(retry.backoff_cap_cycles)
+        .min(BACKOFF_CAP_CYCLES)
+}
+
+/// The host's available parallelism (1 if it cannot be determined) — the
+/// value every BENCH file records as `host_parallelism`.
+pub fn host_parallelism() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Queued payload (bytes, across all shards) below which a pass runs on
+/// the caller's thread. On a 2-vCPU host, spreading 80 KiB of functional
+/// shards over lanes was no faster than serving them inline, and the
+/// 2-shard, 230 KB cycle-engine run behind the observability-overhead
+/// gate measured a higher observe-on/off ratio fanned out than inline
+/// (DESIGN §5h). The benchmarks record this value as
+/// `serial_fallback_bytes` so the measured regimes are attributable.
+pub const SERIAL_FALLBACK_BYTES: u64 = 256 * 1024;
+
+/// Runs `tasks` and returns their results in task order.
+///
+/// Passes under [`SERIAL_FALLBACK_BYTES`] of `work_bytes`, passes with one
+/// task, and every pass on a one-CPU host run inline on the caller's
+/// thread. Otherwise task `i` runs on lane `i % lanes` with
+/// `lanes = min(tasks, host_parallelism())`; lane 0 is the caller's
+/// thread. A panicking task re-raises once every lane has joined.
+fn fan_out<F, T>(tasks: Vec<F>, work_bytes: u64) -> Vec<T>
+where
+    F: FnOnce() -> T + Send,
+    T: Send,
+{
+    // The size check comes first: `host_parallelism` reads the affinity
+    // mask and cgroup quota on every call.
+    let lanes = if work_bytes < SERIAL_FALLBACK_BYTES || tasks.len() <= 1 {
+        1
+    } else {
+        tasks.len().min(host_parallelism())
+    };
+    if lanes == 1 {
+        return tasks.into_iter().map(|task| task()).collect();
+    }
+    let mut per_lane: Vec<Vec<(usize, F)>> = (0..lanes).map(|_| Vec::new()).collect();
+    for (i, task) in tasks.into_iter().enumerate() {
+        per_lane[i % lanes].push((i, task));
+    }
+    let run_lane = |lane: Vec<(usize, F)>| -> Vec<(usize, T)> {
+        lane.into_iter().map(|(i, task)| (i, task())).collect()
+    };
+    let mut done = std::thread::scope(|scope| {
+        let mut lanes = per_lane.into_iter();
+        let caller_lane = lanes.next().expect("at least two lanes");
+        let spawned: Vec<_> = lanes
+            .map(|lane| scope.spawn(move || run_lane(lane)))
+            .collect();
+        // If the caller's lane panics, the scope still joins every lane
+        // before the panic resumes.
+        let mut done = run_lane(caller_lane);
+        let joined: Vec<_> = spawned.into_iter().map(|h| h.join()).collect();
+        for lane in joined {
+            done.extend(lane.unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, out)| out).collect()
 }
 
 /// One shard's share of a cluster run.
@@ -317,11 +365,6 @@ pub struct MccpCluster<B: ChannelBackend> {
     handles: Vec<ChannelId>,
     /// Fault-plane shard kills: `(shard, dies after serving N packets)`.
     shard_kills: Vec<(usize, u64)>,
-    /// Persistent worker pool for [`run_threaded`](Self::run_threaded),
-    /// built lazily on the first threaded run and reused afterwards —
-    /// sized `min(shards, host_parallelism())`, so no per-run spawning and
-    /// no oversubscription.
-    pool: Option<crate::pool::ShardPool>,
 }
 
 impl MccpCluster<FunctionalBackend> {
@@ -337,7 +380,8 @@ impl MccpCluster<FunctionalBackend> {
 
 impl MccpCluster<Mccp> {
     /// A cluster of cycle-accurate MCCP simulators (for modeled scaling
-    /// curves; runs shards sequentially).
+    /// curves: modeled cycles do not depend on how shards map to host
+    /// threads).
     pub fn cycle_accurate(
         config: ClusterConfig,
         mccp_config: MccpConfig,
@@ -416,7 +460,6 @@ impl<B: ChannelBackend> MccpCluster<B> {
             keys,
             handles,
             shard_kills: Vec::new(),
-            pool: None,
         }
     }
 
@@ -483,165 +526,97 @@ impl<B: ChannelBackend> MccpCluster<B> {
         queues
     }
 
-    /// Serves the workload across all shards, one after another (correct
-    /// for any engine, including the cycle-accurate simulator — modeled
-    /// cycles don't care about host parallelism).
-    pub fn run(&mut self, workload: &Workload, policy: DispatchPolicy) -> ClusterReport {
-        let queues = self.dispatch(workload, policy);
-        let retry = self.config.retry;
-        let observe = self.config.observe;
-        let kills: Vec<Option<u64>> = (0..self.backends.len()).map(|s| self.kill_for(s)).collect();
-        let started = std::time::Instant::now();
-        let outcomes: Vec<ShardOutcome> = self
-            .backends
-            .iter_mut()
-            .zip(queues.iter())
-            .zip(kills)
-            .map(|((backend, queue), kill)| {
-                run_shard(
-                    backend,
-                    workload,
-                    &self.handles,
-                    queue,
-                    kill,
-                    retry,
-                    observe,
-                )
-            })
-            .collect();
-        self.finish(workload, queues, outcomes, started)
-    }
-
-    /// Serves the workload across the persistent shard pool — the scaling
-    /// path for functional shards. Modeled results are identical to
-    /// [`run`](Self::run); only host wall-clock differs. (Healing passes
-    /// after a shard death run sequentially — they are small by
-    /// construction, one dead shard's leftover queue.)
+    /// Serves the workload: dispatches it, runs every shard through the
+    /// fan-out, then runs failover passes while any shard died holding
+    /// unserved work. A failover pass deals the orphans round-robin over
+    /// the survivors; packets that outlive every shard are reported as
+    /// abandoned. Terminates: orphans only appear when a shard dies, and
+    /// dead shards never serve again.
     ///
-    /// The pool is created on the first call and reused afterwards, sized
-    /// `min(shards, host_parallelism())`: shard `i` runs on lane
-    /// `i % threads`, so on a host with fewer cores than shards the excess
-    /// shards serialize on a lane instead of oversubscribing the
-    /// scheduler (the root cause of the old sub-1× "speedup").
-    pub fn run_threaded(&mut self, workload: &Workload, policy: DispatchPolicy) -> ClusterReport
+    /// Modeled results (records, cycles, retries, journeys) are the same
+    /// whether a pass runs inline or fanned out; only host wall-clock
+    /// differs.
+    pub fn run(&mut self, workload: &Workload, policy: DispatchPolicy) -> ClusterReport
     where
         B: Send,
     {
         let queues = self.dispatch(workload, policy);
-        let retry = self.config.retry;
-        let observe = self.config.observe;
-        let kills: Vec<Option<u64>> = (0..self.backends.len()).map(|s| self.kill_for(s)).collect();
-        let threads = self.backends.len().min(crate::pool::host_parallelism());
-        // Total queued payload bytes — the work-size hint that lets the
-        // pool run tiny batches serially instead of paying a cross-thread
-        // hand-off that costs more than the crypto itself.
+        let shards = self.backends.len();
+        let started = std::time::Instant::now();
+        let mut kills: Vec<Option<u64>> = (0..shards).map(|s| self.kill_for(s)).collect();
+        let mut outcomes: Vec<ShardOutcome> =
+            (0..shards).map(|_| ShardOutcome::default()).collect();
+        let mut abandoned: Vec<AbandonedPacket> = Vec::new();
+        let mut failover: Option<Vec<VecDeque<Job>>> = None;
+        for pass in 0.. {
+            let pass_queues = failover.as_deref().unwrap_or(&queues);
+            let mut orphans: Vec<Job> = Vec::new();
+            let served = self.serve_pass(workload, pass_queues, &kills, pass);
+            for (s, mut out) in served.into_iter().enumerate() {
+                if let Some(k) = &mut kills[s] {
+                    *k = k.saturating_sub(out.records.len() as u64);
+                }
+                orphans.append(&mut out.orphans);
+                outcomes[s].absorb(out);
+            }
+            if orphans.is_empty() {
+                break;
+            }
+            let survivors: Vec<usize> = (0..shards).filter(|&s| !outcomes[s].dead).collect();
+            if survivors.is_empty() {
+                abandoned.extend(orphans.into_iter().map(|job| AbandonedPacket {
+                    pkt_idx: job.pkt_idx,
+                    channel: workload.packets[job.pkt_idx].channel,
+                    error: "no surviving shard".into(),
+                    attempts: 0,
+                }));
+                break;
+            }
+            let mut next: Vec<VecDeque<Job>> = (0..shards).map(|_| VecDeque::new()).collect();
+            for (i, job) in orphans.into_iter().enumerate() {
+                next[survivors[i % survivors.len()]].push_back(job);
+            }
+            failover = Some(next);
+        }
+        let wall_seconds = started.elapsed().as_secs_f64();
+        self.assemble(workload, queues, outcomes, abandoned, wall_seconds)
+    }
+
+    /// One pass: shard `s` serves `queues[s]` (empty for shards with no
+    /// work, which return at once) within its remaining kill quota.
+    fn serve_pass(
+        &mut self,
+        workload: &Workload,
+        queues: &[VecDeque<Job>],
+        kills: &[Option<u64>],
+        pass: u32,
+    ) -> Vec<ShardOutcome>
+    where
+        B: Send,
+    {
         let work_bytes: u64 = queues
             .iter()
             .flatten()
             .map(|job| workload.packets[job.pkt_idx].payload.len() as u64)
             .sum();
-        let started = std::time::Instant::now();
-        let outcomes: Vec<ShardOutcome> = {
-            if self.pool.is_none() {
-                self.pool = Some(crate::pool::ShardPool::new(threads));
-            }
-            let pool = self.pool.as_ref().expect("pool just built");
-            let handles = &self.handles;
-            let tasks: Vec<_> = self
-                .backends
-                .iter_mut()
-                .zip(queues.iter())
-                .zip(kills)
-                .map(|((backend, queue), kill)| {
-                    move || run_shard(backend, workload, handles, queue, kill, retry, observe)
-                })
-                .collect();
-            pool.run_batch_hinted(tasks, work_bytes)
-        };
-        self.finish(workload, queues, outcomes, started)
-    }
-
-    /// Post-pass healing: while any shard died holding unserved work,
-    /// redistribute the orphans round-robin over the survivors and run
-    /// those shards again. Packets that outlive every shard are reported
-    /// as abandoned. Terminates: orphans only appear when a shard dies,
-    /// and dead shards never serve again.
-    fn finish(
-        &mut self,
-        workload: &Workload,
-        queues: Vec<VecDeque<Job>>,
-        mut outcomes: Vec<ShardOutcome>,
-        started: std::time::Instant,
-    ) -> ClusterReport {
-        let shards = self.backends.len();
-        let retry = self.config.retry;
+        let handles = &self.handles;
         let observe = self.config.observe;
-        let mut kill_remaining: Vec<Option<u64>> = (0..shards).map(|s| self.kill_for(s)).collect();
-        let mut orphans: Vec<Job> = Vec::new();
-        for (s, o) in outcomes.iter_mut().enumerate() {
-            if let Some(k) = kill_remaining[s] {
-                kill_remaining[s] = Some(k.saturating_sub(o.records.len() as u64));
-            }
-            // Stamp shard identity on the main pass's attempts (round 0).
-            for a in &mut o.attempts {
-                a.shard = s;
-            }
-            orphans.append(&mut o.orphans);
-        }
-        let mut unservable: Vec<AbandonedPacket> = Vec::new();
-        let mut round = 0u32;
-        while !orphans.is_empty() {
-            round += 1;
-            let survivors: Vec<usize> = (0..shards).filter(|&s| !outcomes[s].dead).collect();
-            if survivors.is_empty() {
-                for job in orphans.drain(..) {
-                    unservable.push(AbandonedPacket {
-                        pkt_idx: job.pkt_idx,
-                        channel: workload.packets[job.pkt_idx].channel,
-                        error: "no surviving shard".into(),
-                        attempts: 0,
-                    });
-                }
-                break;
-            }
-            let mut oq: Vec<VecDeque<Job>> = survivors.iter().map(|_| VecDeque::new()).collect();
-            for (i, job) in orphans.drain(..).enumerate() {
-                oq[i % survivors.len()].push_back(job);
-            }
-            for (k, &s) in survivors.iter().enumerate() {
-                if oq[k].is_empty() {
-                    continue;
-                }
-                let mut out = run_shard(
-                    &mut self.backends[s],
-                    workload,
-                    &self.handles,
-                    &oq[k],
-                    kill_remaining[s],
-                    retry,
+        let tasks: Vec<_> = self
+            .backends
+            .iter_mut()
+            .zip(queues)
+            .zip(kills)
+            .enumerate()
+            .map(|(shard, ((backend, queue), &kill))| {
+                let at = ShardPass {
+                    shard,
+                    pass,
                     observe,
-                );
-                if let Some(kr) = kill_remaining[s] {
-                    kill_remaining[s] = Some(kr.saturating_sub(out.records.len() as u64));
-                }
-                for a in &mut out.attempts {
-                    a.shard = s;
-                    a.round = round;
-                }
-                let o = &mut outcomes[s];
-                o.records.extend(out.records);
-                o.cycles += out.cycles;
-                o.retries += out.retries;
-                o.resets += out.resets;
-                o.abandoned.extend(out.abandoned);
-                o.attempts.extend(out.attempts);
-                o.busy_seconds += out.busy_seconds;
-                o.dead = out.dead;
-                orphans.extend(out.orphans);
-            }
-        }
-        let wall_seconds = started.elapsed().as_secs_f64();
-        self.assemble(workload, queues, outcomes, unservable, wall_seconds)
+                };
+                move || run_shard(backend, workload, handles, queue, kill, at)
+            })
+            .collect();
+        fan_out(tasks, work_bytes)
     }
 
     fn assemble(
@@ -660,7 +635,7 @@ impl<B: ChannelBackend> MccpCluster<B> {
         let mut dead_shards = 0;
         let mut telemetry: Option<Snapshot> = None;
         let mut served: Vec<Option<usize>> = vec![None; workload.packets.len()];
-        let mut attempt_events: Vec<AttemptEvent> = Vec::new();
+        let mut attempts: Vec<(usize, u32, Attempt)> = Vec::new();
         for (shard, (mut outcome, queue)) in outcomes.into_iter().zip(queues.iter()).enumerate() {
             let stolen = queue.iter().filter(|j| j.stolen).count();
             stolen_packets += stolen;
@@ -671,7 +646,7 @@ impl<B: ChannelBackend> MccpCluster<B> {
             for r in &outcome.records {
                 served[r.packet_idx] = Some(shard);
             }
-            attempt_events.append(&mut outcome.attempts);
+            attempts.append(&mut outcome.attempts);
             let backend = &mut self.backends[shard];
             backend.telemetry_counter_add("mccp_cluster_stolen_packets_total", stolen as u64);
             let snapshot = if backend.telemetry_enabled() {
@@ -710,7 +685,7 @@ impl<B: ChannelBackend> MccpCluster<B> {
         let journeys = self
             .config
             .observe
-            .then(|| self.build_journeys(workload, &queues, &served, attempt_events));
+            .then(|| self.build_journeys(workload, &queues, &served, attempts));
         let slo = self.config.observe.then(|| {
             let mut engine = SloEngine::new(
                 self.channels
@@ -737,7 +712,7 @@ impl<B: ChannelBackend> MccpCluster<B> {
             })
             .collect();
         let wall = WallProfile {
-            host_parallelism: std::thread::available_parallelism().map_or(1, |p| p.get()),
+            host_parallelism: host_parallelism(),
             wall_seconds,
             shard_busy_seconds: shards.iter().map(|s| s.busy_seconds).collect(),
         };
@@ -764,16 +739,16 @@ impl<B: ChannelBackend> MccpCluster<B> {
         }
     }
 
-    /// Assembles one [`PacketJourney`] per workload packet from the raw
-    /// attempt events: attempts sort causally by healing round (a packet
-    /// sits in exactly one shard's queue per round) and are renumbered
-    /// 1..n, since a failover replay restarts the shard-local counter.
+    /// Assembles one [`PacketJourney`] per workload packet from the
+    /// attempts tagged `(packet index, pass)`: attempts sort causally by
+    /// pass (a packet sits in exactly one shard's queue per pass) and are
+    /// numbered 1..n.
     fn build_journeys(
         &self,
         workload: &Workload,
         queues: &[VecDeque<Job>],
         served: &[Option<usize>],
-        mut events: Vec<AttemptEvent>,
+        mut tagged: Vec<(usize, u32, Attempt)>,
     ) -> Vec<PacketJourney> {
         let shards = self.backends.len();
         // Which original dispatch queue held each packet, and whether it
@@ -786,19 +761,12 @@ impl<B: ChannelBackend> MccpCluster<B> {
                 stolen[job.pkt_idx] = job.stolen;
             }
         }
-        events.sort_by_key(|e| (e.pkt_idx, e.round));
+        tagged.sort_by_key(|&(pkt_idx, pass, _)| (pkt_idx, pass));
         let mut per_pkt: Vec<Vec<Attempt>> = vec![Vec::new(); workload.packets.len()];
-        for e in events {
-            let list = &mut per_pkt[e.pkt_idx];
-            list.push(Attempt {
-                attempt: list.len() as u32 + 1,
-                shard: e.shard,
-                request: e.request,
-                submitted_at: e.submitted_at,
-                finished_at: e.finished_at,
-                outcome: e.outcome,
-                error: e.error,
-            });
+        for (pkt_idx, _, mut attempt) in tagged {
+            let list = &mut per_pkt[pkt_idx];
+            attempt.attempt = list.len() as u32 + 1;
+            list.push(attempt);
         }
         per_pkt
             .into_iter()
@@ -913,8 +881,9 @@ impl<B: ChannelBackend> MccpCluster<B> {
             let pkt = &workload.packets[rec.packet_idx];
             let handle = self.handles[rec.channel];
             let mode = self.channels[rec.channel].profile.algorithm.mode();
-            let id = match mode {
-                Mode::Gcm | Mode::Ccm => backend.submit_packet(
+            let done = match mode {
+                Mode::Gcm | Mode::Ccm => submit_and_wait(
+                    backend,
                     handle,
                     Direction::Decrypt,
                     &rec.iv,
@@ -923,7 +892,8 @@ impl<B: ChannelBackend> MccpCluster<B> {
                     Some(&rec.tag),
                 ),
                 // CTR decrypt = encrypt with the same counter block.
-                Mode::Ctr => backend.submit_packet(
+                Mode::Ctr => submit_and_wait(
+                    backend,
                     handle,
                     Direction::Decrypt,
                     &rec.iv,
@@ -932,13 +902,17 @@ impl<B: ChannelBackend> MccpCluster<B> {
                     None,
                 ),
                 // Verify-by-recompute: MAC the payload again and compare.
-                Mode::CbcMac => {
-                    backend.submit_packet(handle, Direction::Encrypt, &[], &[], &pkt.payload, None)
-                }
+                Mode::CbcMac => submit_and_wait(
+                    backend,
+                    handle,
+                    Direction::Encrypt,
+                    &[],
+                    &[],
+                    &pkt.payload,
+                    None,
+                ),
             }
-            .expect("core available");
-            let done = complete_one(backend, 100_000_000);
-            assert_eq!(done.request, id);
+            .expect("receive accepted");
             match mode {
                 Mode::Gcm | Mode::Ccm => {
                     assert!(done.auth_ok, "authentic packet must decrypt");
@@ -952,24 +926,7 @@ impl<B: ChannelBackend> MccpCluster<B> {
     }
 }
 
-/// Steps the engine until one completion is pollable, then pops it.
-///
-/// # Panics
-/// Panics if nothing completes within `max_cycles`.
-fn complete_one<B: ChannelBackend>(backend: &mut B, max_cycles: u64) -> Completion {
-    let mut spent = 0u64;
-    loop {
-        if let Some(c) = backend.poll_completion() {
-            return c;
-        }
-        assert!(
-            spent < max_cycles,
-            "request wedged after {max_cycles} cycles"
-        );
-        spent += backend.step(max_cycles - spent);
-    }
-}
-
+#[derive(Default)]
 struct ShardOutcome {
     records: Vec<PacketRecord>,
     cycles: u64,
@@ -981,24 +938,34 @@ struct ShardOutcome {
     dead: bool,
     /// Host wall-clock seconds inside this serving-loop call.
     busy_seconds: f64,
-    /// Raw attempt spans recorded when observe is on. `shard` and `round`
-    /// are stamped by the caller (the loop doesn't know its shard index).
-    attempts: Vec<AttemptEvent>,
+    /// Attempts tagged `(packet index, pass)`, recorded when observe is
+    /// on; ordinals are assigned when journeys are assembled.
+    attempts: Vec<(usize, u32, Attempt)>,
 }
 
-/// One submission attempt of one packet, as recorded inside a shard's
-/// serving loop. Assembled into [`Attempt`] child spans per journey;
-/// `round` orders attempts across healing passes (a packet is in exactly
-/// one shard's queue per round, so `(round, recording order)` is causal).
-struct AttemptEvent {
-    pkt_idx: usize,
+impl ShardOutcome {
+    /// Folds one pass on the same shard into this total (the caller has
+    /// taken the pass's orphans). A shard with nothing queued in a pass
+    /// returns an empty outcome, so a dead shard stays dead.
+    fn absorb(&mut self, pass: ShardOutcome) {
+        self.records.extend(pass.records);
+        self.cycles += pass.cycles;
+        self.retries += pass.retries;
+        self.resets += pass.resets;
+        self.abandoned.extend(pass.abandoned);
+        self.dead |= pass.dead;
+        self.busy_seconds += pass.busy_seconds;
+        self.attempts.extend(pass.attempts);
+    }
+}
+
+/// Which shard and pass a serving-loop call is, and whether it records
+/// its attempts (observe on).
+#[derive(Clone, Copy)]
+struct ShardPass {
     shard: usize,
-    round: u32,
-    request: u16,
-    submitted_at: u64,
-    finished_at: u64,
-    outcome: AttemptOutcome,
-    error: Option<String>,
+    pass: u32,
+    observe: bool,
 }
 
 /// A queued attempt: the job's slot in `queue`, failed attempts so far,
@@ -1024,8 +991,7 @@ fn run_shard<B: ChannelBackend>(
     handles: &[ChannelId],
     queue: &VecDeque<Job>,
     kill_after: Option<u64>,
-    retry: RetryPolicy,
-    observe: bool,
+    at: ShardPass,
 ) -> ShardOutcome {
     let host_started = std::time::Instant::now();
     let mut pending: VecDeque<Try> = (0..queue.len())
@@ -1039,7 +1005,7 @@ fn run_shard<B: ChannelBackend>(
     let mut in_flight: Vec<(mccp_core::RequestId, usize, u32, u64)> = Vec::new();
     let mut records = Vec::with_capacity(queue.len());
     let mut abandoned = Vec::new();
-    let mut attempts: Vec<AttemptEvent> = Vec::new();
+    let mut attempts: Vec<(usize, u32, Attempt)> = Vec::new();
     let mut retries = 0u64;
     let mut resets = 0u64;
     let start = backend.now();
@@ -1059,17 +1025,20 @@ fn run_shard<B: ChannelBackend>(
                 // jobs replay on a survivor as a failover hop.
                 for &(id, q, _, submitted_at) in &in_flight {
                     backend.telemetry_mut().abandon_request(id.0, now_abs);
-                    if observe {
-                        attempts.push(AttemptEvent {
-                            pkt_idx: queue[q].pkt_idx,
-                            shard: 0,
-                            round: 0,
-                            request: id.0,
-                            submitted_at,
-                            finished_at: now,
-                            outcome: AttemptOutcome::Failed,
-                            error: Some("shard died".into()),
-                        });
+                    if at.observe {
+                        attempts.push((
+                            queue[q].pkt_idx,
+                            at.pass,
+                            Attempt {
+                                attempt: 0,
+                                shard: at.shard,
+                                request: id.0,
+                                submitted_at,
+                                finished_at: now,
+                                outcome: AttemptOutcome::Failed,
+                                error: Some("shard died".into()),
+                            },
+                        ));
                     }
                 }
                 let orphans = pending
@@ -1096,7 +1065,7 @@ fn run_shard<B: ChannelBackend>(
         // still references the core — retried on the next iteration.
         let now_abs = backend.now();
         for c in backend.health().quarantined {
-            if now_abs >= c.quarantined_at.saturating_add(retry.reset_delay_cycles)
+            if now_abs >= c.quarantined_at.saturating_add(RESET_DELAY_CYCLES)
                 && backend.reset_core(c.core).is_ok()
             {
                 resets += 1;
@@ -1132,24 +1101,27 @@ fn run_shard<B: ChannelBackend>(
                 // on detection) back off and retry like completion faults.
                 Err(e) if e.is_retryable() => {
                     let failed = t.attempt + 1;
-                    let terminal = failed >= retry.max_attempts;
-                    if observe {
+                    let terminal = failed >= MAX_ATTEMPTS;
+                    if at.observe {
                         // A refused submission never got a request id; the
                         // attempt still happened, at dispatch time.
-                        attempts.push(AttemptEvent {
-                            pkt_idx: job.pkt_idx,
-                            shard: 0,
-                            round: 0,
-                            request: 0,
-                            submitted_at: now,
-                            finished_at: now,
-                            outcome: if terminal {
-                                AttemptOutcome::Abandoned
-                            } else {
-                                AttemptOutcome::Failed
+                        attempts.push((
+                            job.pkt_idx,
+                            at.pass,
+                            Attempt {
+                                attempt: 0,
+                                shard: at.shard,
+                                request: 0,
+                                submitted_at: now,
+                                finished_at: now,
+                                outcome: if terminal {
+                                    AttemptOutcome::Abandoned
+                                } else {
+                                    AttemptOutcome::Failed
+                                },
+                                error: Some(e.to_string()),
                             },
-                            error: Some(e.to_string()),
-                        });
+                        ));
                     }
                     if terminal {
                         abandoned.push(AbandonedPacket {
@@ -1163,7 +1135,7 @@ fn run_shard<B: ChannelBackend>(
                         retries += 1;
                         backend.telemetry_counter_add("mccp_cluster_retries_total", 1);
                         pending[pos].attempt = failed;
-                        pending[pos].ready_at = now + backoff_cycles(&retry, failed);
+                        pending[pos].ready_at = now + backoff_cycles(failed);
                     }
                 }
                 Err(e) => panic!("packet {} rejected: {e}", job.pkt_idx),
@@ -1189,7 +1161,7 @@ fn run_shard<B: ChannelBackend>(
             .iter()
             .map(|c| {
                 c.quarantined_at
-                    .saturating_add(retry.reset_delay_cycles)
+                    .saturating_add(RESET_DELAY_CYCLES)
                     .saturating_sub(now_abs)
                     .max(1)
             })
@@ -1223,22 +1195,25 @@ fn run_shard<B: ChannelBackend>(
                 // plaintext, byte-identical output on success. No nonce is
                 // burned and none is reused across distinct plaintexts.
                 let failed = attempt + 1;
-                let will_retry = err.is_retryable() && failed < retry.max_attempts;
-                if observe {
-                    attempts.push(AttemptEvent {
-                        pkt_idx: job.pkt_idx,
-                        shard: 0,
-                        round: 0,
-                        request: done.request.0,
-                        submitted_at,
-                        finished_at: now,
-                        outcome: if will_retry {
-                            AttemptOutcome::Failed
-                        } else {
-                            AttemptOutcome::Abandoned
+                let will_retry = err.is_retryable() && failed < MAX_ATTEMPTS;
+                if at.observe {
+                    attempts.push((
+                        job.pkt_idx,
+                        at.pass,
+                        Attempt {
+                            attempt: 0,
+                            shard: at.shard,
+                            request: done.request.0,
+                            submitted_at,
+                            finished_at: now,
+                            outcome: if will_retry {
+                                AttemptOutcome::Failed
+                            } else {
+                                AttemptOutcome::Abandoned
+                            },
+                            error: Some(err.to_string()),
                         },
-                        error: Some(err.to_string()),
-                    });
+                    ));
                 }
                 if will_retry {
                     retries += 1;
@@ -1246,7 +1221,7 @@ fn run_shard<B: ChannelBackend>(
                     pending.push_back(Try {
                         q,
                         attempt: failed,
-                        ready_at: now + backoff_cycles(&retry, failed),
+                        ready_at: now + backoff_cycles(failed),
                     });
                 } else {
                     // The engine's RequestFailed already closed the span's
@@ -1266,17 +1241,20 @@ fn run_shard<B: ChannelBackend>(
             }
             assert!(done.auth_ok, "encrypt never auth-fails");
             let completed_at = now;
-            if observe {
-                attempts.push(AttemptEvent {
-                    pkt_idx: job.pkt_idx,
-                    shard: 0,
-                    round: 0,
-                    request: done.request.0,
-                    submitted_at,
-                    finished_at: now,
-                    outcome: AttemptOutcome::Completed,
-                    error: None,
-                });
+            if at.observe {
+                attempts.push((
+                    job.pkt_idx,
+                    at.pass,
+                    Attempt {
+                        attempt: 0,
+                        shard: at.shard,
+                        request: done.request.0,
+                        submitted_at,
+                        finished_at: now,
+                        outcome: AttemptOutcome::Completed,
+                        error: None,
+                    },
+                ));
             }
             if backend.telemetry_enabled() {
                 backend.telemetry_counter_add(
@@ -1346,13 +1324,12 @@ mod tests {
                 shards: 4,
                 work_stealing: true,
                 telemetry_capacity: Some(1024),
-                retry: RetryPolicy::default(),
                 observe: true,
             },
             &spec.standards,
             7,
         );
-        let report = cluster.run_threaded(&workload, DispatchPolicy::Fifo);
+        let report = cluster.run(&workload, DispatchPolicy::Fifo);
         assert_eq!(report.merged.packets, 24);
         assert_eq!(cluster.verify(&workload, &report).unwrap(), 24);
         // Affinity dispatch on a balanced round-robin workload: no steals
@@ -1392,7 +1369,6 @@ mod tests {
             shards: 4,
             work_stealing: stealing,
             telemetry_capacity: None,
-            retry: RetryPolicy::default(),
             observe: false,
         };
         let mut lazy = MccpCluster::functional(cfg(false), &spec.standards, 3);
@@ -1451,7 +1427,6 @@ mod tests {
             shards: 4,
             work_stealing: stealing,
             telemetry_capacity: None,
-            retry: RetryPolicy::default(),
             observe: false,
         };
         let mut lazy = MccpCluster::functional(cfg(false), &standards, 3);
@@ -1685,7 +1660,6 @@ mod tests {
                 shards: 1,
                 work_stealing: true,
                 telemetry_capacity: None,
-                retry: RetryPolicy::default(),
                 observe: false,
             },
             mccp_cfg.clone(),
@@ -1698,7 +1672,6 @@ mod tests {
                 shards: 2,
                 work_stealing: true,
                 telemetry_capacity: None,
-                retry: RetryPolicy::default(),
                 observe: false,
             },
             mccp_cfg,
@@ -1793,7 +1766,7 @@ mod tests {
             7,
         );
         cluster.set_shard_kills(vec![(1, 2)]);
-        let report = cluster.run_threaded(&workload, DispatchPolicy::Fifo);
+        let report = cluster.run(&workload, DispatchPolicy::Fifo);
         assert_eq!(report.dead_shards, 1);
         assert!(report.shards[1].dead);
         assert_eq!(report.shards[1].packets, 2, "died after its quota");
@@ -1826,20 +1799,8 @@ mod tests {
         };
         let spec = spec(vec![Standard::Wifi, Standard::Wimax], 8);
         let workload = Workload::generate(spec.clone());
-        let mut cluster = MccpCluster::cycle_accurate(
-            ClusterConfig {
-                shards: 1,
-                retry: RetryPolicy {
-                    backoff_base_cycles: 256,
-                    reset_delay_cycles: 256,
-                    ..RetryPolicy::default()
-                },
-                ..Default::default()
-            },
-            mccp_cfg,
-            &spec.standards,
-            9,
-        );
+        let mut cluster =
+            MccpCluster::cycle_accurate(ClusterConfig::default(), mccp_cfg, &spec.standards, 9);
         cluster.backend_mut(0).arm_faults(
             &FaultPlan::new().with(FaultTrigger::AtPacket(2), FaultKind::WedgeCore { core: 0 }),
         );
@@ -1854,5 +1815,89 @@ mod tests {
         let health = cluster.backend_mut(0).health();
         assert!(health.quarantined.is_empty(), "no core left fenced");
         assert_eq!(cluster.verify(&workload, &report).unwrap(), 8);
+    }
+
+    /// Each task reports its index and the thread it ran on.
+    fn tagged_tasks(n: usize) -> Vec<impl FnOnce() -> (usize, std::thread::ThreadId) + Send> {
+        (0..n)
+            .map(|i| move || (i, std::thread::current().id()))
+            .collect()
+    }
+
+    #[test]
+    fn fan_out_returns_results_in_task_order() {
+        // More tasks than lanes on any host, at and below the threshold.
+        for work_bytes in [SERIAL_FALLBACK_BYTES - 1, SERIAL_FALLBACK_BYTES] {
+            let tasks = tagged_tasks(host_parallelism() * 2 + 3);
+            let n = tasks.len();
+            let order: Vec<usize> = fan_out(tasks, work_bytes)
+                .into_iter()
+                .map(|(i, _)| i)
+                .collect();
+            assert_eq!(order, (0..n).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn fan_out_under_the_threshold_stays_on_the_caller_thread() {
+        let caller = std::thread::current().id();
+        let out = fan_out(tagged_tasks(6), SERIAL_FALLBACK_BYTES - 1);
+        assert!(
+            out.iter().all(|&(_, tid)| tid == caller),
+            "small pass hopped threads"
+        );
+    }
+
+    #[test]
+    fn fan_out_at_the_threshold_leaves_the_caller_thread() {
+        if host_parallelism() < 2 {
+            return; // one CPU: every pass runs inline by design
+        }
+        let caller = std::thread::current().id();
+        let out = fan_out(tagged_tasks(4), SERIAL_FALLBACK_BYTES);
+        // Lane 0 (tasks 0, lanes, ...) is the caller's thread itself.
+        assert_eq!(out[0].1, caller);
+        assert!(
+            out.iter().any(|&(_, tid)| tid != caller),
+            "an at-threshold pass must use a second lane"
+        );
+    }
+
+    #[test]
+    fn fan_out_panic_reraises_after_the_other_lanes_finish() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::mpsc;
+        if host_parallelism() < 2 {
+            return; // one CPU: the pass runs inline, so there is no other lane
+        }
+        /// Signals from inside the unwind of the task that owns it.
+        struct SignalOnDrop(mpsc::Sender<()>);
+        impl Drop for SignalOnDrop {
+            fn drop(&mut self) {
+                let _ = self.0.send(());
+            }
+        }
+        let (unwinding, unwound) = mpsc::channel();
+        let finished = &AtomicBool::new(false);
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = vec![
+                // Lane 0, the caller's thread.
+                Box::new(move || {
+                    let _signal = SignalOnDrop(unwinding);
+                    panic!("shard task failed");
+                }),
+                // Lane 1 finishes only after lane 0 has started unwinding.
+                Box::new(move || {
+                    unwound.recv().expect("lane 0 unwinds");
+                    finished.store(true, Ordering::SeqCst);
+                }),
+            ];
+            fan_out(tasks, SERIAL_FALLBACK_BYTES)
+        }));
+        assert!(result.is_err(), "the task's panic must reach the caller");
+        assert!(
+            finished.load(Ordering::SeqCst),
+            "the panic resumed before lane 1 was joined"
+        );
     }
 }

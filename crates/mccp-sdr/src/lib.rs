@@ -28,12 +28,14 @@
 //!   1 to N shards. One shard is the communication-controller role:
 //!   drive the control protocol, keep all cores fed, and measure
 //!   aggregate throughput and per-packet latency. More shards add
-//!   channel-affinity dispatch, work stealing and fault recovery.
+//!   channel-affinity dispatch, work stealing and fault recovery, and
+//!   run in parallel through the cluster's one fan-out on scoped threads
+//!   (up to [`host_parallelism`] lanes once a pass carries
+//!   [`SERIAL_FALLBACK_BYTES`] of payload).
 
 pub mod adversary;
 pub mod channel;
 pub mod cluster;
-pub mod pool;
 pub mod qos;
 pub mod service;
 pub mod slab;
@@ -43,10 +45,9 @@ pub mod workload;
 pub use adversary::{run_adversary_suite, AdversaryReport};
 pub use channel::SecureChannel;
 pub use cluster::{
-    ClusterConfig, ClusterReport, MccpCluster, PacketRecord, RunReport, ShardReport, VerifyError,
-    VerifyErrorKind,
+    host_parallelism, ClusterConfig, ClusterReport, MccpCluster, PacketRecord, RunReport,
+    ShardReport, VerifyError, VerifyErrorKind, SERIAL_FALLBACK_BYTES,
 };
-pub use pool::{host_parallelism, ShardPool, SERIAL_FALLBACK_BYTES};
 pub use qos::{qos_class, AdmissionConfig, QosClass};
 pub use service::{Delivery, MccpService, ServiceConfig, ServiceError, ServiceReport};
 pub use slab::{ChannelSlab, LiveChannel, ServiceChannelId, SlabError};

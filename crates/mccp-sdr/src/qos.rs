@@ -143,22 +143,42 @@ pub enum AdmitError {
     Busy { retry_after_pumps: u64 },
 }
 
-/// Derives the per-channel latency SLO from a radio standard's traffic
-/// profile: the deadline scales with the largest packet the standard
-/// emits (DMA is one 32-bit word per cycle, the crypto pipeline adds a
-/// per-block cost, and the constant absorbs key expansion and scheduling),
-/// and the attainment target reflects the standard's latency demand —
-/// secure voice is the paper's low-latency stream and gets the tightest
-/// objective.
-pub fn channel_slo(channel: u8, profile: &StandardProfile) -> ChannelSlo {
+/// The latency SLO rule shared by the batch and service planes: the
+/// deadline scales with the largest packet served (DMA is one 32-bit word
+/// per cycle, the crypto pipeline adds a per-block cost, and the constant
+/// absorbs key expansion and scheduling), and the attainment target
+/// reflects the class's latency demand — secure voice, the paper's
+/// low-latency stream and the only Critical standard, gets 99.9%, the
+/// rest 99%.
+fn slo_rule(id: u8, max_packet: usize, class: QosClass) -> ChannelSlo {
     ChannelSlo {
-        channel,
-        deadline_cycles: 5_000 + 16 * profile.max_packet() as u64,
-        target_permille: match profile.standard {
-            crate::standards::Standard::SecureVoice => 999,
-            _ => 990,
+        channel: id,
+        deadline_cycles: 5_000 + 16 * max_packet as u64,
+        target_permille: if class == QosClass::Critical {
+            999
+        } else {
+            990
         },
     }
+}
+
+/// The per-channel latency SLO, from the channel's radio standard.
+pub fn channel_slo(channel: u8, profile: &StandardProfile) -> ChannelSlo {
+    slo_rule(channel, profile.max_packet(), qos_class(profile.standard))
+}
+
+/// The per-class SLO (the service-plane grain), sized for the largest
+/// packet any standard in the class emits. The class index doubles as the
+/// `channel` field, so [`SloEngine`](mccp_telemetry::slo::SloEngine)'s
+/// attainment tables, burn rates and exporters apply unchanged.
+pub fn class_slo(class: QosClass) -> ChannelSlo {
+    let max_packet = crate::standards::Standard::ALL
+        .iter()
+        .filter(|s| qos_class(**s) == class)
+        .map(|s| s.profile().max_packet())
+        .max()
+        .unwrap_or(0);
+    slo_rule(class.index() as u8, max_packet, class)
 }
 
 /// Per-priority-class completion-time summary. Uses each packet's

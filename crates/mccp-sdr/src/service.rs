@@ -40,7 +40,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use crate::channel::SecureChannel;
-use crate::qos::{qos_class, AdmissionConfig, AdmitError, QosClass};
+use crate::qos::{class_slo, qos_class, AdmissionConfig, AdmitError, QosClass};
 use crate::slab::{ChannelSlab, ChannelStats, LiveChannel, ServiceChannelId, SlabError};
 use crate::standards::Standard;
 use mccp_core::format::Direction;
@@ -224,26 +224,8 @@ impl<B: ChannelBackend> ServiceShard<B> {
                 .bindings
                 .get_or_insert_with(&id, || unreachable!("peeked")));
         }
-        while warm_capacity > 0 && self.bindings.len() >= warm_capacity {
-            // Oldest binding whose channel has nothing in flight — a busy
-            // engine channel cannot close, so it is skipped, and if every
-            // binding is busy the warm set temporarily overshoots rather
-            // than deadlocks.
-            let victim = self
-                .bindings
-                .entries_by_lru()
-                .into_iter()
-                .find(|(vid, _)| {
-                    self.slab
-                        .get(**vid)
-                        .map(|c| c.in_flight == 0)
-                        .unwrap_or(true)
-                })
-                .map(|(vid, handle)| (*vid, *handle));
-            let Some((vid, handle)) = victim else { break };
-            let _ = self.backend.close_channel(handle);
-            self.bindings.remove(&vid);
-            counters.binding_evictions += 1;
+        if warm_capacity > 0 {
+            self.evict_idle_bindings(warm_capacity - 1, counters);
         }
         let live = self.slab.get(id).expect("caller validated id");
         let profile = live.standard.profile();
@@ -504,18 +486,18 @@ impl<B: ChannelBackend> ServiceShard<B> {
             self.backend.step(cfg.step_bound);
         }
         self.collect(counters, slo, out);
-        self.trim_bindings(cfg.warm_set_capacity, counters);
+        if cfg.warm_set_capacity > 0 {
+            self.evict_idle_bindings(cfg.warm_set_capacity, counters);
+        }
     }
 
-    /// Restores the warm-set bound after a round in which every binding
-    /// was busy (eviction skips channels with in-flight work, so the set
-    /// can overshoot transiently; once completions drain, the excess
-    /// oldest idle bindings are closed here).
-    fn trim_bindings(&mut self, warm_capacity: usize, counters: &mut ServiceCounters) {
-        if warm_capacity == 0 {
-            return;
-        }
-        while self.bindings.len() > warm_capacity {
+    /// Closes the least-recently-used bindings whose channel has nothing
+    /// in flight until at most `keep` remain. A busy engine channel cannot
+    /// close, so it is skipped; if every binding is busy the warm set
+    /// overshoots rather than deadlocks, and the next round's trim
+    /// restores the bound once completions drain.
+    fn evict_idle_bindings(&mut self, keep: usize, counters: &mut ServiceCounters) {
+        while self.bindings.len() > keep {
             let victim = self
                 .bindings
                 .entries_by_lru()
@@ -830,28 +812,6 @@ impl<B: ChannelBackend> MccpService<B> {
     pub fn counters(&self) -> &ServiceCounters {
         &self.counters
     }
-}
-
-/// The per-class SLO: deadline sized for the largest packet any standard
-/// in the class emits (same constant + per-byte scaling as the per-channel
-/// [`crate::qos::channel_slo`]), target 99.9% for critical voice and 99%
-/// for the rest.
-fn class_slo(class: QosClass) -> mccp_telemetry::slo::ChannelSlo {
-    let max_packet = Standard::ALL
-        .iter()
-        .filter(|s| qos_class(**s) == class)
-        .map(|s| s.profile().max_packet())
-        .max()
-        .unwrap_or(0);
-    mccp_telemetry::service::class_slo(
-        class.index() as u8,
-        5_000 + 16 * max_packet as u64,
-        if class == QosClass::Critical {
-            999
-        } else {
-            990
-        },
-    )
 }
 
 #[cfg(test)]

@@ -8,11 +8,13 @@
 //! (Priority + Poisson arrivals + core backpressure can legitimately
 //! reorder which packet of a channel gets which counter value).
 
-use mccp_core::{ChannelBackend, FaultPlan, FunctionalBackend, Mccp, MccpConfig};
-use mccp_sdr::cluster::{ClusterConfig, ClusterReport, MccpCluster, RetryPolicy};
+use mccp_core::{
+    ChannelBackend, FaultKind, FaultPlan, FaultTrigger, FunctionalBackend, Mccp, MccpConfig,
+};
+use mccp_sdr::cluster::{ClusterConfig, ClusterReport, MccpCluster};
 use mccp_sdr::qos::DispatchPolicy;
 use mccp_sdr::workload::{Workload, WorkloadSpec};
-use mccp_sdr::{PacketRecord, Standard};
+use mccp_sdr::{PacketRecord, Standard, SERIAL_FALLBACK_BYTES};
 use mccp_telemetry::trace::AttemptOutcome;
 use proptest::prelude::*;
 
@@ -101,13 +103,12 @@ fn sharded_cluster_with_stealing_matches_single_backend_bytes() {
             shards: 4,
             work_stealing: true,
             telemetry_capacity: None,
-            retry: RetryPolicy::default(),
             observe: false,
         },
         &spec.standards,
         11,
     );
-    let clustered = cluster.run_threaded(&workload, DispatchPolicy::Fifo);
+    let clustered = cluster.run(&workload, DispatchPolicy::Fifo);
     assert_bytes_equal(
         &solo.records,
         &clustered.merged.records,
@@ -124,7 +125,6 @@ fn cycle_cluster_matches_functional_cluster() {
         shards: 2,
         work_stealing: true,
         telemetry_capacity: None,
-        retry: RetryPolicy::default(),
         observe: false,
     };
     let mut f = MccpCluster::functional(cfg, &spec.standards, 3);
@@ -190,6 +190,88 @@ fn assert_span_balance<B: ChannelBackend>(cluster: &mut MccpCluster<B>, what: &s
         let spans = cluster.backend_mut(s).telemetry().spans();
         assert_eq!(spans.open_count(), 0, "{what}: shard {s} leaked open spans");
     }
+}
+
+/// Total payload bytes in a workload — what the cluster's fan-out weighs
+/// against [`SERIAL_FALLBACK_BYTES`].
+fn payload_bytes(workload: &Workload) -> u64 {
+    workload
+        .packets
+        .iter()
+        .map(|p| p.payload.len() as u64)
+        .sum()
+}
+
+#[test]
+fn fanned_out_cluster_matches_single_backend_bytes() {
+    // 160 x 2 KiB is past the serial fallback, so on a multi-CPU host the
+    // 4 shards run on scoped threads; the bytes must not notice.
+    let spec = spec(160, 0xE0_06, Some(2048));
+    let workload = Workload::generate(spec.clone());
+    assert!(payload_bytes(&workload) >= SERIAL_FALLBACK_BYTES);
+    let solo = functional_radio(&spec.standards, 17)
+        .run(&workload, DispatchPolicy::Fifo)
+        .merged;
+    let cfg = ClusterConfig {
+        shards: 4,
+        ..ClusterConfig::default()
+    };
+    let mut cluster = MccpCluster::functional(cfg, &spec.standards, 17);
+    let clustered = cluster.run(&workload, DispatchPolicy::Fifo);
+    assert_bytes_equal(
+        &solo.records,
+        &clustered.merged.records,
+        "fanned-out 4-shard cluster vs single backend",
+    );
+    assert_eq!(cluster.verify(&workload, &clustered).unwrap(), 160);
+}
+
+#[test]
+fn fanned_out_failover_delivers_or_reports_every_packet_once() {
+    // 192 x 4 KiB on 4 shards, 192 KiB per shard. Shards 2 and 3 die after
+    // 4 packets each, so 352 KiB of orphans re-serve on shards 0 and 1:
+    // the failover pass is past the serial fallback too, and on a
+    // multi-CPU host the two survivors run on separate lanes.
+    let packets = 192;
+    let spec = spec(packets, 0xE0_07, Some(4096));
+    let workload = Workload::generate(spec.clone());
+    assert!(payload_bytes(&workload) >= SERIAL_FALLBACK_BYTES);
+    let cfg = ClusterConfig {
+        shards: 4,
+        telemetry_capacity: Some(256),
+        observe: true,
+        ..ClusterConfig::default()
+    };
+    let mut cluster = MccpCluster::functional(cfg, &spec.standards, 19);
+    cluster.set_shard_kills(vec![(2, 4), (3, 4)]);
+    // One transient fault on a survivor, so some journey retries as well.
+    cluster.backend_mut(0).arm_faults(&FaultPlan::new().with(
+        FaultTrigger::AtPacket(3),
+        FaultKind::FlipFifoBit {
+            core: 0,
+            output: false,
+            bit: 5,
+        },
+    ));
+    let report = cluster.run(&workload, DispatchPolicy::Fifo);
+    assert_eq!(report.dead_shards, 2);
+    assert_eq!(report.retries, 1);
+    assert_exactly_once(&report, packets, "fanned-out failover");
+    assert_journeys_complete(&report, packets, "fanned-out failover");
+    assert_span_balance(&mut cluster, "fanned-out failover");
+    let failed_over = report
+        .journeys
+        .as_ref()
+        .expect("observe on")
+        .iter()
+        .filter(|j| j.failover)
+        .count() as u64;
+    assert_eq!(failed_over, 88, "every orphan hopped to a survivor");
+    assert!(failed_over * 4096 >= SERIAL_FALLBACK_BYTES);
+    assert_eq!(
+        cluster.verify(&workload, &report).unwrap(),
+        report.merged.packets
+    );
 }
 
 #[test]

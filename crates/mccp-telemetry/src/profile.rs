@@ -1,6 +1,6 @@
 //! Cycle-attribution profiling: hierarchical shard → core → stage cycle
 //! accounting rendered as a flamegraph-compatible collapsed-stack file and
-//! a top-N report, plus the wall-clock profile of threaded cluster runs.
+//! a top-N report, plus the wall-clock profile of cluster runs.
 //!
 //! The cycle domain profile is assembled from the `mccp_stage_cycles`
 //! gauges each engine publishes at snapshot time
@@ -16,8 +16,9 @@
 //! | `quarantine_idle`| cycles a quarantined core sat fenced from dispatch |
 //!
 //! The wall-clock side ([`WallProfile`]) covers what cycle counts cannot:
-//! how `run_threaded` spends *host* time per shard thread, recorded next
-//! to `host_parallelism` so speedup claims stay honest.
+//! how a cluster run spends *host* time per shard across its fan-out
+//! lanes, recorded next to `host_parallelism` so speedup claims stay
+//! honest.
 
 use std::fmt::Write as _;
 
@@ -119,20 +120,20 @@ pub fn top_n_report(collapsed: &str, n: usize) -> String {
     out
 }
 
-/// Wall-clock profile of one threaded cluster run: how much host time each
-/// shard thread spent inside its engine loop versus the run's makespan.
+/// Wall-clock profile of one cluster run: how much host time each shard
+/// spent inside its engine loop versus the run's makespan.
 #[derive(Clone, Debug, Default)]
 pub struct WallProfile {
     /// OS-visible parallelism of the host the run executed on.
     pub host_parallelism: usize,
-    /// End-to-end wall seconds of the threaded run (barrier to barrier).
+    /// End-to-end wall seconds of the run (barrier to barrier).
     pub wall_seconds: f64,
     /// Per-shard busy wall seconds, indexed by shard.
     pub shard_busy_seconds: Vec<f64>,
 }
 
 impl WallProfile {
-    /// Idle wall seconds of a shard thread: makespan minus its busy time.
+    /// Idle wall seconds of a shard: makespan minus its busy time.
     pub fn shard_idle_seconds(&self, shard: usize) -> f64 {
         (self.wall_seconds - self.shard_busy_seconds.get(shard).copied().unwrap_or(0.0)).max(0.0)
     }

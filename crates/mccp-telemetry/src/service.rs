@@ -1,5 +1,5 @@
 //! Service-plane metrics: the typed counter set an always-on ingestion
-//! front-end maintains, plus the per-QoS-class SLO derivation.
+//! front-end maintains.
 //!
 //! The batch layers publish per-channel series (`channel="3"`), which is
 //! the right grain for a handful of radio links. A service holding a
@@ -12,7 +12,6 @@
 //! hot-path fix: no per-event registry lookups).
 
 use crate::metrics::{series, Registry, Snapshot};
-use crate::slo::ChannelSlo;
 
 /// Label values for the service QoS classes, in class-index order.
 pub const CLASS_NAMES: [&str; 3] = ["critical", "standard", "best_effort"];
@@ -132,19 +131,6 @@ impl ServiceCounters {
     }
 }
 
-/// The SLO contract for one QoS *class* (the service-plane grain, vs the
-/// batch layers' per-channel [`ChannelSlo`]). The class index doubles as
-/// the `channel` field so the existing [`crate::slo::SloEngine`] machinery
-/// — attainment tables, burn rates, Prometheus publication — applies
-/// unchanged.
-pub fn class_slo(class: u8, deadline_cycles: u64, target_permille: u32) -> ChannelSlo {
-    ChannelSlo {
-        channel: class,
-        deadline_cycles,
-        target_permille,
-    }
-}
-
 /// Convenience read of the published service counters from a snapshot.
 pub fn shed_total(snapshot: &Snapshot) -> u64 {
     CLASS_NAMES
@@ -200,12 +186,5 @@ mod tests {
         assert_eq!(a.classes[1].delivered, 13);
         assert_eq!(a.stale_drops, 1);
         assert_eq!(a.totals().3, 13);
-    }
-
-    #[test]
-    fn class_slo_is_a_channel_slo() {
-        let slo = class_slo(0, 10_000, 999);
-        assert_eq!(slo.channel, 0);
-        assert!(slo.error_budget() < 0.0011);
     }
 }

@@ -60,7 +60,33 @@ stage_pipeline_equivalence() { cargo test --test pipeline_equivalence -q; }
 # churn loop without rewriting BENCH_service.json.
 stage_service_smoke() { cargo run --release -p mccp-bench --bin bench_service -- --quick; }
 
-stage_chaos_smoke() { cargo run --release -p mccp-bench --bin chaos_soak -- --packets 200; }
+# chaos_soak is deterministic and rewrites BENCH_chaos.json; the stage
+# fails when the rerun differs from the checked-in file in any field but
+# host_parallelism (left rewritten for `git diff`), else restores it.
+stage_chaos_smoke() {
+  local committed
+  committed="$(mktemp)"
+  cp BENCH_chaos.json "$committed"
+  cargo run --release -p mccp-bench --bin chaos_soak -- --packets 200
+  if ! python3 - "$committed" BENCH_chaos.json <<'PY'
+import json, sys
+
+old, new = (json.load(open(path)) for path in sys.argv[1:3])
+for doc in (old, new):
+    doc.pop("host_parallelism", None)
+drift = sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
+if drift:
+    print(f"chaos-smoke: BENCH_chaos.json drifted in {drift}", file=sys.stderr)
+    sys.exit(1)
+PY
+  then
+    rm -f "$committed"
+    echo "chaos-smoke: rerun BENCH_chaos.json to accept an intended change" >&2
+    return 1
+  fi
+  cp "$committed" BENCH_chaos.json
+  rm -f "$committed"
+}
 
 # obs_report asserts both contracts and exits non-zero on breach:
 # best-of-N wall overhead under the 5% budget, and records/cycles/

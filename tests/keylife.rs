@@ -6,7 +6,7 @@
 use mccp::aes::modes::gcm_seal;
 use mccp::aes::Aes;
 use mccp::core::protocol::{ret, Algorithm, KeyId, MccpError};
-use mccp::core::{ChannelBackend, Completion, Direction, FunctionalBackend, Mccp, MccpConfig};
+use mccp::core::{submit_and_wait, ChannelBackend, Direction, FunctionalBackend, Mccp, MccpConfig};
 use proptest::prelude::*;
 
 /// One delivery: (epoch, ciphertext, tag).
@@ -17,34 +17,6 @@ fn cfg(cases: u32) -> ProptestConfig {
         cases,
         failure_persistence: None,
         ..ProptestConfig::default()
-    }
-}
-
-/// Submit one packet and drain until its completion arrives.
-fn run_one<B: ChannelBackend + ?Sized>(
-    b: &mut B,
-    ch: mccp::core::protocol::ChannelId,
-    direction: Direction,
-    iv: &[u8],
-    aad: &[u8],
-    body: &[u8],
-    tag: Option<&[u8]>,
-) -> Completion {
-    let req = loop {
-        match b.submit_packet(ch, direction, iv, aad, body, tag) {
-            Ok(r) => break r,
-            Err(MccpError::NoResource) => {
-                b.step(4096);
-            }
-            Err(e) => panic!("unexpected {e:?}"),
-        }
-    };
-    loop {
-        if let Some(c) = b.poll_completion() {
-            assert_eq!(c.request, req);
-            return c;
-        }
-        b.step(4096);
     }
 }
 
@@ -70,7 +42,7 @@ proptest! {
             let mut ivn = 0u8;
             for _ in 0..before {
                 ivn += 1;
-                let c = run_one(b, ch, Direction::Encrypt, &[ivn; 12], &aad, &body, None);
+                let c = submit_and_wait(b, ch, Direction::Encrypt, &[ivn; 12], &aad, &body, None).unwrap();
                 got.push((c.epoch, c.body, c.tag));
             }
             let epoch = b.rekey_channel(ch, &key1).unwrap();
@@ -78,7 +50,7 @@ proptest! {
             prop_assert_eq!(b.channel_epoch(ch).unwrap(), 1);
             for _ in 0..after {
                 ivn += 1;
-                let c = run_one(b, ch, Direction::Encrypt, &[ivn; 12], &aad, &body, None);
+                let c = submit_and_wait(b, ch, Direction::Encrypt, &[ivn; 12], &aad, &body, None).unwrap();
                 got.push((c.epoch, c.body, c.tag));
             }
             got.iter().take(before).for_each(|(e, _, _)| assert_eq!(*e, 0));
@@ -124,7 +96,7 @@ fn in_flight_packets_finish_on_the_old_epoch() {
     let sealed = gcm_seal(&Aes::new(&key0), &[1u8; 12], b"a", &body, 16).unwrap();
     assert_eq!(c.body, sealed[..body.len()], "old key, not the new one");
     // The next packet runs under the new key.
-    let c2 = run_one(
+    let c2 = submit_and_wait(
         &mut m,
         ch,
         Direction::Encrypt,
@@ -132,7 +104,8 @@ fn in_flight_packets_finish_on_the_old_epoch() {
         b"a",
         &body,
         None,
-    );
+    )
+    .unwrap();
     assert_eq!(c2.epoch, 1);
     let sealed1 = gcm_seal(&Aes::new(&key1), &[2u8; 12], b"a", &body, 16).unwrap();
     assert_eq!(c2.body, sealed1[..body.len()]);
@@ -169,7 +142,7 @@ fn retired_key_is_zeroized_once_the_last_old_epoch_packet_drains() {
     );
     assert!(!m.key_retirement_pending(old_kid));
     // The channel still serves under the new key.
-    let c2 = run_one(
+    let c2 = submit_and_wait(
         &mut m,
         ch,
         Direction::Encrypt,
@@ -177,7 +150,8 @@ fn retired_key_is_zeroized_once_the_last_old_epoch_packet_drains() {
         b"",
         &[1u8; 200],
         None,
-    );
+    )
+    .unwrap();
     assert!(c2.auth_ok);
     assert_eq!(c2.epoch, 1);
 }
@@ -210,7 +184,7 @@ fn stale_epoch_is_a_typed_non_retryable_rejection_on_both_engines() {
         assert!(!err.is_retryable(), "stale epochs never succeed on retry");
         assert_eq!(b.in_flight(), 0, "rejected before any core was touched");
         // The current epoch still submits fine.
-        let c = run_one(
+        let c = submit_and_wait(
             &mut *b,
             ch,
             Direction::Encrypt,
@@ -218,7 +192,8 @@ fn stale_epoch_is_a_typed_non_retryable_rejection_on_both_engines() {
             b"",
             &[0u8; 64],
             None,
-        );
+        )
+        .unwrap();
         assert!(c.auth_ok);
         assert_eq!(c.epoch, 1);
     }
@@ -244,15 +219,12 @@ fn handshake_gates_submissions_until_the_horizon_passes() {
         while b.now() < hs {
             b.step(hs);
         }
-        let c = run_one(
-            &mut *b,
-            ch,
-            Direction::Encrypt,
-            &[1u8; 12],
-            b"",
-            &[0u8; 32],
-            None,
-        );
+        let req = b
+            .submit_packet(ch, Direction::Encrypt, &[1u8; 12], b"", &[0u8; 32], None)
+            .expect("alive past the horizon");
+        b.drain(1_000_000);
+        let c = b.poll_completion().expect("drained");
+        assert_eq!(c.request, req);
         assert!(c.auth_ok);
     }
 }
@@ -272,7 +244,7 @@ fn handshake_overlaps_with_live_traffic_on_the_cycle_engine() {
         .unwrap();
     assert!(m.handshake_remaining(pending).unwrap() > 0);
     // Serve traffic on the live channel well before the handshake ends.
-    let c = run_one(
+    let c = submit_and_wait(
         &mut m,
         live,
         Direction::Encrypt,
@@ -280,7 +252,8 @@ fn handshake_overlaps_with_live_traffic_on_the_cycle_engine() {
         b"",
         &[9u8; 512],
         None,
-    );
+    )
+    .unwrap();
     assert!(c.auth_ok);
     assert!(
         m.now() < hs,
@@ -292,14 +265,18 @@ fn handshake_overlaps_with_live_traffic_on_the_cycle_engine() {
     while m.handshake_remaining(pending).unwrap() > 0 {
         m.step(hs);
     }
-    let c2 = run_one(
-        &mut m,
-        pending,
-        Direction::Encrypt,
-        &[6u8; 12],
-        b"",
-        &[9u8; 64],
-        None,
-    );
+    let req = m
+        .submit_packet(
+            pending,
+            Direction::Encrypt,
+            &[6u8; 12],
+            b"",
+            &[9u8; 64],
+            None,
+        )
+        .expect("alive past the horizon");
+    m.drain(1_000_000);
+    let c2 = m.poll_completion().expect("drained");
+    assert_eq!(c2.request, req);
     assert!(c2.auth_ok);
 }

@@ -8,7 +8,9 @@
 //! drop-in for the batched kernel only: single-block calls, the byte-wise
 //! datapath model and the scalar reference arms all stay on the software
 //! formulation, so scalar-vs-batched comparisons remain honest and the
-//! hardware model remains the hardware model.
+//! hardware model remains the hardware model. The batched kernels send
+//! their leftover counter blocks (under 64 bytes) and GCM's tag mask
+//! `E(K, J0)` through here too, as one zero-padded four-block call.
 //!
 //! Detection is at runtime (`is_x86_feature_detected!`), with the T-table
 //! kernel as the universal fallback; outputs are byte-identical either

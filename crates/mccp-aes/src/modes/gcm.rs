@@ -5,18 +5,20 @@
 //! block per `T_SAES + T_FAES = 49` cycles, and four independent cores
 //! reach the paper's headline 1.7 Gbps.
 //!
-//! ## Batched kernels (PR 7)
+//! ## Batched kernels
 //!
 //! The hot path is [`GcmContext`], which caches the expanded cipher plus
 //! the precomputed GHASH key powers `H^1..H^8` so neither is rebuilt per
 //! packet, generates keystream four counter blocks at a time through
-//! [`BlockCipher128::encrypt_blocks4`], and folds GHASH eight blocks per
-//! step via [`GhashBatched`]. GF(2^128) arithmetic is exact, so every
-//! output is **byte-identical** to the scalar path — asserted by the NIST
-//! vectors below, `tests/kernel_equivalence.rs`, and the cross-engine
-//! suites. The pre-batching implementations survive as
-//! [`gcm_seal_scalar`] / [`gcm_open_detached_scalar`] (the reference arm
-//! for equivalence tests and the "before" side of `bench_kernels`).
+//! [`BlockCipher128::encrypt_blocks4`] (the leftover blocks and the tag
+//! mask `E(K, J0)` included), and folds GHASH eight blocks per step via
+//! [`GhashBatched`] — on PCLMULQDQ when the CPU has it. GF(2^128)
+//! arithmetic is exact, so every output is **byte-identical** to the
+//! scalar path — asserted by the NIST vectors below,
+//! `tests/kernel_equivalence.rs`, and the cross-engine suites. The
+//! pre-batching implementations survive as [`gcm_seal_scalar`] /
+//! [`gcm_open_detached_scalar`] (the reference arm for equivalence tests
+//! and the "before" side of `bench_kernels`).
 
 use super::{tags_equal, xor_keystream, xor_keystream_blocks, ModeError};
 use crate::cipher::BlockCipher128;
@@ -47,11 +49,13 @@ pub fn j0<C: BlockCipher128>(cipher: &C, key: &GhashKey, iv: &[u8]) -> [u8; 16] 
 /// Per-key GCM state: the cipher (with its expanded key schedule) and the
 /// precomputed GHASH powers `H^1..H^8`.
 ///
-/// Building the Shoup tables costs 16 bitwise field multiplications plus
-/// 256 table additions *per power*; deriving them once per key instead of
-/// once per packet is the dominant win on the functional packet path. The
-/// `_into` methods reuse a caller-owned output buffer, so a warm context
-/// seals and opens without allocating (asserted by `tests/zero_alloc.rs`).
+/// With PCLMULQDQ the powers are eight field elements (128 B); without
+/// it, each also needs a Shoup table (16 bitwise field multiplications
+/// plus 256 table additions *per power*). Deriving them once per key
+/// instead of once per packet keeps key setup off the functional packet
+/// path. The `_into` methods reuse a caller-owned output buffer, so a warm
+/// context seals and opens without allocating (asserted by
+/// `tests/zero_alloc.rs`).
 pub struct GcmContext<C: BlockCipher128> {
     cipher: C,
     powers: GhashPowers,
@@ -99,13 +103,17 @@ impl<C: BlockCipher128> GcmContext<C> {
         });
     }
 
-    /// Full 16-byte tag `GCTR(J0, GHASH(A, C))`.
+    /// Full 16-byte tag `GCTR(J0, GHASH(A, C))`. The mask `E(K, J0)` takes
+    /// a zero-padded `encrypt_blocks4` call, the batched kernel's cipher
+    /// path, instead of a single-block one.
     fn tag(&self, j0: &[u8; 16], aad: &[u8], ct: &[u8]) -> [u8; 16] {
         let mut g = GhashBatched::new(&self.powers);
         g.update_aad(aad);
         g.update_ciphertext(ct);
         let mut tag = g.finalize().to_bytes();
-        let ek = self.cipher.encrypt_copy(j0);
+        let mut ek = [0u8; 64];
+        ek[..16].copy_from_slice(j0);
+        self.cipher.encrypt_blocks4(&mut ek);
         for (t, k) in tag.iter_mut().zip(ek.iter()) {
             *t ^= k;
         }
@@ -170,6 +178,9 @@ impl<C: BlockCipher128> GcmContext<C> {
     ) -> Result<(), ModeError> {
         if !(4..=16).contains(&tag.len()) {
             return Err(ModeError::InvalidParams("GCM tag length must be 4..=16"));
+        }
+        if iv.is_empty() {
+            return Err(ModeError::InvalidParams("GCM IV must be non-empty"));
         }
         let j0 = self.derive_j0(iv);
 
@@ -336,6 +347,9 @@ pub fn gcm_open_detached_scalar<C: BlockCipher128>(
     if !(4..=16).contains(&tag.len()) {
         return Err(ModeError::InvalidParams("GCM tag length must be 4..=16"));
     }
+    if iv.is_empty() {
+        return Err(ModeError::InvalidParams("GCM IV must be non-empty"));
+    }
     let key = hash_subkey(cipher);
     let j0 = j0(cipher, &key, iv);
 
@@ -482,6 +496,28 @@ mod tests {
         assert!(gcm_seal(&aes, &[], &[], &[], 16).is_err());
         assert!(gcm_seal(&aes, &[0u8; 12], &[], &[], 3).is_err());
         assert!(gcm_open(&aes, &[0u8; 12], &[], &[0u8; 4], 16).is_err());
+    }
+
+    #[test]
+    fn open_rejects_empty_iv_on_both_arms() {
+        // SP 800-38D §7.2 step 1: an unsupported IV length is rejected
+        // before anything is authenticated, as on the seal side.
+        let aes = Aes::new_128(&[7u8; 16]);
+        let ctx = GcmContext::new(&aes);
+        let sealed = ctx.seal(&[1u8; 12], b"aad", b"payload", 16).unwrap();
+        let (ct, tag) = sealed.split_at(sealed.len() - 16);
+        let empty = ModeError::InvalidParams("GCM IV must be non-empty");
+        let mut out = Vec::new();
+        let batched = ctx.open_detached_into(&[], b"aad", ct, tag, &mut out);
+        assert_eq!(batched, Err(empty));
+        for result in [
+            ctx.open(&[], b"aad", &sealed, 16),
+            gcm_open(&aes, &[], b"aad", &sealed, 16),
+            gcm_open_detached(&aes, &[], b"aad", ct, tag),
+            gcm_open_detached_scalar(&aes, &[], b"aad", ct, tag),
+        ] {
+            assert_eq!(result, Err(empty));
+        }
     }
 
     #[test]

@@ -85,29 +85,26 @@ pub(crate) fn xor_keystream<C: BlockCipher128>(cipher: &C, counter: &[u8; 16], c
 /// [`BlockCipher128::encrypt_blocks4`].
 ///
 /// `counter_for(i)` returns the counter block for keystream block `i`
-/// (0-based). The output is byte-identical to calling [`xor_keystream`] per
-/// block — batching only changes how many independent AES dependency chains
-/// are in flight at once. Shared by the CTR, GCM and CCM kernels.
+/// (0-based). The leftover under 64 bytes (one to four counter blocks,
+/// the last possibly partial) takes the same call with the unused slots
+/// zero-filled. The output is byte-identical to calling [`xor_keystream`]
+/// per block — batching only changes how many independent AES dependency
+/// chains are in flight at once. Shared by the CTR, GCM and CCM kernels.
 pub(crate) fn xor_keystream_blocks<C: BlockCipher128>(
     cipher: &C,
     data: &mut [u8],
     mut counter_for: impl FnMut(u64) -> [u8; 16],
 ) {
     let mut i = 0u64;
-    let mut chunks = data.chunks_exact_mut(64);
-    for chunk in &mut chunks {
+    for chunk in data.chunks_mut(64) {
         let mut ks = [0u8; 64];
-        for (j, blk) in ks.chunks_exact_mut(16).enumerate() {
+        let blocks = chunk.len().div_ceil(16);
+        for (j, blk) in ks[..16 * blocks].chunks_exact_mut(16).enumerate() {
             blk.copy_from_slice(&counter_for(i + j as u64));
         }
         i += 4;
         cipher.encrypt_blocks4(&mut ks);
         xor_in_place(chunk, &ks);
-    }
-    for chunk in chunks.into_remainder().chunks_mut(16) {
-        let counter = counter_for(i);
-        i += 1;
-        xor_keystream(cipher, &counter, chunk);
     }
 }
 

@@ -1,4 +1,4 @@
-//! Batched-kernel ↔ scalar-path equivalence (PR 7 referee suite).
+//! Batched-kernel ↔ scalar-path equivalence (the referee suite).
 //!
 //! The batched kernels — eight-block GHASH folding over precomputed
 //! `H^1..H^8`, four-wide CTR keystream generation, and the per-key
@@ -133,4 +133,47 @@ fn nist_vectors_through_scalar_arm() {
         hex("3612d2e79e3b0785561be14aaca2fccb").as_slice()
     );
     assert_eq!(out, gcm_seal(&aes, &iv8, &aad, &pt, 16).unwrap());
+}
+
+/// Every leftover of 0–4 keystream blocks (with partial last blocks) and
+/// the 128-byte GHASH fold boundary, swept deterministically: a warm
+/// [`GcmContext`] against the scalar arm for payloads 0..=130 bytes under
+/// AAD lengths around the block and batch edges, and 4-wide CTR against
+/// per-block CTR for the same payload lengths.
+#[test]
+fn leftover_blocks_and_fold_boundary_sweep() {
+    let aes = Aes::new_128(&[0x3Cu8; 16]);
+    let ctx = GcmContext::new(&aes);
+    let iv = [0x5Au8; 12];
+    let data: Vec<u8> = (0..400u32).map(|i| (i * 37 % 253) as u8).collect();
+    let mut sealed = Vec::new();
+    let mut opened = Vec::new();
+    for aad_len in [0usize, 1, 15, 16, 17, 128, 129] {
+        let aad = &data[..aad_len];
+        for pt_len in 0..=130usize {
+            let pt = &data[aad_len..aad_len + pt_len];
+            let scalar = gcm_seal_scalar(&aes, &iv, aad, pt, 16).unwrap();
+            ctx.seal_into(&iv, aad, pt, 16, &mut sealed).unwrap();
+            assert_eq!(sealed, scalar, "seal: aad {aad_len} pt {pt_len}");
+
+            let (ct, tag) = scalar.split_at(scalar.len() - 16);
+            ctx.open_detached_into(&iv, aad, ct, tag, &mut opened)
+                .unwrap();
+            assert_eq!(
+                opened,
+                gcm_open_detached_scalar(&aes, &iv, aad, ct, tag).unwrap(),
+                "open: aad {aad_len} pt {pt_len}"
+            );
+            assert_eq!(opened, pt, "open: aad {aad_len} pt {pt_len}");
+        }
+    }
+
+    let ctr0 = [0xF0u8; 16];
+    for len in 0..=130usize {
+        let mut batched = data[..len].to_vec();
+        let mut scalar = batched.clone();
+        ctr_xcrypt(&aes, &ctr0, &mut batched).unwrap();
+        ctr_xcrypt_scalar(&aes, &ctr0, &mut scalar).unwrap();
+        assert_eq!(batched, scalar, "ctr: len {len}");
+    }
 }

@@ -2,27 +2,42 @@
 //! buffer and a prebuilt per-key context, sealing and opening a packet
 //! performs **zero heap allocations**.
 //!
-//! A counting `#[global_allocator]` wraps the system allocator; the whole
-//! suite lives in one `#[test]` so no parallel test thread can perturb the
-//! counter.
+//! A counting `#[global_allocator]` wraps the system allocator and counts
+//! per thread, so allocations made by other threads of the test process
+//! (the harness, parallel tests) never reach this test's count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOC_CALLS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    // `const`-initialised and without a destructor, so counting never
+    // allocates and the slot needs no lazy registration.
+    static ALLOC_CALLS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Counts one allocation on the calling thread. `try_with` skips the count
+/// instead of panicking if the slot is already gone during thread teardown.
+fn count_alloc() {
+    let _ = ALLOC_CALLS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// This thread's allocation count so far.
+fn alloc_calls() -> usize {
+    ALLOC_CALLS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -31,9 +46,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocs_during(f: impl FnOnce()) -> usize {
-    let before = ALLOC_CALLS.load(Ordering::Relaxed);
+    let before = alloc_calls();
     f();
-    ALLOC_CALLS.load(Ordering::Relaxed) - before
+    alloc_calls() - before
 }
 
 #[test]

@@ -24,10 +24,11 @@ use std::collections::{BTreeMap, VecDeque};
 /// A Key Cache entry: the expanded AES key schedule plus, lazily, the GCM
 /// hash-key powers `H^1..H^8`.
 ///
-/// Building the GHASH tables costs far more than a packet's worth of field
-/// multiplications, so it must happen once per key, not once per packet —
-/// exactly like the hardware, where the Key Scheduler expands a key into
-/// the Key Cache when the channel opens, not on every frame.
+/// Building the powers takes seven field multiplications, plus eight 4 KiB
+/// Shoup tables on hosts without PCLMULQDQ — more than a packet's worth of
+/// GHASH work — so it happens once per key, not once per packet, exactly
+/// like the hardware, where the Key Scheduler expands a key into the Key
+/// Cache when the channel opens, not on every frame.
 struct KeyCtx {
     aes: Aes,
     gcm: Option<GcmContext<Aes>>,

@@ -2,28 +2,45 @@
 //! state (channel open, key context warm) a GCM packet through
 //! [`FunctionalBackend`] performs only the handful of allocations that own
 //! the output (`Completion.body` / `Completion.tag`) — no per-packet key
-//! schedule, no GHASH table build, no channel clone, no formatting scratch.
+//! schedule, no GHASH key-power build (eight elements or, on hosts without
+//! PCLMULQDQ, eight Shoup tables), no channel clone, no formatting scratch.
 //!
-//! A counting `#[global_allocator]` wraps the system allocator; everything
-//! runs in one `#[test]` so parallel test threads can't perturb the count.
+//! A counting `#[global_allocator]` wraps the system allocator and counts
+//! per thread, so allocations made by other threads of the test process
+//! (the harness, parallel tests) never reach this test's count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOC_CALLS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    // `const`-initialised and without a destructor, so counting never
+    // allocates and the slot needs no lazy registration.
+    static ALLOC_CALLS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Counts one allocation on the calling thread. `try_with` skips the count
+/// instead of panicking if the slot is already gone during thread teardown.
+fn count_alloc() {
+    let _ = ALLOC_CALLS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// This thread's allocation count so far.
+fn alloc_calls() -> usize {
+    ALLOC_CALLS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -53,17 +70,17 @@ fn steady_state_packet_allocs_are_bounded() {
     be.poll_completion().unwrap();
 
     const PACKETS: usize = 100;
-    let before = ALLOC_CALLS.load(Ordering::Relaxed);
+    let before = alloc_calls();
     for _ in 0..PACKETS {
         be.submit_packet(ch, Direction::Encrypt, &iv, &aad, &body, None)
             .unwrap();
         be.poll_completion().unwrap();
     }
-    let per_packet = (ALLOC_CALLS.load(Ordering::Relaxed) - before) as f64 / PACKETS as f64;
+    let per_packet = (alloc_calls() - before) as f64 / PACKETS as f64;
 
     // Output ownership costs: the sealed buffer, the split-off tag, and
     // amortized queue churn. Anything above this bound means per-packet
-    // key-schedule / GHASH-table / clone work crept back in.
+    // key-schedule / GHASH-power / clone work crept back in.
     assert!(
         per_packet <= 4.0,
         "functional path allocates {per_packet} times per packet (expected <= 4)"

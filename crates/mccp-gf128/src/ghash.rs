@@ -7,12 +7,14 @@
 //! convenience over an AAD / ciphertext pair.
 //!
 //! [`GhashPowers`] layers block batching on top: with `H^1..H^8`
-//! precomputed (each with its own Shoup table), eight blocks fold in one
-//! step as `(Y + X_1)·H^8 + X_2·H^7 + … + X_8·H^1` — the same value the
-//! serial Horner recurrence produces, but as eight *independent* table
-//! multiplications a superscalar host can overlap, instead of a serial
-//! chain where each multiply waits on the previous one.
-//! [`GhashBatched`] is the incremental hasher over that kernel.
+//! precomputed, eight blocks fold in one step as
+//! `(Y + X_1)·H^8 + X_2·H^7 + … + X_8·H^1` — the same value the serial
+//! Horner recurrence produces, but as eight *independent* multiplications
+//! a superscalar host can overlap, instead of a serial chain where each
+//! multiply waits on the previous one. The multiplications run on
+//! PCLMULQDQ ([`crate::clmul`]) when the CPU has it, and on one Shoup
+//! table per power otherwise. [`GhashBatched`] is the incremental hasher
+//! over that kernel.
 
 use crate::element::Gf128;
 
@@ -183,8 +185,15 @@ pub const GHASH_BATCH_BLOCKS: usize = 8;
 /// The batch width in bytes (eight 16-byte blocks).
 pub const GHASH_BATCH_BYTES: usize = GHASH_BATCH_BLOCKS * 16;
 
-/// Precomputed powers `H^1..H^8` of a GHASH subkey, each with its own
-/// 8-bit Shoup table (8 × 4 KiB, heap-allocated, built once per key).
+/// Precomputed powers `H^1..H^8` of a GHASH subkey, in one of two arms
+/// chosen once per key by the CPU:
+///
+/// * **carry-less multiply** — on x86-64 hosts with PCLMULQDQ
+///   ([`crate::clmul`]), the powers are eight plain [`Gf128`] values
+///   (128 B, seven field multiplies to build) and a batch costs 32
+///   carry-less multiplies plus one reduction;
+/// * **Shoup tables** — everywhere else, each power gets its own 8-bit
+///   [`GhashKey`] table (8 × 4 KiB, heap-allocated).
 ///
 /// The serial recurrence `Y_i = (Y_{i-1} + X_i)·H` unrolled eight times is
 ///
@@ -194,32 +203,79 @@ pub const GHASH_BATCH_BYTES: usize = GHASH_BATCH_BLOCKS * 16;
 ///
 /// — eight multiplications that no longer depend on each other. GF(2^128)
 /// arithmetic is exact, so the folded value is bit-identical to eight
-/// Horner steps; the equivalence is property-tested.
+/// Horner steps in either arm; the equivalence is property-tested.
 pub struct GhashPowers {
-    /// `powers[i]` multiplies by `H^(i+1)`.
-    powers: Vec<GhashKey>,
+    arm: PowersArm,
+}
+
+/// The per-key state of one batched-GHASH arm; `[i]` holds `H^(i+1)`.
+enum PowersArm {
+    /// Only built after `clmul::supported()` returned true.
+    #[cfg(target_arch = "x86_64")]
+    Clmul([Gf128; GHASH_BATCH_BLOCKS]),
+    Table(Vec<GhashKey>),
 }
 
 impl GhashPowers {
-    /// Precomputes `H^1..H^8` and their tables for hash subkey `h`.
+    /// Precomputes `H^1..H^8` for hash subkey `h`, as field elements when
+    /// the host has PCLMULQDQ and as Shoup tables otherwise.
     pub fn new(h: Gf128) -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if crate::clmul::supported() {
+            let mut powers = [h; GHASH_BATCH_BLOCKS];
+            for i in 1..GHASH_BATCH_BLOCKS {
+                // SAFETY: `clmul::supported()` just returned true.
+                powers[i] = unsafe { crate::clmul::mul(powers[i - 1], h) };
+            }
+            return GhashPowers {
+                arm: PowersArm::Clmul(powers),
+            };
+        }
+        Self::with_tables(h)
+    }
+
+    /// The Shoup-table arm, whatever the CPU: the only batched arm on hosts
+    /// without PCLMULQDQ, and reachable here so tests cover it on hosts
+    /// that have it.
+    fn with_tables(h: Gf128) -> Self {
         let mut powers = Vec::with_capacity(GHASH_BATCH_BLOCKS);
         let mut hp = h;
         for _ in 0..GHASH_BATCH_BLOCKS {
             powers.push(GhashKey::new(hp));
             hp = hp.mul_bitwise(h);
         }
-        GhashPowers { powers }
+        GhashPowers {
+            arm: PowersArm::Table(powers),
+        }
     }
 
-    /// The `H^1` key — the plain Shoup table for serial steps.
-    pub fn key(&self) -> &GhashKey {
-        &self.powers[0]
+    /// The arm this key runs on: `"clmul"` or `"table"`.
+    pub fn arm(&self) -> &'static str {
+        match self.arm {
+            #[cfg(target_arch = "x86_64")]
+            PowersArm::Clmul(_) => "clmul",
+            PowersArm::Table(_) => "table",
+        }
     }
 
     /// The raw hash subkey `H`.
     pub fn h(&self) -> Gf128 {
-        self.powers[0].h()
+        match &self.arm {
+            #[cfg(target_arch = "x86_64")]
+            PowersArm::Clmul(powers) => powers[0],
+            PowersArm::Table(tables) => tables[0].h(),
+        }
+    }
+
+    /// Multiplies `x` by `H` — one serial Horner step.
+    fn mul_h(&self, x: Gf128) -> Gf128 {
+        match &self.arm {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the `Clmul` arm is only built after
+            // `clmul::supported()` returned true.
+            PowersArm::Clmul(powers) => unsafe { crate::clmul::mul(x, powers[0]) },
+            PowersArm::Table(tables) => tables[0].mul_h(x),
+        }
     }
 
     /// Folds one batch of eight 16-byte blocks into the running hash.
@@ -228,22 +284,33 @@ impl GhashPowers {
     /// Panics if `blocks.len() != 128`.
     #[inline]
     pub fn fold(&self, y: Gf128, blocks: &[u8]) -> Gf128 {
-        assert_eq!(blocks.len(), GHASH_BATCH_BYTES, "fold takes 8 blocks");
-        let x = |i: usize| {
-            let b: &[u8; 16] = blocks[16 * i..16 * i + 16].try_into().expect("16");
-            Gf128::from_bytes(b)
-        };
-        // Eight independent table multiplications, one per power.
-        let mut acc = self.powers[7].mul_h(y + x(0));
-        acc += self.powers[6].mul_h(x(1));
-        acc += self.powers[5].mul_h(x(2));
-        acc += self.powers[4].mul_h(x(3));
-        acc += self.powers[3].mul_h(x(4));
-        acc += self.powers[2].mul_h(x(5));
-        acc += self.powers[1].mul_h(x(6));
-        acc += self.powers[0].mul_h(x(7));
-        acc
+        let blocks: &[u8; GHASH_BATCH_BYTES] = blocks.try_into().expect("fold takes 8 blocks");
+        match &self.arm {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the `Clmul` arm is only built after
+            // `clmul::supported()` returned true.
+            PowersArm::Clmul(powers) => unsafe { crate::clmul::fold(powers, y, blocks) },
+            PowersArm::Table(tables) => fold_tables(tables, y, blocks),
+        }
     }
+}
+
+/// The table arm's fold: eight independent Shoup-table multiplications,
+/// one per power.
+fn fold_tables(tables: &[GhashKey], y: Gf128, blocks: &[u8; GHASH_BATCH_BYTES]) -> Gf128 {
+    let x = |i: usize| {
+        let b: &[u8; 16] = blocks[16 * i..16 * i + 16].try_into().expect("16");
+        Gf128::from_bytes(b)
+    };
+    let mut acc = tables[7].mul_h(y + x(0));
+    acc += tables[6].mul_h(x(1));
+    acc += tables[5].mul_h(x(2));
+    acc += tables[4].mul_h(x(3));
+    acc += tables[3].mul_h(x(4));
+    acc += tables[2].mul_h(x(5));
+    acc += tables[1].mul_h(x(6));
+    acc += tables[0].mul_h(x(7));
+    acc
 }
 
 /// Incremental GHASH over the batched kernel: byte-identical results to
@@ -354,10 +421,9 @@ impl<'k> GhashBatched<'k> {
             self.y = self.powers.fold(self.y, &self.buf);
             self.buf_len = 0;
         }
-        let key = self.powers.key();
         for block in self.buf[..self.buf_len].chunks_exact(16) {
             let b: &[u8; 16] = block.try_into().expect("16");
-            self.y = key.mul_h(self.y + Gf128::from_bytes(b));
+            self.y = self.powers.mul_h(self.y + Gf128::from_bytes(b));
         }
         self.y
     }
@@ -462,36 +528,74 @@ mod tests {
         assert_eq!(inc.finalize(), oneshot);
     }
 
+    /// The arm `new` picks on this host, then the table arm explicitly.
+    fn both_arms(h: Gf128) -> [GhashPowers; 2] {
+        [GhashPowers::new(h), GhashPowers::with_tables(h)]
+    }
+
+    #[test]
+    fn new_picks_clmul_arm_when_supported() {
+        let powers = GhashPowers::new(h_case2());
+        #[cfg(target_arch = "x86_64")]
+        if crate::clmul::supported() {
+            assert_eq!(powers.arm(), "clmul");
+            return;
+        }
+        assert_eq!(powers.arm(), "table");
+    }
+
     #[test]
     fn fold_matches_eight_horner_steps() {
-        let powers = GhashPowers::new(h_case2());
-        let key = powers.key();
-        let blocks: Vec<u8> = (0..128u8).map(|i| i.wrapping_mul(13)).collect();
-        let y0 = Gf128(0xfeed_0000_dead_0000_beef_0000_cafe_0000);
-        let mut y = y0;
-        for block in blocks.chunks_exact(16) {
-            let b: &[u8; 16] = block.try_into().unwrap();
-            y = key.mul_h(y + Gf128::from_bytes(b));
+        use rand::{RngCore, SeedableRng};
+
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x0F01D);
+        let element = |rng: &mut rand::rngs::StdRng| {
+            let mut bytes = [0u8; 16];
+            rng.fill_bytes(&mut bytes);
+            Gf128::from_bytes(&bytes)
+        };
+        let mut cases = vec![(
+            h_case2(),
+            Gf128(0xfeed_0000_dead_0000_beef_0000_cafe_0000),
+            (0..128u8).map(|i| i.wrapping_mul(13)).collect::<Vec<u8>>(),
+        )];
+        for _ in 0..64 {
+            let (h, y0) = (element(&mut rng), element(&mut rng));
+            let mut blocks = vec![0u8; GHASH_BATCH_BYTES];
+            rng.fill_bytes(&mut blocks);
+            cases.push((h, y0, blocks));
         }
-        assert_eq!(powers.fold(y0, &blocks), y);
+        for (h, y0, blocks) in cases {
+            let key = GhashKey::new(h);
+            let mut y = y0;
+            for block in blocks.chunks_exact(16) {
+                let b: &[u8; 16] = block.try_into().unwrap();
+                y = key.mul_h(y + Gf128::from_bytes(b));
+            }
+            for powers in both_arms(h) {
+                assert_eq!(powers.fold(y0, &blocks), y, "{} arm, h {h:?}", powers.arm());
+            }
+        }
     }
 
     #[test]
     fn batched_matches_scalar_all_lengths() {
-        let powers = GhashPowers::new(h_case2());
-        let key = powers.key();
+        let key = GhashKey::new(h_case2());
         // Every (aad, ct) length split around the batch and block
         // boundaries, including AAD-only and empty inputs.
         let data: Vec<u8> = (0..1200u32).map(|i| (i * 31 % 251) as u8).collect();
-        for aad_len in [0usize, 1, 15, 16, 17, 127, 128, 129, 300] {
-            for ct_len in [0usize, 1, 15, 16, 17, 64, 127, 128, 129, 512, 800] {
-                let aad = &data[..aad_len];
-                let ct = &data[aad_len..aad_len + ct_len];
-                assert_eq!(
-                    ghash_batched(&powers, aad, ct),
-                    ghash(key, aad, ct),
-                    "aad {aad_len} ct {ct_len}"
-                );
+        for powers in both_arms(h_case2()) {
+            for aad_len in [0usize, 1, 15, 16, 17, 127, 128, 129, 300] {
+                for ct_len in [0usize, 1, 15, 16, 17, 64, 127, 128, 129, 512, 800] {
+                    let aad = &data[..aad_len];
+                    let ct = &data[aad_len..aad_len + ct_len];
+                    assert_eq!(
+                        ghash_batched(&powers, aad, ct),
+                        ghash(&key, aad, ct),
+                        "{} arm, aad {aad_len} ct {ct_len}",
+                        powers.arm()
+                    );
+                }
             }
         }
     }
@@ -512,10 +616,10 @@ mod tests {
     }
 
     #[test]
-    fn powers_key_is_h1() {
-        let powers = GhashPowers::new(h_case2());
-        assert_eq!(powers.h(), h_case2());
-        assert_eq!(powers.key().h(), h_case2());
+    fn powers_h_is_h1() {
+        for powers in both_arms(h_case2()) {
+            assert_eq!(powers.h(), h_case2(), "{} arm", powers.arm());
+        }
     }
 
     #[test]

@@ -6,7 +6,13 @@
 //! * [`Gf128`] — a field element with the GCM bit ordering, supporting
 //!   addition (XOR), multiplication, squaring, exponentiation and inversion.
 //! * [`ghash::GhashKey`] / [`ghash::Ghash`] — the GHASH universal hash,
-//!   both one-shot and incremental, accelerated with Shoup's 4-bit tables.
+//!   both one-shot and incremental, accelerated with Shoup's 8-bit tables
+//!   (one 256-entry table per key). This serial arm is the reference.
+//! * [`ghash::GhashPowers`] / [`ghash::GhashBatched`] — the batched GHASH
+//!   the packet path runs: eight blocks per step against `H^1..H^8`. The
+//!   CPU picks its arm once per key: PCLMULQDQ carry-less multiplies
+//!   ([`clmul`], runtime-detected on x86-64) with the powers held as eight
+//!   plain elements, or one Shoup table per power everywhere else.
 //! * [`digit_serial::DigitSerialMultiplier`] — a cycle-counted model of the
 //!   digit-serial (3-bit digit) hardware multiplier the paper's GHASH core
 //!   uses, which completes one 128-bit multiplication in **43 clock cycles**
@@ -30,6 +36,7 @@
 //! assert_eq!(h * h.inverse(), Gf128::ONE);
 //! ```
 
+pub mod clmul;
 pub mod digit_serial;
 pub mod element;
 pub mod ghash;

@@ -100,8 +100,14 @@ stage_kernel_equivalence() {
 }
 
 # Re-measures the batched GHASH/CTR/GCM arms and fails if any lands
-# below 80% of its floor_* in BENCH_functional_kernels.json.
-stage_perf_smoke() { cargo run --release -p mccp-bench --bin bench_cluster -- --quick; }
+# below 80% of its floor_* in BENCH_functional_kernels.json, then gates
+# the ratios between kernel arms on this host (batched 512 B GCM >= 4x
+# the scalar path; with PCLMULQDQ, batched GHASH >= 8x the serial Shoup
+# arm) without rewriting the JSON.
+stage_perf_smoke() {
+  cargo run --release -p mccp-bench --bin bench_cluster -- --quick
+  cargo run --release -p mccp-bench --bin bench_kernels -- --quick
+}
 
 # bench_reconfig --quick drives a standards-mix shift through the demand
 # policy (live CU swaps, Table IV latencies charged exactly, zero drops/
@@ -156,6 +162,8 @@ for path in files:
         ):
             if key not in doc:
                 failures.append(f"{path}: missing {key} (perf smoke reads it)")
+        if doc.get("ghash_arm") not in ("clmul", "table"):
+            failures.append(f"{path}: ghash_arm must be \"clmul\" or \"table\"")
     if path == "BENCH_reconfig.json":
         mix = doc.get("mix_shift", {})
         svc = doc.get("service_swap_window", {})

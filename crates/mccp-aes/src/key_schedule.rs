@@ -64,11 +64,21 @@ impl KeySize {
 }
 
 /// An expanded AES key schedule: `Nr + 1` round keys of 16 bytes.
+///
+/// Dropping a schedule wipes it: round key 0 *is* the session key (its
+/// first 16 bytes for AES-192/256), so a closed, rekeyed or evicted
+/// channel must not leave it in freed memory.
 #[derive(Clone)]
 pub struct RoundKeys {
     key_size: KeySize,
     /// Up to 15 round keys (AES-256); only the first `Nr + 1` are used.
     keys: [[u8; 16]; 15],
+}
+
+impl Drop for RoundKeys {
+    fn drop(&mut self) {
+        mccp_gf128::wipe(&mut self.keys);
+    }
 }
 
 const RCON: [u8; 10] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36];
@@ -200,6 +210,16 @@ mod tests {
         assert_eq!(KeySize::Aes128.aes_core_cycles(), 44);
         assert_eq!(KeySize::Aes192.aes_core_cycles(), 52);
         assert_eq!(KeySize::Aes256.aes_core_cycles(), 60);
+    }
+
+    #[test]
+    fn drop_wipes_the_schedule() {
+        let mut slot = std::mem::ManuallyDrop::new(RoundKeys::expand(&[0x5Au8; 16]));
+        assert_eq!(slot.round_key(0), &[0x5Au8; 16]);
+        // SAFETY: `slot` is dropped exactly once and owns no heap memory,
+        // so its bytes stay readable after the destructor for the check.
+        unsafe { std::mem::ManuallyDrop::drop(&mut slot) };
+        assert!(slot.keys.iter().all(|rk| rk == &[0u8; 16]));
     }
 
     #[test]

@@ -12,8 +12,12 @@
 //!   ciphertext, tags), makespan, and retry counts are byte-identical to
 //!   the bare run: stage counters are architectural state, everything
 //!   else samples it.
-//! - **overhead budget** — best-of-N wall-clock with the plane on stays
-//!   within 5% of the plane off.
+//! - **overhead budget** — over interleaved off/on pairs (101 by default,
+//!   order alternating), the median per-pair on/off wall-clock ratio
+//!   stays at or under 1.05. Pairing cancels slow host drift, and the
+//!   median ignores the pairs a burst of host noise lands on, so the gate
+//!   fails for real overhead, not for noise. Many short pairs beat a few
+//!   long ones: CI times 50-packet runs.
 //!
 //! The enabled run then emits every observability artifact: collapsed
 //! stage stacks (`shardN;coreM;stage cycles` lines for flamegraph.pl or
@@ -22,7 +26,7 @@
 //!
 //! ```sh
 //! cargo run --release -p mccp-bench --bin obs_report
-//! cargo run --release -p mccp-bench --bin obs_report -- --packets 400 --iters 5
+//! cargo run --release -p mccp-bench --bin obs_report -- --packets 50 --pairs 101
 //! ```
 
 use mccp_core::MccpConfig;
@@ -40,7 +44,7 @@ fn main() {
     let mut packets = 200usize;
     let mut seed = 0x0B5Eu64;
     let mut shards = 2usize;
-    let mut iters = 3usize;
+    let mut pairs = 101usize;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut next = |what: &str| {
@@ -51,11 +55,11 @@ fn main() {
             "--packets" => packets = next("--packets").parse().expect("packet count"),
             "--seed" => seed = next("--seed").parse().expect("seed"),
             "--shards" => shards = next("--shards").parse().expect("shard count"),
-            "--iters" => iters = next("--iters").parse().expect("iteration count"),
+            "--pairs" => pairs = next("--pairs").parse().expect("pair count"),
             other => panic!("unknown argument {other:?}"),
         }
     }
-    assert!(shards >= 1 && packets >= 1 && iters >= 1);
+    assert!(shards >= 1 && packets >= 1 && pairs >= 1);
 
     // GCM soak: two WiMAX channels so a 2-shard cluster has affinity work
     // on every shard (channel % shards).
@@ -70,7 +74,7 @@ fn main() {
     let workload = Workload::generate(spec);
     println!(
         "obs_report: {packets} GCM packets over {} WiMAX channels, {shards} shard(s), \
-         best of {iters}, seed {seed:#x}",
+         {pairs} off/on pairs, seed {seed:#x}",
         standards.len()
     );
 
@@ -88,18 +92,22 @@ fn main() {
         report
     };
 
-    // Best-of-N timing, interleaved so slow-host noise hits both arms.
-    let mut off_wall = f64::INFINITY;
-    let mut on_wall = f64::INFINITY;
+    // Interleaved pairs after one warm-up pair; the order alternates so
+    // neither arm always runs first.
     let mut off = run(false);
     let mut on = run(true);
-    for _ in 0..iters {
-        let r = run(false);
-        off_wall = off_wall.min(r.wall_seconds);
-        off = r;
-        let r = run(true);
-        on_wall = on_wall.min(r.wall_seconds);
-        on = r;
+    let (mut off_walls, mut on_walls, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for i in 0..pairs {
+        if i % 2 == 0 {
+            off = run(false);
+            on = run(true);
+        } else {
+            on = run(true);
+            off = run(false);
+        }
+        off_walls.push(off.wall_seconds);
+        on_walls.push(on.wall_seconds);
+        ratios.push(on.wall_seconds / off.wall_seconds.max(1e-12));
     }
 
     // Zero-perturbation contract: the observed machine IS the bare
@@ -127,14 +135,18 @@ fn main() {
             a.packet_idx
         );
     }
-    let overhead = (on_wall - off_wall).max(0.0) / off_wall.max(1e-12);
+    let ratio_list: Vec<String> = ratios.iter().map(|r| format!("{r:.3}")).collect();
+    println!("  on/off ratio per pair: {}", ratio_list.join(" "));
+    let (off_wall, on_wall) = (median(off_walls), median(on_walls));
+    let overhead = median(ratios) - 1.0;
     println!(
-        "  wall: off {off_wall:.4}s, on {on_wall:.4}s -> overhead {:.2}% (budget {:.0}%)",
+        "  wall (median): off {off_wall:.4}s, on {on_wall:.4}s -> median pair overhead \
+         {:.2}% (budget {:.0}%)",
         100.0 * overhead,
         100.0 * OVERHEAD_BUDGET
     );
     assert!(
-        overhead < OVERHEAD_BUDGET,
+        overhead <= OVERHEAD_BUDGET,
         "observability overhead {:.2}% exceeds the {:.0}% budget",
         100.0 * overhead,
         100.0 * OVERHEAD_BUDGET
@@ -189,15 +201,16 @@ fn main() {
         .collect();
     let json = format!(
         "{{\n  \"benchmark\": \"obs_overhead\",\n  \"seed\": {seed},\n  \
-         \"packets\": {packets},\n  \"shards\": {shards},\n  \"iters\": {iters},\n  \
+         \"packets\": {packets},\n  \"shards\": {shards},\n  \"pairs\": {pairs},\n  \
          \"host_parallelism\": {},\n  \
          \"disabled_wall_seconds\": {off_wall:.6},\n  \"enabled_wall_seconds\": {on_wall:.6},\n  \
          \"overhead_fraction\": {overhead:.4},\n  \"overhead_budget\": {OVERHEAD_BUDGET},\n  \
          \"makespan_cycles\": {},\n  \"byte_identical_disabled\": true,\n  \
          \"journeys\": {},\n  \"journeys_complete\": true,\n  \"served\": {served},\n  \
          \"note\": \"byte_identical_disabled is asserted: records, cycle counts and retry \
-         behavior match with observability on and off; overhead is best-of-{iters} \
-         wall-clock\",\n  \"slo\": [\n{}\n  ]\n}}\n",
+         behavior match with observability on and off; overhead is the median on/off \
+         wall-clock ratio of {pairs} interleaved pairs minus 1, wall seconds are per-arm \
+         medians\",\n  \"slo\": [\n{}\n  ]\n}}\n",
         mccp_sdr::host_parallelism(),
         on.merged.cycles,
         journeys.len(),
@@ -206,9 +219,16 @@ fn main() {
     std::fs::write("BENCH_obs.json", &json).expect("write BENCH_obs.json");
     print!("{json}");
     println!(
-        "obs_report PASSED: overhead {:.2}% < {:.0}%, disabled run byte-identical, \
+        "obs_report PASSED: overhead {:.2}% <= {:.0}%, disabled run byte-identical, \
          {served}/{packets} journeys served",
         100.0 * overhead,
         100.0 * OVERHEAD_BUDGET
     );
+}
+
+/// The median of `v` (the mean of the middle two for an even count).
+fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_by(f64::total_cmp);
+    let n = v.len();
+    (v[(n - 1) / 2] + v[n / 2]) / 2.0
 }

@@ -4,16 +4,17 @@
 //!
 //! Bit-identical results to the cycle-accurate simulator, no cycle
 //! accounting — this is what the wall-clock benchmarks and the service
-//! plane's fast path drive. Host parallelism comes from sharding: one
-//! [`FunctionalBackend`] per shard, each with its own key-context cache,
-//! fanned out across threads by the `mccp-sdr` cluster.
+//! plane's fast path drive. Each open channel owns its expanded key state
+//! ([`KeyCtx`]), built at open like the hardware's Key Cache fill and
+//! wiped on close or rekey. Host parallelism comes from sharding: one
+//! [`FunctionalBackend`] per shard, fanned out across threads by the
+//! `mccp-sdr` cluster.
 
 use crate::backend::{ChannelBackend, Completion, EngineHealth};
 use crate::fault::{FaultKind, FaultPlan, FaultTrigger};
 use crate::format::Direction;
 use crate::pipeline::{run_stages_functional, PipelineGraph, PipelineKind};
 use crate::protocol::{Algorithm, ChannelId, MccpError, Mode, RequestId};
-use crate::warmcache::{WarmCache, WarmStats};
 use mccp_aes::modes::{
     cbc_mac, ccm_open_detached, ccm_seal, ctr_xcrypt, CcmParams, GcmContext, ModeError,
 };
@@ -21,60 +22,65 @@ use mccp_aes::Aes;
 use mccp_telemetry::{Event, Snapshot, Telemetry};
 use std::collections::{BTreeMap, VecDeque};
 
-/// A Key Cache entry: the expanded AES key schedule plus, lazily, the GCM
-/// hash-key powers `H^1..H^8`.
+/// A channel's Key Cache entry: the key state its packets run on.
 ///
-/// Building the powers takes seven field multiplications, plus eight 4 KiB
-/// Shoup tables on hosts without PCLMULQDQ — more than a packet's worth of
-/// GHASH work — so it happens once per key, not once per packet, exactly
+/// It is built once when the channel opens (and again on rekey), exactly
 /// like the hardware, where the Key Scheduler expands a key into the Key
-/// Cache when the channel opens, not on every frame.
-struct KeyCtx {
-    aes: Aes,
-    gcm: Option<GcmContext<Aes>>,
+/// Cache at OPEN, not on every frame: GCM's hash-key powers take seven
+/// field multiplications, plus eight 4 KiB Shoup tables on hosts without
+/// PCLMULQDQ — more than a packet's worth of GHASH work. Dropping it wipes
+/// the expanded schedule and the powers (`RoundKeys` and `GhashPowers`
+/// zeroize on drop), so close and rekey leave no key material behind.
+enum KeyCtx {
+    /// GCM: one context holding the cipher and `H^1..H^8`.
+    Gcm(GcmContext<Aes>),
+    /// CCM, CTR and CBC-MAC: the expanded AES schedule.
+    Aes(Aes),
+    /// A stage chain: the graph is the datapath and each stage carries
+    /// its own key (there are no cores to map stages onto).
+    Stages(PipelineGraph),
 }
 
 impl KeyCtx {
-    fn new(key: &[u8]) -> Self {
-        KeyCtx {
-            aes: Aes::new(key),
-            gcm: None,
+    fn new(algorithm: Algorithm, key: &[u8]) -> Self {
+        let aes = Aes::new(key);
+        match algorithm.mode() {
+            Mode::Gcm => KeyCtx::Gcm(GcmContext::new(aes)),
+            _ => KeyCtx::Aes(aes),
         }
-    }
-
-    /// The GCM context for this key, built on first GCM packet.
-    fn gcm(&mut self) -> &GcmContext<Aes> {
-        self.gcm
-            .get_or_insert_with(|| GcmContext::new(self.aes.clone()))
     }
 }
 
 /// [`FunctionalBackend`]'s mode dispatch: one packet through the
-/// reference implementation of its mode, using the per-key cached state
-/// (key schedule + GHASH powers) in `ctx`.
-#[allow(clippy::too_many_arguments)]
+/// reference implementation of its mode, on the channel's key context.
 fn run_mode(
-    ctx: &mut KeyCtx,
-    algorithm: Algorithm,
+    ch: &FunctionalChannel,
     direction: Direction,
     iv: &[u8],
     aad: &[u8],
     body: &[u8],
     tag: Option<&[u8]>,
-    tag_len: usize,
 ) -> Result<Vec<u8>, ModeError> {
-    let tag = tag.unwrap_or(&[]);
-    match (algorithm.mode(), direction) {
-        (Mode::Gcm, Direction::Encrypt) => ctx.gcm().seal(iv, aad, body, tag_len),
-        (Mode::Gcm, Direction::Decrypt) => ctx.gcm().open_detached(iv, aad, body, tag),
+    let (tag, tag_len) = (tag.unwrap_or(&[]), ch.tag_len);
+    let aes = match &*ch.key {
+        KeyCtx::Gcm(gcm) => {
+            return match direction {
+                Direction::Encrypt => gcm.seal(iv, aad, body, tag_len),
+                Direction::Decrypt => gcm.open_detached(iv, aad, body, tag),
+            }
+        }
+        KeyCtx::Aes(aes) => aes,
+        KeyCtx::Stages(_) => unreachable!("stage chains run through their graph"),
+    };
+    match (ch.algorithm.mode(), direction) {
         (Mode::Ccm, dir) => {
             let params = CcmParams {
                 nonce_len: iv.len(),
                 tag_len,
             };
             match dir {
-                Direction::Encrypt => ccm_seal(&ctx.aes, &params, iv, aad, body),
-                Direction::Decrypt => ccm_open_detached(&ctx.aes, &params, iv, aad, body, tag),
+                Direction::Encrypt => ccm_seal(aes, &params, iv, aad, body),
+                Direction::Decrypt => ccm_open_detached(aes, &params, iv, aad, body, tag),
             }
         }
         (Mode::Ctr, _) => {
@@ -82,27 +88,21 @@ fn run_mode(
             let ctr0: [u8; 16] = iv
                 .try_into()
                 .map_err(|_| ModeError::InvalidParams("CTR needs a 16-byte counter"))?;
-            ctr_xcrypt(&ctx.aes, &ctr0, &mut body)?;
+            ctr_xcrypt(aes, &ctr0, &mut body)?;
             Ok(body)
         }
-        (Mode::CbcMac, _) => cbc_mac(&ctx.aes, body, tag_len),
+        (Mode::CbcMac, _) => cbc_mac(aes, body, tag_len),
+        (Mode::Gcm, _) => unreachable!("GCM channels hold a GCM context"),
     }
 }
 
-/// Default warm-set bound for key contexts: far above any batch
-/// workload's key count, far below a million-channel service's — idle
-/// channels' schedules age out instead of pinning memory.
-pub const DEFAULT_KEY_CACHE_CAPACITY: usize = 4096;
-
 /// A live channel on the functional engine.
-#[derive(Clone, Debug)]
 struct FunctionalChannel {
     algorithm: Algorithm,
-    key: Vec<u8>,
+    /// Boxed: a GCM context is ~400 bytes, and the channel table moves
+    /// entries on every open and close.
+    key: Box<KeyCtx>,
     tag_len: usize,
-    /// Stage-chain transform for pipeline channels (the graph itself is
-    /// the datapath here — no cores to map stages onto).
-    pipeline: Option<PipelineGraph>,
     /// Key epoch, bumped by every rekey (mirrors the cycle engine's
     /// channel epoch; completions are stamped with it at submission).
     epoch: u32,
@@ -119,15 +119,10 @@ struct FunctionalChannel {
 /// virtual cycle counter advanced by [`step`](ChannelBackend::step) so
 /// arrival-paced drivers behave, and completion latency is reported as 0
 /// (service time is not modeled — wall-clock is what this engine trades
-/// cycle fidelity for).
+/// cycle fidelity for). Every channel owns its [`KeyCtx`]; no key state
+/// is shared between channels, even under identical key bytes.
 pub struct FunctionalBackend {
     channels: BTreeMap<u8, FunctionalChannel>,
-    /// Per-key context cache (the hardware Key Cache, degenerated to one
-    /// shared cache since there is no per-core state to model): expanded
-    /// key schedule plus lazily-built GCM hash-key powers. Bounded LRU —
-    /// under channel churn the schedules of keys no longer seen age out
-    /// instead of growing the cache without limit.
-    cache: WarmCache<Vec<u8>, KeyCtx>,
     /// Finished packets in submission order, tagged with their channel so
     /// CLOSE can refuse while results are undrained.
     completions: VecDeque<(u8, Completion)>,
@@ -146,16 +141,8 @@ pub struct FunctionalBackend {
 
 impl FunctionalBackend {
     pub fn new() -> Self {
-        Self::with_key_cache_capacity(DEFAULT_KEY_CACHE_CAPACITY)
-    }
-
-    /// A backend whose key-context warm set holds at most `capacity`
-    /// expanded schedules (0 = unbounded). The service plane sizes this
-    /// to its hot working set; batch drivers keep the default.
-    pub fn with_key_cache_capacity(capacity: usize) -> Self {
         FunctionalBackend {
             channels: BTreeMap::new(),
-            cache: WarmCache::new(capacity),
             completions: VecDeque::new(),
             next_request: 1,
             now: 0,
@@ -166,14 +153,27 @@ impl FunctionalBackend {
         }
     }
 
-    /// Warm-set hit/miss/eviction counters for the key-context cache.
-    pub fn key_cache_stats(&self) -> WarmStats {
-        self.cache.stats()
-    }
-
-    /// Expanded key schedules currently resident.
-    pub fn key_cache_len(&self) -> usize {
-        self.cache.len()
+    /// Inserts a channel under the lowest free id.
+    fn insert(
+        &mut self,
+        algorithm: Algorithm,
+        key: KeyCtx,
+        tag_len: usize,
+    ) -> Result<ChannelId, MccpError> {
+        let id = (0..=u8::MAX)
+            .find(|i| !self.channels.contains_key(i))
+            .ok_or(MccpError::NoChannelId)?;
+        self.channels.insert(
+            id,
+            FunctionalChannel {
+                algorithm,
+                key: Box::new(key),
+                tag_len,
+                epoch: 0,
+                ready_at: 0,
+            },
+        );
+        Ok(ChannelId(id))
     }
 
     /// OPEN a pipeline channel — the functional mirror of
@@ -182,31 +182,19 @@ impl FunctionalBackend {
     /// form is an ordinary CCM channel (no cores to schedule in pairs).
     pub fn open_pipeline(&mut self, graph: &PipelineGraph) -> Result<ChannelId, MccpError> {
         graph.validate()?;
-        let id = (0..=u8::MAX)
-            .find(|i| !self.channels.contains_key(i))
-            .ok_or(MccpError::NoChannelId)?;
-        let ch = match &graph.kind {
-            PipelineKind::FusedCcm2 { algorithm } => FunctionalChannel {
-                algorithm: *algorithm,
-                key: graph.fused_key().unwrap_or_default().to_vec(),
-                tag_len: graph.tag_len,
-                pipeline: None,
-                epoch: 0,
-                ready_at: 0,
-            },
+        match &graph.kind {
+            PipelineKind::FusedCcm2 { algorithm } => {
+                let key = graph.fused_key().ok_or(MccpError::BadKey)?;
+                self.insert(*algorithm, KeyCtx::new(*algorithm, key), graph.tag_len)
+            }
             // The algorithm field is bookkeeping only for stage chains
             // (telemetry labels); the graph drives the processing.
-            PipelineKind::Stages(_) => FunctionalChannel {
-                algorithm: Algorithm::AesCtr128,
-                key: Vec::new(),
-                tag_len: graph.tag_len,
-                pipeline: Some(graph.clone()),
-                epoch: 0,
-                ready_at: 0,
-            },
-        };
-        self.channels.insert(id, ch);
-        Ok(ChannelId(id))
+            PipelineKind::Stages(_) => self.insert(
+                Algorithm::AesCtr128,
+                KeyCtx::Stages(graph.clone()),
+                graph.tag_len,
+            ),
+        }
     }
 
     /// Arms the packet-triggered subset of a fault schedule: the `n`-th
@@ -252,21 +240,7 @@ impl ChannelBackend for FunctionalBackend {
         if key.len() != algorithm.key_size().key_bytes() {
             return Err(MccpError::BadKey);
         }
-        let id = (0..=u8::MAX)
-            .find(|i| !self.channels.contains_key(i))
-            .ok_or(MccpError::NoChannelId)?;
-        self.channels.insert(
-            id,
-            FunctionalChannel {
-                algorithm,
-                key: key.to_vec(),
-                tag_len,
-                pipeline: None,
-                epoch: 0,
-                ready_at: 0,
-            },
-        );
-        Ok(ChannelId(id))
+        self.insert(algorithm, KeyCtx::new(algorithm, key), tag_len)
     }
 
     fn open_channel_handshake(
@@ -283,10 +257,10 @@ impl ChannelBackend for FunctionalBackend {
         Ok(id)
     }
 
-    /// Rotates the channel's key bytes in place: the replaced key is
-    /// zeroized immediately (processing is synchronous here, so nothing
-    /// can still be in flight on it) and its expanded context is dropped
-    /// from the warm set.
+    /// Rotates the channel onto `new_key` in place: the replaced key
+    /// context is dropped, and so wiped, immediately (processing is
+    /// synchronous here, so nothing can still be in flight on it). A
+    /// stage chain keeps its graph and only bumps its epoch.
     fn rekey_channel(&mut self, channel: ChannelId, new_key: &[u8]) -> Result<u32, MccpError> {
         let ch = self
             .channels
@@ -295,13 +269,11 @@ impl ChannelBackend for FunctionalBackend {
         if new_key.len() != ch.algorithm.key_size().key_bytes() {
             return Err(MccpError::BadKey);
         }
-        let old = std::mem::replace(&mut ch.key, new_key.to_vec());
+        if !matches!(*ch.key, KeyCtx::Stages(_)) {
+            *ch.key = KeyCtx::new(ch.algorithm, new_key);
+        }
         ch.epoch += 1;
-        let epoch = ch.epoch;
-        self.cache.remove(&old);
-        let mut old = old;
-        old.fill(0);
-        Ok(epoch)
+        Ok(ch.epoch)
     }
 
     fn channel_epoch(&self, channel: ChannelId) -> Result<u32, MccpError> {
@@ -311,16 +283,14 @@ impl ChannelBackend for FunctionalBackend {
             .ok_or(MccpError::BadChannel)
     }
 
+    /// Frees the channel id; dropping the channel wipes its key context.
     fn close_channel(&mut self, channel: ChannelId) -> Result<(), MccpError> {
         if self.completions.iter().any(|(ch, _)| *ch == channel.0) {
             return Err(MccpError::Busy);
         }
-        let mut ch = self
-            .channels
+        self.channels
             .remove(&channel.0)
             .ok_or(MccpError::BadChannel)?;
-        self.cache.remove(&ch.key);
-        ch.key.fill(0);
         Ok(())
     }
 
@@ -333,11 +303,9 @@ impl ChannelBackend for FunctionalBackend {
         body: &[u8],
         tag: Option<&[u8]>,
     ) -> Result<RequestId, MccpError> {
-        // Disjoint field borrows: the channel table is read-only here while
-        // the key-context cache is mutated, so no per-submit clone of the
-        // channel (and its key bytes) is needed. A warm-set hit costs one
-        // hash probe; a miss re-expands the schedule and may age out the
-        // least-recently-used key.
+        // Disjoint field borrows: the channel (and its key context) is
+        // read in place while the telemetry and completion queue mutate,
+        // so nothing is cloned or looked up by key bytes per packet.
         let ch = self.channels.get(&channel.0).ok_or(MccpError::BadChannel)?;
         if ch.ready_at > self.now {
             return Err(MccpError::HandshakePending);
@@ -346,7 +314,7 @@ impl ChannelBackend for FunctionalBackend {
         // Pipeline channels carry their whole transform in the graph: AAD
         // and caller-side tags have no stage to run on (mirrors the
         // cycle-accurate engine's pipeline admission).
-        if ch.pipeline.is_some()
+        if matches!(*ch.key, KeyCtx::Stages(_))
             && (direction != Direction::Encrypt || !aad.is_empty() || tag.is_some())
         {
             return Err(MccpError::BadInstruction);
@@ -404,16 +372,12 @@ impl ChannelBackend for FunctionalBackend {
             return Ok(id);
         }
 
-        let (auth_ok, out_body, out_tag) = if let Some(graph) = &ch.pipeline {
+        let (auth_ok, out_body, out_tag) = if let KeyCtx::Stages(graph) = &*ch.key {
             let (out_body, out_tag) =
                 run_stages_functional(graph.stages(), iv, body, graph.tag_len)?;
             (true, out_body, out_tag.unwrap_or_default())
         } else {
-            let ctx = self
-                .cache
-                .get_or_insert_with(&ch.key, || KeyCtx::new(&ch.key));
-            let result = run_mode(ctx, ch.algorithm, direction, iv, aad, body, tag, ch.tag_len);
-            match result {
+            match run_mode(ch, direction, iv, aad, body, tag) {
                 Ok(out) => match (ch.algorithm.mode(), direction) {
                     (Mode::Gcm | Mode::Ccm, Direction::Encrypt) => {
                         let split = out.len() - ch.tag_len;
@@ -599,6 +563,46 @@ mod tests {
             "nothing is released on auth failure"
         );
         assert_eq!(b.now(), 0, "every completion was pollable without a step");
+    }
+
+    #[test]
+    fn channels_sharing_key_bytes_keep_separate_contexts() {
+        // Rekeying or closing one channel must not disturb another opened
+        // under the same key bytes.
+        let mut b = FunctionalBackend::new();
+        let aes = Aes::new(&KEY);
+        for (alg, iv, tag_len) in [
+            (Algorithm::AesGcm128, vec![3u8; 12], 16),
+            (Algorithm::AesCcm128, vec![3u8; 11], 8),
+        ] {
+            let want = match alg.mode() {
+                Mode::Gcm => gcm_seal(&aes, &iv, b"hdr", b"payload", tag_len),
+                _ => ccm_seal(
+                    &aes,
+                    &CcmParams {
+                        nonce_len: 11,
+                        tag_len,
+                    },
+                    &iv,
+                    b"hdr",
+                    b"payload",
+                ),
+            }
+            .unwrap();
+            let check = |b: &mut FunctionalBackend, ch| {
+                let done =
+                    submit_and_wait(b, ch, Direction::Encrypt, &iv, b"hdr", b"payload", None)
+                        .expect("accepted");
+                assert_eq!([done.body, done.tag].concat(), want, "{alg:?}");
+            };
+            let a = b.open_channel(alg, &KEY, tag_len).unwrap();
+            let c = b.open_channel(alg, &KEY, tag_len).unwrap();
+            b.rekey_channel(a, &[9u8; 16]).unwrap();
+            check(&mut b, c);
+            b.close_channel(a).unwrap();
+            check(&mut b, c);
+            b.close_channel(c).unwrap();
+        }
     }
 
     #[test]

@@ -49,7 +49,6 @@ pub mod pipeline;
 pub mod protocol;
 pub mod reconfig;
 mod scheduler;
-pub mod warmcache;
 
 pub use backend::{submit_and_wait, ChannelBackend, Completion, CoreHealth, EngineHealth};
 pub use fault::{AdversaryKind, AdversaryPlan, FaultKind, FaultPlan, FaultTrigger};
@@ -59,4 +58,3 @@ pub use mccp::{DecryptedPacket, EncryptedPacket, Mccp, MccpConfig};
 pub use pipeline::{PipelineGraph, PipelineKind, PipelineStage, StageOp};
 pub use protocol::{Algorithm, ChannelId, KeyId, MccpError, Mode, RequestId};
 pub use reconfig::{PolicyConfig, PolicyEngine};
-pub use warmcache::{WarmCache, WarmStats};

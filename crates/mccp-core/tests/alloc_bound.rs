@@ -48,13 +48,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+use mccp_core::backend::ChannelBackend;
+use mccp_core::format::Direction;
+use mccp_core::functional::FunctionalBackend;
+use mccp_core::protocol::Algorithm;
+use mccp_gf128::{Gf128, GhashPowers};
+
 #[test]
 fn steady_state_packet_allocs_are_bounded() {
-    use mccp_core::backend::ChannelBackend;
-    use mccp_core::format::Direction;
-    use mccp_core::functional::FunctionalBackend;
-    use mccp_core::protocol::Algorithm;
-
     let mut be = FunctionalBackend::new();
     let ch = be
         .open_channel(Algorithm::AesGcm128, &[0x41u8; 16], 16)
@@ -63,8 +64,8 @@ fn steady_state_packet_allocs_are_bounded() {
     let aad = [1u8; 16];
     let body = [0xC3u8; 512];
 
-    // Warm-up: first packet expands the key schedule, builds the GHASH
-    // powers and grows the completion queue.
+    // Warm-up: the first packet grows the completion queue (the key
+    // schedule and GHASH powers were built at open).
     be.submit_packet(ch, Direction::Encrypt, &iv, &aad, &body, None)
         .unwrap();
     be.poll_completion().unwrap();
@@ -85,4 +86,49 @@ fn steady_state_packet_allocs_are_bounded() {
         per_packet <= 4.0,
         "functional path allocates {per_packet} times per packet (expected <= 4)"
     );
+}
+
+/// Close → open → first packet: what a service pays when a cold channel
+/// takes a warm one's engine binding: the channel's boxed key context,
+/// the sealed output and its split-off tag — plus, for GCM on hosts
+/// without PCLMULQDQ, the `Vec` of eight Shoup tables.
+#[test]
+fn rebind_allocs_are_bounded() {
+    let table_arm = GhashPowers::new(Gf128::ONE).arm() == "table";
+    for (alg, key_len, iv_len, bound) in [
+        (Algorithm::AesGcm128, 16, 12, 3 + usize::from(table_arm)),
+        (Algorithm::AesCcm256, 32, 13, 3),
+    ] {
+        let (key, iv) = (vec![0x41u8; key_len], vec![5u8; iv_len]);
+        let packet = |be: &mut FunctionalBackend, ch| {
+            be.submit_packet(
+                ch,
+                Direction::Encrypt,
+                &iv,
+                &[1u8; 16],
+                &[0xC3u8; 160],
+                None,
+            )
+            .unwrap();
+            be.poll_completion().unwrap();
+        };
+        let mut be = FunctionalBackend::new();
+        // A second open channel keeps the channel table from emptying.
+        be.open_channel(alg, &key, 8).unwrap();
+        let mut ch = be.open_channel(alg, &key, 8).unwrap();
+        packet(&mut be, ch); // warm-up: grows the completion queue
+
+        const REBINDS: usize = 100;
+        let before = alloc_calls();
+        for _ in 0..REBINDS {
+            be.close_channel(ch).unwrap();
+            ch = be.open_channel(alg, &key, 8).unwrap();
+            packet(&mut be, ch);
+        }
+        let allocs = alloc_calls() - before;
+        assert!(
+            allocs <= bound * REBINDS,
+            "{alg:?}: {allocs} allocations over {REBINDS} rebinds (expected <= {bound} each)"
+        );
+    }
 }

@@ -204,8 +204,26 @@ pub const GHASH_BATCH_BYTES: usize = GHASH_BATCH_BLOCKS * 16;
 /// — eight multiplications that no longer depend on each other. GF(2^128)
 /// arithmetic is exact, so the folded value is bit-identical to eight
 /// Horner steps in either arm; the equivalence is property-tested.
+///
+/// Dropping the powers wipes them (and every table), so a closed or
+/// rekeyed channel leaves no hash key in freed memory.
 pub struct GhashPowers {
     arm: PowersArm,
+}
+
+impl Drop for GhashPowers {
+    fn drop(&mut self) {
+        match &mut self.arm {
+            #[cfg(target_arch = "x86_64")]
+            PowersArm::Clmul(powers) => crate::wipe(powers),
+            PowersArm::Table(tables) => {
+                for t in tables {
+                    crate::wipe(std::slice::from_mut(&mut t.h));
+                    crate::wipe(&mut t.table);
+                }
+            }
+        }
+    }
 }
 
 /// The per-key state of one batched-GHASH arm; `[i]` holds `H^(i+1)`.

@@ -17,6 +17,8 @@
 //!   digit-serial (3-bit digit) hardware multiplier the paper's GHASH core
 //!   uses, which completes one 128-bit multiplication in **43 clock cycles**
 //!   (Lemsitzer et al., CHES'07 — reference \[1\] of the paper).
+//! * [`wipe`] — the zeroizer that key-state destructors run
+//!   ([`GhashPowers`] here, `mccp_aes::RoundKeys` one crate up).
 //!
 //! ## Bit ordering
 //!
@@ -46,3 +48,30 @@ pub use ghash::{
     ghash, ghash_batched, Ghash, GhashBatched, GhashKey, GhashPowers, GHASH_BATCH_BLOCKS,
     GHASH_BATCH_BYTES,
 };
+
+/// Overwrites every element of `words` with `T::default()` — zero for the
+/// integer arrays and [`Gf128`]s key state is made of — one volatile store
+/// each, so the compiler cannot drop the stores as dead writes to memory
+/// about to be freed. 16-byte elements (`Gf128`, a `[u8; 16]` round key)
+/// compile to two word-sized stores each.
+pub fn wipe<T: Copy + Default>(words: &mut [T]) {
+    for w in words {
+        // SAFETY: `w` is a valid, aligned, exclusive reference to an
+        // initialised `T`, and `T: Copy` has no destructor to skip.
+        unsafe { std::ptr::write_volatile(w, T::default()) };
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn wipe_zeroes_every_word() {
+        let mut rows = [[0xA5u8; 16]; 15];
+        super::wipe(&mut rows);
+        assert_eq!(rows, [[0u8; 16]; 15]);
+        let mut powers = [super::Gf128::ONE; 8];
+        super::wipe(&mut powers[..3]);
+        assert_eq!(powers[..3], [super::Gf128::ZERO; 3]);
+        assert_eq!(powers[3..], [super::Gf128::ONE; 5], "only the slice given");
+    }
+}

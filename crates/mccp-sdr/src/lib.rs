@@ -49,7 +49,9 @@ pub use cluster::{
     ShardReport, VerifyError, VerifyErrorKind, SERIAL_FALLBACK_BYTES,
 };
 pub use qos::{qos_class, AdmissionConfig, QosClass};
-pub use service::{Delivery, MccpService, ServiceConfig, ServiceError, ServiceReport};
+pub use service::{
+    BindingStats, Delivery, MccpService, ServiceConfig, ServiceError, ServiceReport,
+};
 pub use slab::{ChannelSlab, LiveChannel, ServiceChannelId, SlabError};
 pub use standards::{Standard, StandardProfile};
 pub use workload::{RadioPacket, Workload, WorkloadSpec};

@@ -10,9 +10,10 @@
 //! * **State** — channels live in per-shard [`ChannelSlab`]s keyed by
 //!   generational [`ServiceChannelId`]s, so 100k+ mostly-idle sessions
 //!   cost only their slab entry and no stale handle can ever address a
-//!   recycled slot. Only the *hot* channels hold an engine binding,
-//!   managed as a bounded LRU warm set (the service-level analogue of the
-//!   hardware's Key Cache).
+//!   recycled slot. Only the *hot* channels hold an engine binding, kept
+//!   in the channel's slab entry and bounded per shard by an LRU over the
+//!   engine handles (the service-level analogue of the hardware's Key
+//!   Cache).
 //! * **Ingestion** — each shard fronts its engine with a bounded FIFO.
 //!   Admission control sheds by QoS class at configurable watermarks
 //!   ([`AdmissionConfig`]): best-effort first, secure voice last, with an
@@ -45,7 +46,7 @@ use crate::slab::{ChannelSlab, ChannelStats, LiveChannel, ServiceChannelId, Slab
 use crate::standards::Standard;
 use mccp_core::format::Direction;
 use mccp_core::protocol::{ChannelId, KeyId, MccpError, RequestId};
-use mccp_core::{ChannelBackend, WarmCache, WarmStats};
+use mccp_core::ChannelBackend;
 use mccp_telemetry::service::ServiceCounters;
 use mccp_telemetry::slo::{ChannelAttainment, SloEngine};
 use mccp_telemetry::Snapshot;
@@ -61,8 +62,8 @@ pub struct ServiceConfig {
     /// — the shard's service rate, and the unit `retry_after_pumps` is
     /// quoted in.
     pub drain_budget: usize,
-    /// Engine bindings kept warm per shard (0 = unbounded). Must stay
-    /// under the engine's own channel-handle limit (255).
+    /// Engine bindings kept warm per shard, 1 to 254: the engines run out
+    /// of channel handles at 256.
     pub warm_set_capacity: usize,
     /// QoS admission watermarks.
     pub admission: AdmissionConfig,
@@ -145,12 +146,20 @@ pub struct ServiceReport {
     pub slab_capacity: usize,
     /// Engine bindings currently warm.
     pub warm_bindings: usize,
-    /// Warm-set hit/miss/eviction counters, summed over shards.
-    pub binding_stats: WarmStats,
+    /// Warm-set hit/miss counters, summed over shards (evictions are
+    /// `counters.binding_evictions`).
+    pub binding_stats: BindingStats,
     /// Per-shard ingestion-queue depths.
     pub queue_depths: Vec<usize>,
     /// Per-QoS-class SLO attainment (channel field = class index).
     pub attainment: Vec<ChannelAttainment>,
+}
+
+/// How often a packet or handshake found its channel's engine binding warm.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct BindingStats {
+    pub hits: u64,
+    pub misses: u64,
 }
 
 /// A packet admitted past the front door, waiting for engine capacity.
@@ -197,16 +206,33 @@ struct InFlight {
     user_tag: u64,
 }
 
+/// Engine handles are `u8`: this many can be bound at once.
+const ENGINE_HANDLES: usize = 256;
+/// Every bound handle's channel is live: closing unbinds it.
+const BOUND: &str = "bound channels are live";
+
 struct ServiceShard<B> {
     backend: B,
     slab: ChannelSlab,
     queue: VecDeque<QueueItem>,
-    /// Warm engine bindings: service channel → engine handle.
-    bindings: WarmCache<ServiceChannelId, ChannelId>,
+    /// The warm set's recency table, indexed by engine handle: the service
+    /// channel bound to it and that binding's last-use stamp. The binding
+    /// itself lives in the channel's slab entry (`chan.handle`).
+    recency: Vec<Option<(ServiceChannelId, u64)>>,
+    /// Bound handles (the `Some` entries of `recency`).
+    warm: usize,
+    binding_stats: BindingStats,
     pending: HashMap<RequestId, InFlight>,
 }
 
 impl<B: ChannelBackend> ServiceShard<B> {
+    /// Stamps `handle` as bound to `id` by the bind just counted: the
+    /// bind count is the LRU clock, so stamps are unique.
+    fn touch(&mut self, handle: ChannelId, id: ServiceChannelId) {
+        let stamp = self.binding_stats.hits + self.binding_stats.misses;
+        self.recency[usize::from(handle.0)] = Some((id, stamp));
+    }
+
     /// Returns the warm engine handle for `id`, opening (and, at
     /// capacity, evicting the least-recently-used *idle* binding) on a
     /// miss.
@@ -217,16 +243,12 @@ impl<B: ChannelBackend> ServiceShard<B> {
         handshake_cycles: Option<u64>,
         counters: &mut ServiceCounters,
     ) -> Result<ChannelId, MccpError> {
-        if self.bindings.peek(&id).is_some() {
-            // Re-probe through the single counting access path so the hit
-            // refreshes the LRU stamp.
-            return Ok(*self
-                .bindings
-                .get_or_insert_with(&id, || unreachable!("peeked")));
+        if let Some(handle) = self.slab.get(id).expect("caller validated id").chan.handle {
+            self.binding_stats.hits += 1;
+            self.touch(handle, id);
+            return Ok(handle);
         }
-        if warm_capacity > 0 {
-            self.evict_idle_bindings(warm_capacity - 1, counters);
-        }
+        self.evict_idle_bindings(warm_capacity - 1, counters);
         let live = self.slab.get(id).expect("caller validated id");
         let profile = live.standard.profile();
         // An unestablished channel pays the modeled ECC handshake on its
@@ -243,17 +265,27 @@ impl<B: ChannelBackend> ServiceShard<B> {
                 .backend
                 .open_channel(profile.algorithm, &live.key, profile.tag_len)?,
         };
-        self.bindings.get_or_insert_with(&id, || handle);
+        self.slab.get_mut(id).expect("live").chan.handle = Some(handle);
+        self.binding_stats.misses += 1;
+        self.warm += 1;
+        self.touch(handle, id);
         Ok(handle)
+    }
+
+    /// Closes `handle` on the engine and drops it from the warm set.
+    fn unbind(&mut self, handle: ChannelId) {
+        let _ = self.backend.close_channel(handle);
+        self.recency[usize::from(handle.0)] = None;
+        self.warm -= 1;
     }
 
     /// Frees a fully drained channel: unbinds the engine handle, frees the
     /// slot (bumping its generation), and zeroizes the session key.
     fn finish_close(&mut self, id: ServiceChannelId, counters: &mut ServiceCounters) {
-        if let Some(handle) = self.bindings.remove(&id) {
-            let _ = self.backend.close_channel(handle);
-        }
         let mut dead = self.slab.free(id).expect("caller validated id");
+        if let Some(handle) = dead.chan.handle {
+            self.unbind(handle);
+        }
         dead.key.iter_mut().for_each(|b| *b = 0);
         counters.closed += 1;
     }
@@ -371,13 +403,12 @@ impl<B: ChannelBackend> ServiceShard<B> {
                             live.key.iter_mut().for_each(|b| *b = 0);
                             live.key = new_key;
                             live.epoch += 1;
-                            let key = live.key.clone();
                             counters.rekeys += 1;
-                            if let Some(handle) = self.bindings.peek(&id).copied() {
+                            if let Some(handle) = live.chan.handle {
                                 // In-flight engine work still finishes on
                                 // the old key (the engines bind keys at
                                 // submit); only new submissions see this.
-                                let _ = self.backend.rekey_channel(handle, &key);
+                                let _ = self.backend.rekey_channel(handle, &live.key);
                             }
                         }
                     }
@@ -486,9 +517,7 @@ impl<B: ChannelBackend> ServiceShard<B> {
             self.backend.step(cfg.step_bound);
         }
         self.collect(counters, slo, out);
-        if cfg.warm_set_capacity > 0 {
-            self.evict_idle_bindings(cfg.warm_set_capacity, counters);
-        }
+        self.evict_idle_bindings(cfg.warm_set_capacity, counters);
     }
 
     /// Closes the least-recently-used bindings whose channel has nothing
@@ -497,21 +526,21 @@ impl<B: ChannelBackend> ServiceShard<B> {
     /// overshoots rather than deadlocks, and the next round's trim
     /// restores the bound once completions drain.
     fn evict_idle_bindings(&mut self, keep: usize, counters: &mut ServiceCounters) {
-        while self.bindings.len() > keep {
+        while self.warm > keep {
+            // Min-scan of the recency table over the idle bindings: no
+            // allocation, no sort.
             let victim = self
-                .bindings
-                .entries_by_lru()
-                .into_iter()
-                .find(|(vid, _)| {
-                    self.slab
-                        .get(**vid)
-                        .map(|c| c.in_flight == 0)
-                        .unwrap_or(true)
-                })
-                .map(|(vid, handle)| (*vid, *handle));
-            let Some((vid, handle)) = victim else { break };
-            let _ = self.backend.close_channel(handle);
-            self.bindings.remove(&vid);
+                .recency
+                .iter()
+                .enumerate()
+                .filter_map(|(handle, entry)| entry.map(|(vid, stamp)| (handle, vid, stamp)))
+                .filter(|&(_, vid, _)| self.slab.get(vid).expect(BOUND).in_flight == 0)
+                .min_by_key(|&(_, _, stamp)| stamp);
+            let Some((handle, vid, _)) = victim else {
+                break;
+            };
+            self.unbind(ChannelId(handle as u8));
+            self.slab.get_mut(vid).expect(BOUND).chan.handle = None;
             counters.binding_evictions += 1;
         }
     }
@@ -540,6 +569,10 @@ impl<B: ChannelBackend> MccpService<B> {
             "shard index must fit the id encoding"
         );
         assert!(config.queue_capacity > 0, "queue must hold at least one");
+        assert!(
+            (1..ENGINE_HANDLES - 1).contains(&config.warm_set_capacity),
+            "warm_set_capacity must be 1 to 254"
+        );
         let shards: Vec<ServiceShard<B>> = (0..config.shards)
             .map(make_backend)
             .enumerate()
@@ -547,7 +580,9 @@ impl<B: ChannelBackend> MccpService<B> {
                 backend,
                 slab: ChannelSlab::new(i),
                 queue: VecDeque::with_capacity(config.queue_capacity),
-                bindings: WarmCache::new(0),
+                recency: vec![None; ENGINE_HANDLES],
+                warm: 0,
+                binding_stats: BindingStats::default(),
                 pending: HashMap::new(),
             })
             .collect();
@@ -757,12 +792,10 @@ impl<B: ChannelBackend> MccpService<B> {
     /// Point-in-time health: lifecycle counters, slab occupancy, warm-set
     /// behaviour, queue depths, and per-class SLO attainment.
     pub fn report(&self) -> ServiceReport {
-        let mut binding_stats = WarmStats::default();
+        let mut binding_stats = BindingStats::default();
         for s in &self.shards {
-            let st = s.bindings.stats();
-            binding_stats.hits += st.hits;
-            binding_stats.misses += st.misses;
-            binding_stats.evictions += st.evictions;
+            binding_stats.hits += s.binding_stats.hits;
+            binding_stats.misses += s.binding_stats.misses;
         }
         let now = self
             .shards
@@ -775,7 +808,7 @@ impl<B: ChannelBackend> MccpService<B> {
             counters: self.counters,
             occupancy: self.occupancy(),
             slab_capacity: self.shards.iter().map(|s| s.slab.capacity()).sum(),
-            warm_bindings: self.shards.iter().map(|s| s.bindings.len()).sum(),
+            warm_bindings: self.shards.iter().map(|s| s.warm).sum(),
             binding_stats,
             queue_depths: self.shards.iter().map(|s| s.queue.len()).collect(),
             attainment: self.slo.attainment(now, now.max(1)),
@@ -964,6 +997,56 @@ mod tests {
         svc.submit(hot, b"h", &[0u8; 64], 100).unwrap();
         svc.quiesce(64);
         assert!(svc.report().binding_stats.hits >= 1);
+    }
+
+    /// Binds four channels on one shard with two warm bindings in a fixed
+    /// order and returns who was evicted, in order, with the shard's
+    /// stats. Channel 0 is the least-recently-used binding but in flight
+    /// when channel 2 binds (the third bind), so 1 goes instead; a hit on
+    /// 0 then leaves 2 the LRU binding.
+    fn scripted_evictions() -> (Vec<usize>, BindingStats, u64) {
+        let mut svc = functional_service(ServiceConfig {
+            shards: 1,
+            warm_set_capacity: 2,
+            ..ServiceConfig::default()
+        });
+        let ids: Vec<_> = (0..4u8)
+            .map(|i| svc.open(Standard::Wifi, &[i; 16]).unwrap())
+            .collect();
+        let shard = &mut svc.shards[0];
+        let mut counters = ServiceCounters::default();
+        let mut evicted = Vec::new();
+        let bound =
+            |s: &ServiceShard<_>, i: usize| s.slab.get(ids[i]).unwrap().chan.handle.is_some();
+        for (step, ch) in [0, 1, 2, 0, 3, 1].into_iter().enumerate() {
+            shard.slab.get_mut(ids[0]).unwrap().in_flight = u32::from(step == 2);
+            let before: Vec<usize> = (0..ids.len()).filter(|&i| bound(shard, i)).collect();
+            shard.bind(ids[ch], 2, None, &mut counters).unwrap();
+            evicted.extend(before.into_iter().filter(|&i| !bound(shard, i)));
+        }
+        (evicted, shard.binding_stats, counters.binding_evictions)
+    }
+
+    #[test]
+    fn warm_set_evicts_the_least_recently_used_idle_binding() {
+        let (evicted, stats, evictions) = scripted_evictions();
+        assert_eq!(evicted, [1, 2, 0], "busy LRU skipped, hit refreshed");
+        assert_eq!(stats, BindingStats { hits: 1, misses: 5 });
+        assert_eq!(evictions, 3);
+    }
+
+    #[test]
+    fn warm_set_eviction_is_deterministic_across_runs() {
+        assert_eq!(scripted_evictions(), scripted_evictions());
+    }
+
+    #[test]
+    #[should_panic(expected = "warm_set_capacity must be 1 to 254")]
+    fn warm_set_capacity_zero_is_rejected() {
+        functional_service(ServiceConfig {
+            warm_set_capacity: 0,
+            ..ServiceConfig::default()
+        });
     }
 
     #[test]

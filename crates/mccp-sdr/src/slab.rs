@@ -12,11 +12,11 @@
 //! afterwards — aliasing is impossible by construction, not by discipline.
 //!
 //! The slab deliberately holds only the *cheap* per-channel state (key
-//! bytes, profile, IV counter, class, accounting). Everything expensive —
-//! expanded key schedules, live engine bindings — lives in the bounded
-//! warm set ([`mccp_core::WarmCache`]) the service layer keeps in front,
-//! so a million idle channels cost a million slab entries and nothing
-//! else.
+//! bytes, profile, IV counter, class, accounting) plus, for a hot channel,
+//! its engine handle (`chan.handle`). Everything expensive — expanded key
+//! schedules, engine channels — lives in the engine, behind at most
+//! `warm_set_capacity` bindings per shard, so a million idle channels cost
+//! a million slab entries and nothing else.
 
 use crate::channel::SecureChannel;
 use crate::qos::QosClass;
@@ -96,10 +96,10 @@ pub struct LiveChannel {
     pub standard: Standard,
     /// IV discipline state (salt ‖ counter) — salt is unique per *open*,
     /// so a recycled slot can never re-issue an IV even under the same
-    /// key.
+    /// key — and, while the channel is warm, its engine `handle`.
     pub chan: SecureChannel,
-    /// Session key bytes (the slab is the key's resident home; the warm
-    /// set holds the expanded schedule only while the channel is hot).
+    /// Session key bytes (the slab is the key's resident home; the engine
+    /// holds the expanded schedule only while the channel is bound).
     pub key: Vec<u8>,
     /// Admission class.
     pub class: QosClass,

@@ -88,10 +88,11 @@ PY
   rm -f "$committed"
 }
 
-# obs_report asserts both contracts and exits non-zero on breach:
-# best-of-N wall overhead under the 5% budget, and records/cycles/
-# retries byte-identical between observe-on and observe-off runs.
-stage_obs_overhead() { cargo run --release -p mccp-bench --bin obs_report -- --packets 200 --iters 5; }
+# obs_report asserts both contracts and exits non-zero on breach: the
+# median on/off wall ratio of 101 interleaved pairs within the 5% budget,
+# and records/cycles/retries byte-identical between observe-on and
+# observe-off runs.
+stage_obs_overhead() { cargo run --release -p mccp-bench --bin obs_report -- --packets 50 --pairs 101; }
 
 stage_kernel_equivalence() {
   cargo test -p mccp-aes --test kernel_equivalence -q

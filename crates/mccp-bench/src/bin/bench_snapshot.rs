@@ -3,8 +3,13 @@
 //! the two schedules are cycle-identical, and emits the wall-clock
 //! comparison as `BENCH_sim_speed.json` (hand-formatted; no serde).
 //!
+//! `--check` (the CI perf smoke) runs the same two passes and identity
+//! assertions, then also checks both passes' `modeled_cycles` against the
+//! checked-in `BENCH_sim_speed.json`, and does not rewrite it.
+//!
 //! ```sh
 //! cargo run --release -p mccp-bench --bin bench_snapshot
+//! cargo run --release -p mccp-bench --bin bench_snapshot -- --check
 //! ```
 
 use mccp_core::MccpConfig;
@@ -58,7 +63,19 @@ fn json_mode(s: &Sample) -> String {
     )
 }
 
+/// `modeled_cycles` of one mode's object in the checked-in record.
+fn recorded_cycles(record: &str, mode: &str) -> u64 {
+    record
+        .split(&format!("\"{mode}\":"))
+        .nth(1)
+        .and_then(|tail| tail.split("\"modeled_cycles\":").nth(1))
+        .and_then(|tail| tail.trim_start().split([',', '}']).next())
+        .and_then(|n| n.trim().parse().ok())
+        .unwrap_or_else(|| panic!("BENCH_sim_speed.json: no {mode}.modeled_cycles"))
+}
+
 fn main() {
+    let check = std::env::args().any(|a| a == "--check");
     let spec = WorkloadSpec {
         standards: vec![Standard::Wimax],
         packets: PACKETS,
@@ -92,6 +109,23 @@ fn main() {
     }
 
     let speedup = fast.cycles_per_second() / per_tick.cycles_per_second();
+    if check {
+        let record = std::fs::read_to_string("BENCH_sim_speed.json")
+            .expect("BENCH_sim_speed.json must be checked in for --check");
+        for (mode, sample) in [("per_tick", &per_tick), ("fast_forward", &fast)] {
+            assert_eq!(
+                sample.modeled_cycles,
+                recorded_cycles(&record, mode),
+                "{mode}: modeled cycles moved from BENCH_sim_speed.json"
+            );
+        }
+        println!(
+            "--check: per-tick {:.3}s, fast-forward {:.3}s over {} modeled cycles \
+             (as recorded); not rewriting BENCH_sim_speed.json",
+            per_tick.host_seconds, fast.host_seconds, per_tick.modeled_cycles
+        );
+        return;
+    }
     let json = format!(
         "{{\n  \"benchmark\": \"sim_speed\",\n  \"host_parallelism\": {},\n  \
          \"workload\": {{\"standard\": \"Wimax (GCM-128)\", \

@@ -10,7 +10,7 @@
 use mccp_core::firmware::{source, FirmwareId, FirmwareLibrary};
 
 fn main() {
-    let lib = FirmwareLibrary::new();
+    let lib = FirmwareLibrary::shared();
     let arg = std::env::args().nth(1);
 
     match arg {

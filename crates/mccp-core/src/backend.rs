@@ -87,12 +87,16 @@ impl EngineHealth {
 ///   implementation).
 /// - [`submit_packet`](Self::submit_packet) either accepts a packet or
 ///   returns [`MccpError::NoResource`] when every core is busy — the
-///   caller's cue to [`step`](Self::step) and poll. Implementations
+///   caller's cue to [`step`](Self::step), poll and resubmit. A busy
+///   engine refuses before it validates the packet, so a malformed
+///   packet's typed error comes once a core frees. Implementations
 ///   without a core limit accept unboundedly.
 /// - [`step`](Self::step) advances the engine's clock by at most `bound`
 ///   cycles (`bound` must be finite and non-zero for progress) and
 ///   returns the cycles actually advanced. It may return 0 only when a
-///   completion is already pollable.
+///   completion is already pollable, and it may stop short of `bound`
+///   only where the caller can act, so "step, poll, resubmit" is the
+///   whole wait loop a caller needs.
 /// - [`poll_completion`](Self::poll_completion) drains finished requests
 ///   in Data Available order, releasing the resources they held. Every
 ///   accepted submission produces exactly one completion; authentication
@@ -180,6 +184,14 @@ pub trait ChannelBackend {
     /// `iv`: GCM — 12-byte IV; CCM — 7..13-byte nonce; CTR — 16-byte
     /// counter block; CBC-MAC — empty. `tag` is required when decrypting
     /// authenticated modes.
+    ///
+    /// Refused with [`MccpError::NoResource`] while no core can take the
+    /// packet — checked before the packet is formatted or validated, so a
+    /// busy engine touches none of its data and a malformed packet gets
+    /// its typed error only once a core frees — and with
+    /// [`MccpError::HandshakePending`] before the channel's handshake
+    /// horizon. Either way the caller waits in [`step`](Self::step) and
+    /// resubmits.
     #[allow(clippy::too_many_arguments)]
     fn submit_packet(
         &mut self,
@@ -193,6 +205,13 @@ pub trait ChannelBackend {
 
     /// Advances the engine clock by at most `bound` cycles; returns the
     /// cycles advanced (0 only when a completion is already pollable).
+    ///
+    /// The one wait primitive: an engine that models time keeps advancing
+    /// until the caller can act — a fresh completion to poll, a free core,
+    /// a channel's handshake horizon reached — or `bound` cycles pass. A
+    /// caller that resubmits a refused packet after every `step` gets the
+    /// same accept cycle as one advancing a single cycle (or quiescent
+    /// leap) at a time.
     fn step(&mut self, bound: u64) -> u64;
 
     /// Pops the next finished request, releasing its resources.
@@ -250,9 +269,9 @@ const SUBMIT_AND_WAIT_MAX_CYCLES: u64 = 100_000_000;
 /// Submits one packet and steps the engine until its completion arrives,
 /// for callers that drive one packet at a time (receivers, attack drivers,
 /// tests). While the engine refuses with [`MccpError::NoResource`] or
-/// [`MccpError::HandshakePending`], it steps 4096 cycles and resubmits;
-/// any other submit error is returned as-is, so a caller can count typed
-/// rejections.
+/// [`MccpError::HandshakePending`], it waits in `step` (up to 4096 cycles
+/// a call) and resubmits; any other submit error is returned as-is, so a
+/// caller can count typed rejections.
 ///
 /// # Panics
 /// Panics if the completion has not arrived within 100M cycles, or if the
@@ -317,18 +336,19 @@ impl ChannelBackend for Mccp {
     }
 
     /// CLOSE, recycling the session key [`open_channel`] allocated: once
-    /// no other channel references the [`KeyId`], it is erased (zeroized)
-    /// from the Key Memory. Without this, open/close churn through the
-    /// trait would exhaust the 255-slot Key Memory after 255 opens —
-    /// long-lived service operation demands that both the channel id and
-    /// the key slot come back.
+    /// no other channel references the [`KeyId`], it is erased — the Key
+    /// Memory slot zeroized and every core's Key Cache entry for it wiped,
+    /// since the next open reuses the lowest free id. Without this,
+    /// open/close churn through the trait would exhaust the 255-slot Key
+    /// Memory after 255 opens — long-lived service operation demands that
+    /// both the channel id and the key slot come back.
     ///
     /// [`open_channel`]: ChannelBackend::open_channel
     fn close_channel(&mut self, channel: ChannelId) -> Result<(), MccpError> {
         let key = self.channel(channel)?.key;
         self.close(channel)?;
         if !self.channels.values().any(|c| c.key == key) {
-            self.key_memory_mut().erase(key);
+            self.erase_key(key);
         }
         Ok(())
     }
@@ -390,26 +410,14 @@ impl ChannelBackend for Mccp {
         self.submit(channel, direction, iv, aad, body, tag)
     }
 
-    /// One scheduling quantum of the simulator: leap a quiescent span
-    /// (capped at `bound`) when fast-forward is on, else simulate one
-    /// cycle. Completions only occur on active ticks, so polling after
-    /// every `step` call never misses one.
+    /// Runs the simulator until the caller can act (see `Mccp::wait`): a
+    /// fresh Data Available entry, an idle core, a reached handshake
+    /// horizon, or `bound`. Each quantum is a quiescent leap or one
+    /// simulated cycle, and the wait ends on the first quantum boundary
+    /// where a resubmission could land, so accept cycles match a caller
+    /// that resubmits after every single quantum.
     fn step(&mut self, bound: u64) -> u64 {
-        if bound == 0 {
-            return 0;
-        }
-        let span = if self.fast_forward() {
-            self.quiescent_horizon().min(bound)
-        } else {
-            0
-        };
-        if span == 0 {
-            self.tick();
-            1
-        } else {
-            self.skip(span);
-            span
-        }
+        self.wait(bound)
     }
 
     fn poll_completion(&mut self) -> Option<Completion> {

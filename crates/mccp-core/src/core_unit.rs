@@ -2,7 +2,7 @@
 //! packet FIFO pair and the parameter/result registers (paper Fig. 2),
 //! glued together in lock step.
 
-use crate::firmware::{in_port, out_port, FirmwareId};
+use crate::firmware::{in_port, out_port, FirmwareId, FirmwareLibrary};
 use crate::key::KeyCache;
 use mccp_aes::key_schedule::RoundKeys;
 use mccp_cryptounit::{CipherEngine, CryptoUnit, CuIo};
@@ -140,19 +140,21 @@ impl CryptoCore {
         self.cu.load_engine(engine);
     }
 
-    /// Loads a firmware image and task parameters, then starts the
+    /// Loads a firmware program (the shared, predecoded image of
+    /// [`FirmwareLibrary::shared`]) and task parameters, then starts the
     /// controller (the Task Scheduler's per-task setup, §VI.B).
     ///
     /// # Panics
     /// Panics if the core is reconfigured to a non-block-cipher personality.
-    pub fn start(&mut self, firmware: FirmwareId, image: &[u32], params: ParamBank) {
+    pub fn start(&mut self, firmware: FirmwareId, params: ParamBank) {
         assert!(
             self.personality.runs_mode_firmware(),
             "core {} is reconfigured to {:?}; cannot run block-cipher firmware",
             self.id,
             self.personality
         );
-        self.cpu.load_program(image);
+        self.cpu
+            .load_program(FirmwareLibrary::shared().rom(firmware));
         self.params = params;
         self.result = None;
         self.running = true;
@@ -294,18 +296,23 @@ impl CryptoCore {
         if self.stall > 0 {
             return self.stall;
         }
-        let mut h = self.cu.quiescent_for(
+        // The controller first: while it executes it answers 0 at once.
+        // The wake line is driven with `can_strobe` every tick; across a
+        // quiescent span of the CU that level is frozen.
+        let cpu = if self.running {
+            self.cpu.quiescent_for(self.cu.can_strobe())
+        } else {
+            u64::MAX
+        };
+        if cpu == 0 {
+            return 0;
+        }
+        cpu.min(self.cu.quiescent_for(
             self.input.len(),
             self.output.free(),
             from_left_full,
             to_right_full,
-        );
-        if self.running {
-            // The wake line is driven with `can_strobe` every tick; across
-            // a quiescent span of the CU that level is frozen.
-            h = h.min(self.cpu.quiescent_for(self.cu.can_strobe()));
-        }
-        h
+        ))
     }
 
     /// Advances the core `n` cycles at once. Only valid for `n` up to the
@@ -414,7 +421,7 @@ impl PortIo for CorePorts<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::firmware::{result_code, FirmwareLibrary};
+    use crate::firmware::result_code;
 
     fn params(np: u16, na: u16, pm: u16, tm: u16) -> ParamBank {
         [
@@ -433,18 +440,13 @@ mod tests {
     /// the MAC against the reference implementation.
     #[test]
     fn cbc_mac_firmware_end_to_end() {
-        let lib = FirmwareLibrary::new();
         let mut core = CryptoCore::new(0, 512);
         let key = [0x11u8; 16];
         core.load_round_keys(RoundKeys::expand(&key));
 
         let data: Vec<u8> = (0..64u8).collect();
         assert!(core.input.push_bytes(&data));
-        core.start(
-            FirmwareId::CbcMac,
-            lib.image(FirmwareId::CbcMac),
-            params(4, 0, 0xFFFF, 0xFFFF),
-        );
+        core.start(FirmwareId::CbcMac, params(4, 0, 0xFFFF, 0xFFFF));
 
         let mut left = None;
         let mut right = None;
@@ -465,7 +467,6 @@ mod tests {
 
     #[test]
     fn ctr_firmware_end_to_end() {
-        let lib = FirmwareLibrary::new();
         let mut core = CryptoCore::new(0, 512);
         let key = [0x22u8; 16];
         core.load_round_keys(RoundKeys::expand(&key));
@@ -480,11 +481,7 @@ mod tests {
         assert!(core.input.push_bytes(&pt));
         // Trailing pad block for the firmware's pipelined final prefetch.
         assert!(core.input.push_bytes(&[0u8; 16]));
-        core.start(
-            FirmwareId::Ctr,
-            lib.image(FirmwareId::Ctr),
-            params(3, 0, 0xFFFF, 0xFFFF),
-        );
+        core.start(FirmwareId::Ctr, params(3, 0, 0xFFFF, 0xFFFF));
 
         let (mut l, mut r) = (None, None);
         for _ in 0..20_000 {
@@ -516,14 +513,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot run block-cipher firmware")]
     fn start_on_whirlpool_personality_panics() {
-        let lib = FirmwareLibrary::new();
         let mut core = CryptoCore::new(0, 512);
         core.set_personality(Personality::WhirlpoolUnit);
-        core.start(
-            FirmwareId::Ctr,
-            lib.image(FirmwareId::Ctr),
-            params(1, 0, 0xFFFF, 0xFFFF),
-        );
+        core.start(FirmwareId::Ctr, params(1, 0, 0xFFFF, 0xFFFF));
     }
 
     /// The whole CBC-MAC firmware on a Twofish engine: the ISA really is
@@ -531,7 +523,6 @@ mod tests {
     #[test]
     fn cbc_mac_firmware_runs_on_twofish() {
         use mccp_aes::twofish::Twofish;
-        let lib = FirmwareLibrary::new();
         let mut core = CryptoCore::new(0, 512);
         core.set_personality(Personality::TwofishUnit);
         let key = [0x5Au8; 16];
@@ -539,11 +530,7 @@ mod tests {
 
         let data: Vec<u8> = (0..64u8).collect();
         assert!(core.input.push_bytes(&data));
-        core.start(
-            FirmwareId::CbcMac,
-            lib.image(FirmwareId::CbcMac),
-            params(4, 0, 0xFFFF, 0xFFFF),
-        );
+        core.start(FirmwareId::CbcMac, params(4, 0, 0xFFFF, 0xFFFF));
         let (mut l, mut r) = (None, None);
         for _ in 0..30_000 {
             core.tick(&mut l, &mut r);

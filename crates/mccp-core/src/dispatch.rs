@@ -15,7 +15,9 @@ use crate::pipeline::{
     PipelinePlan, ResolvedPipeline, ResolvedStage, StageOp,
 };
 use crate::protocol::{Algorithm, ChannelId, CipherSel, KeyId, MccpError, Mode, RequestId};
-use crate::reconfig::{bitstream_for, Bitstream, BitstreamSource, PolicyConfig, PolicyEngine};
+use crate::reconfig::{
+    bitstream_for, personality_index, Bitstream, BitstreamSource, PolicyConfig, PolicyEngine,
+};
 use crate::scheduler::{ReqState, Request};
 use mccp_telemetry::{Event, FifoPort};
 use std::sync::Arc;
@@ -111,8 +113,12 @@ impl Mccp {
         handshake_cycles: u64,
     ) -> Result<ChannelId, MccpError> {
         let id = self.open_with_cipher(algorithm, key, tag_len, CipherSel::Aes)?;
+        let ready_at = self.cycle + handshake_cycles;
         if let Some(c) = self.channels.get_mut(&id.0) {
-            c.ready_at = self.cycle + handshake_cycles;
+            c.ready_at = ready_at;
+        }
+        if ready_at > self.cycle {
+            self.handshake_due = self.handshake_due.min(ready_at);
         }
         Ok(id)
     }
@@ -261,14 +267,22 @@ impl Mccp {
                 kept.push(k);
                 continue;
             }
-            self.key_memory.erase(k);
-            for core in &mut self.cores {
-                if core.key_cache.cached_id() == Some(k) {
-                    core.key_cache.wipe();
-                }
-            }
+            self.erase_key(k);
         }
         self.retiring_keys = kept;
+    }
+
+    /// Erases a session key: zeroizes its Key Memory slot and wipes every
+    /// core's Key Cache entry for the id. Key Caches match on the id alone,
+    /// so a cached expansion left behind would serve the next key stored
+    /// under the recycled id.
+    pub(crate) fn erase_key(&mut self, k: KeyId) {
+        self.key_memory.erase(k);
+        for core in &mut self.cores {
+            if core.key_cache.cached_id() == Some(k) {
+                core.key_cache.wipe();
+            }
+        }
     }
 
     /// CLOSE: releases a channel.
@@ -312,6 +326,7 @@ impl Mccp {
         body: &[u8],
         tag: Option<&[u8]>,
     ) -> Result<RequestId, MccpError> {
+        self.waiting_demand = [0; 3];
         let ch = self.channel(channel)?.clone();
         if ch.ready_at > self.cycle {
             return Err(MccpError::HandshakePending);
@@ -328,6 +343,16 @@ impl Mccp {
         if let Some(pe) = &mut self.policy {
             pe.record_offered(want);
         }
+        // The Task Scheduler hands a packet to an idle core or refuses it;
+        // a busy engine never takes (or formats) the packet's data, so a
+        // malformed packet gets `NoResource` first and its typed error once
+        // a core frees.
+        if self.first_idle(want).is_none() {
+            let mut demand = [0; 3];
+            demand[personality_index(want)] = 1;
+            self.refuse(demand);
+            return Err(MccpError::NoResource);
+        }
         let two_core = (self.config.ccm_two_core || ch.fused_two_core)
             && ch.algorithm.mode() == Mode::Ccm
             && self.idle_pair(want).is_some();
@@ -341,21 +366,21 @@ impl Mccp {
             tag,
             ch.tag_len,
         )?;
-        match self.submit_formatted(channel, direction, fmt) {
-            Ok(id) => {
-                if let Some(pe) = &mut self.policy {
-                    pe.record_served(want);
-                }
-                Ok(id)
-            }
-            Err(MccpError::NoResource) => {
-                // Demand outran the personality mix: let the policy engine
-                // consider flipping an idle core before the caller retries.
-                self.maybe_reconfigure();
-                Err(MccpError::NoResource)
-            }
-            Err(e) => Err(e),
+        let id = self.submit_formatted(channel, direction, fmt)?;
+        if let Some(pe) = &mut self.policy {
+            pe.record_served(want);
         }
+        Ok(id)
+    }
+
+    /// A `NoResource` refusal of a submission that offered `demand` (one
+    /// count per personality it sampled): demand outran the personality
+    /// mix, so the policy engine may flip an idle core before the caller
+    /// retries, and the demand stays offered while the caller waits in
+    /// [`step`](crate::ChannelBackend::step).
+    fn refuse(&mut self, demand: [u32; 3]) {
+        self.waiting_demand = demand;
+        self.maybe_reconfigure();
     }
 
     /// Submits a pre-formatted request (the data the communication
@@ -516,33 +541,30 @@ impl Mccp {
                 request: id.0,
                 core: producing_core,
             });
-        self.requests.insert(
-            id.0,
-            Request {
-                id,
-                channel,
-                algorithm: ch.algorithm,
-                direction,
-                cores: core_ids,
-                producing_core,
-                payload_len: fmt.payload_len,
-                tag_len: fmt.tag_len,
-                expected_output,
-                pending_input,
-                jobs,
-                collected: Vec::new(),
-                streaming,
-                state: ReqState::KeyWait(key_delay),
-                start_cycle: self.cycle,
-                done_cycle: None,
-                signaled: false,
-                deadline,
-                sequence,
-                pipeline: None,
-                epoch: ch.epoch,
-                key: ch.key,
-            },
-        );
+        self.requests.insert(Request {
+            id,
+            channel,
+            algorithm: ch.algorithm,
+            direction,
+            cores: core_ids,
+            producing_core,
+            payload_len: fmt.payload_len,
+            tag_len: fmt.tag_len,
+            expected_output,
+            pending_input,
+            jobs,
+            collected: Vec::new(),
+            streaming,
+            state: ReqState::KeyWait(key_delay),
+            start_cycle: self.cycle,
+            done_cycle: None,
+            signaled: false,
+            deadline,
+            sequence,
+            pipeline: None,
+            epoch: ch.epoch,
+            key: ch.key,
+        });
 
         // Fault plane: fire every schedule entry due at this accepted
         // submission (1-based packet ordinal across the engine).
@@ -684,7 +706,7 @@ impl Mccp {
                     }
             });
             if !present {
-                self.maybe_reconfigure();
+                self.refuse(pipeline_demand(pl));
                 return Err(MccpError::NoResource);
             }
         }
@@ -692,7 +714,7 @@ impl Mccp {
             .idle_for_stage(pl.stages[0].personality(), None)
             .is_none()
         {
-            self.maybe_reconfigure();
+            self.refuse(pipeline_demand(pl));
             return Err(MccpError::NoResource);
         }
 
@@ -712,41 +734,38 @@ impl Mccp {
                 direction: "Encrypt",
                 cores: Vec::new(),
             });
-        self.requests.insert(
-            id.0,
-            Request {
-                id,
-                channel,
-                algorithm: ch.algorithm,
-                direction: Direction::Encrypt,
-                cores: Vec::new(),
-                producing_core: 0,
-                payload_len: body.len(),
-                tag_len: pl.tag_len,
-                expected_output: 0,
-                pending_input: Vec::new(),
-                jobs: Vec::new(),
-                collected: Vec::new(),
-                streaming: false,
-                state: ReqState::StageWait,
-                start_cycle: self.cycle,
-                done_cycle: None,
-                signaled: false,
-                deadline: None,
-                sequence,
-                pipeline: Some(PipelinePlan {
-                    pipeline: pl.clone(),
-                    current: 0,
-                    iv: iv.to_vec(),
-                    body: body.to_vec(),
-                    out_body: Vec::new(),
-                    tag: None,
-                    prev_core: None,
-                }),
-                epoch: ch.epoch,
-                key: ch.key,
-            },
-        );
+        self.requests.insert(Request {
+            id,
+            channel,
+            algorithm: ch.algorithm,
+            direction: Direction::Encrypt,
+            cores: Vec::new(),
+            producing_core: 0,
+            payload_len: body.len(),
+            tag_len: pl.tag_len,
+            expected_output: 0,
+            pending_input: Vec::new(),
+            jobs: Vec::new(),
+            collected: Vec::new(),
+            streaming: false,
+            state: ReqState::StageWait,
+            start_cycle: self.cycle,
+            done_cycle: None,
+            signaled: false,
+            deadline: None,
+            sequence,
+            pipeline: Some(PipelinePlan {
+                pipeline: pl.clone(),
+                current: 0,
+                iv: iv.to_vec(),
+                body: body.to_vec(),
+                out_body: Vec::new(),
+                tag: None,
+                prev_core: None,
+            }),
+            epoch: ch.epoch,
+            key: ch.key,
+        });
         self.packets_submitted += 1;
         if self.faults.is_some() {
             let due = match &mut self.faults {
@@ -1144,4 +1163,13 @@ impl Mccp {
     pub fn is_reconfiguring(&self, core: usize) -> bool {
         self.reconfigs[core].is_reconfiguring()
     }
+}
+
+/// The demand one pipeline submission offers: a sample per stage.
+fn pipeline_demand(pl: &ResolvedPipeline) -> [u32; 3] {
+    let mut demand = [0; 3];
+    for st in &pl.stages {
+        demand[personality_index(st.personality())] += 1;
+    }
+    demand
 }

@@ -41,6 +41,8 @@
 
 use mccp_cryptounit::CuInstruction;
 use mccp_picoblaze::asm::{assemble, Program};
+use mccp_picoblaze::Rom;
+use std::sync::{Arc, OnceLock};
 
 /// Input port numbers (controller `INPUT`).
 pub mod in_port {
@@ -900,52 +902,50 @@ pub fn source(id: FirmwareId) -> String {
     }
 }
 
-/// All firmware programs pre-assembled — the images the Task Scheduler
-/// loads into a core's (shared) instruction memory when retargeting it.
+/// All firmware programs, assembled and predecoded — the images the Task
+/// Scheduler loads into a core's (shared) instruction memory when
+/// retargeting it. The firmware is fixed, so the library is built once
+/// per process ([`shared`](Self::shared)) and every core of every engine
+/// loads the same predecoded [`Rom`]s.
 pub struct FirmwareLibrary {
-    programs: Vec<(FirmwareId, Program)>,
-}
-
-impl Default for FirmwareLibrary {
-    fn default() -> Self {
-        Self::new()
-    }
+    /// Indexed by `FirmwareId as usize` (the order of [`FirmwareId::ALL`]).
+    programs: Vec<(Program, Arc<Rom>)>,
 }
 
 impl FirmwareLibrary {
-    /// Assembles every program.
+    /// The process-wide library, assembled on first use.
     ///
     /// # Panics
     /// Panics if any firmware fails to assemble — a build-time invariant.
-    pub fn new() -> Self {
-        let programs = FirmwareId::ALL
-            .iter()
-            .map(|&id| {
-                let src = source(id);
-                let program = assemble(&src)
-                    .unwrap_or_else(|e| panic!("firmware {id:?} failed to assemble: {e}"));
-                (id, program)
-            })
-            .collect();
-        FirmwareLibrary { programs }
+    pub fn shared() -> &'static FirmwareLibrary {
+        static LIBRARY: OnceLock<FirmwareLibrary> = OnceLock::new();
+        LIBRARY.get_or_init(|| {
+            let programs = FirmwareId::ALL
+                .iter()
+                .map(|&id| {
+                    let program = assemble(&source(id))
+                        .unwrap_or_else(|e| panic!("firmware {id:?} failed to assemble: {e}"));
+                    let rom = Arc::new(Rom::new(program.image()));
+                    (program, rom)
+                })
+                .collect();
+            FirmwareLibrary { programs }
+        })
     }
 
     /// The assembled image for a program.
     pub fn image(&self, id: FirmwareId) -> &[u32] {
-        self.programs
-            .iter()
-            .find(|(p, _)| *p == id)
-            .map(|(_, prog)| prog.image())
-            .expect("all firmware ids assembled")
+        self.programs[id as usize].0.image()
     }
 
     /// The assembled program (with symbols) for inspection.
     pub fn program(&self, id: FirmwareId) -> &Program {
-        self.programs
-            .iter()
-            .find(|(p, _)| *p == id)
-            .map(|(_, prog)| prog)
-            .expect("all firmware ids assembled")
+        &self.programs[id as usize].0
+    }
+
+    /// The predecoded instruction memory a core loads to run a program.
+    pub fn rom(&self, id: FirmwareId) -> &Arc<Rom> {
+        &self.programs[id as usize].1
     }
 }
 
@@ -955,8 +955,9 @@ mod tests {
 
     #[test]
     fn all_firmware_assembles() {
-        let lib = FirmwareLibrary::new();
-        for id in FirmwareId::ALL {
+        let lib = FirmwareLibrary::shared();
+        for (i, id) in FirmwareId::ALL.into_iter().enumerate() {
+            assert_eq!(id as usize, i, "ALL is in declaration order");
             let prog = lib.program(id);
             let n = prog.disassemble().len();
             assert!(n > 20, "{id:?} suspiciously small ({n} instructions)");
@@ -970,7 +971,7 @@ mod tests {
         // mask-test interleaved into the pacing slots) must fit the
         // 49-cycle CU budget with margin, or the loop becomes
         // controller-bound and the paper's T_GCMloop = 49 is lost.
-        let lib = FirmwareLibrary::new();
+        let lib = FirmwareLibrary::shared();
         for id in [FirmwareId::GcmEnc, FirmwareId::GcmDec] {
             let prog = lib.program(id);
             let start = prog.label("main_loop").expect("label exists");

@@ -29,12 +29,11 @@ use crate::core_unit::CryptoCore;
 use crate::crossbar::CrossBar;
 use crate::dispatch::Channel;
 use crate::fault::{FaultPlan, FaultState};
-use crate::firmware::FirmwareLibrary;
 use crate::format::Direction;
 use crate::key::{KeyMemory, KeyScheduler};
 use crate::protocol::{ChannelId, KeyId, MccpError, RequestId};
 use crate::reconfig::{PolicyEngine, ReconfigController};
-use crate::scheduler::{ReqState, Request};
+use crate::scheduler::{ReqState, RequestTable};
 use mccp_telemetry::{metrics, Event, Snapshot, Telemetry};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -89,10 +88,9 @@ pub struct Mccp {
     pub(crate) mailboxes: Vec<Option<[u8; 16]>>,
     pub(crate) key_memory: KeyMemory,
     pub(crate) key_scheduler: KeyScheduler,
-    pub(crate) firmware: FirmwareLibrary,
     pub(crate) crossbar: CrossBar,
     pub(crate) channels: BTreeMap<u8, Channel>,
-    pub(crate) requests: BTreeMap<u16, Request>,
+    pub(crate) requests: RequestTable,
     pub(crate) next_request: u16,
     pub(crate) cycle: u64,
     pub(crate) data_available: VecDeque<RequestId>,
@@ -137,6 +135,16 @@ pub struct Mccp {
     /// wall clock) and published as counters at snapshot time.
     pub(crate) dma_words: u64,
     pub(crate) dma_backpressure_cycles: u64,
+    /// Per-personality demand (indexed by `reconfig::personality_index`)
+    /// of the last submission if it was refused with `NoResource`, else
+    /// zero: while the caller waits in `step` the packet stays offered, one
+    /// policy sample per scheduling quantum, as if resubmitted each time.
+    pub(crate) waiting_demand: [u32; 3],
+    /// The earliest pending channel-handshake horizon (`u64::MAX` when
+    /// none): `step` ends its wait there, since submissions on that channel
+    /// turn from `HandshakePending` to accepted. May be stale after a close
+    /// (the wait then ends early once and recomputes it).
+    pub(crate) handshake_due: u64,
 }
 
 impl Mccp {
@@ -155,10 +163,9 @@ impl Mccp {
             cores,
             key_memory: KeyMemory::new(),
             key_scheduler: KeyScheduler::new(),
-            firmware: FirmwareLibrary::new(),
             crossbar: CrossBar::new(),
             channels: BTreeMap::new(),
-            requests: BTreeMap::new(),
+            requests: RequestTable::default(),
             next_request: 1,
             cycle: 0,
             data_available: VecDeque::new(),
@@ -178,6 +185,8 @@ impl Mccp {
             stage_quarantine_idle: vec![0; config.n_cores],
             dma_words: 0,
             dma_backpressure_cycles: 0,
+            waiting_demand: [0; 3],
+            handshake_due: u64::MAX,
             config,
         }
     }
@@ -188,6 +197,11 @@ impl Mccp {
     /// per-request spans. Zero overhead until called.
     pub fn enable_telemetry(&mut self, capacity: usize) {
         self.telemetry = Telemetry::with_capacity(capacity);
+        // FIFO high-water gauges count from here on.
+        for core in &mut self.cores {
+            core.input.reset_high_water();
+            core.output.reset_high_water();
+        }
     }
 
     /// The telemetry sink (events, spans, registry).
@@ -274,6 +288,15 @@ impl Mccp {
                         );
                     }
                 }
+            }
+            // FIFO occupancy high-water marks, tracked by the FIFOs where
+            // their level changes (pushes), not sampled per tick.
+            for (i, core) in self.cores.iter().enumerate() {
+                self.telemetry.observe_fifo_levels(
+                    i,
+                    core.input.high_water(),
+                    core.output.high_water(),
+                );
             }
         }
         self.telemetry.snapshot()

@@ -205,6 +205,13 @@ pub fn personality_index(p: Personality) -> usize {
     }
 }
 
+/// Every personality, in [`personality_index`] order.
+pub const PERSONALITIES: [Personality; 3] = [
+    Personality::AesUnit,
+    Personality::TwofishUnit,
+    Personality::WhirlpoolUnit,
+];
+
 /// The bitstream that installs a personality (Table IV rows, plus the
 /// §IX Twofish estimate).
 pub fn bitstream_for(p: Personality) -> Bitstream {
@@ -253,7 +260,8 @@ pub struct SwapDecision {
 
 /// The demand-driven policy engine the Task Scheduler consults: it
 /// watches per-personality offered-load counters (every submission
-/// attempt, including `NoResource` rejections, is a demand sample) and
+/// attempt, including `NoResource` rejections, is a demand sample, and a
+/// refused packet waiting in `step` re-offers once per quantum) and
 /// decides when an idle core's CU region should flip to a starved
 /// personality. Swaps are applied through the ordinary
 /// [`begin_reconfiguration`](crate::Mccp::begin_reconfiguration) path, so
@@ -350,11 +358,6 @@ impl PolicyEngine {
         if self.window_offered[target] < self.cfg.min_samples {
             return None;
         }
-        const PERSONALITIES: [Personality; 3] = [
-            Personality::AesUnit,
-            Personality::TwofishUnit,
-            Personality::WhirlpoolUnit,
-        ];
         // Never give away the last available core of the whole pool.
         let available = cores.iter().filter(|&&(_, _, out)| !out).count();
         if available <= 1 {

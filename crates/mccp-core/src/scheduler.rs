@@ -85,6 +85,65 @@ pub(crate) struct Request {
     pub(crate) key: crate::protocol::KeyId,
 }
 
+/// The request table: every accepted request until TRANSFER_DONE, sorted by
+/// id in one dense vector. The per-tick walks iterate a slice in ascending
+/// id order (the order a `BTreeMap` would give, so the schedule is the
+/// same) and lookups binary-search the handful of entries an engine holds.
+#[derive(Default)]
+pub(crate) struct RequestTable {
+    slots: Vec<Request>,
+}
+
+impl RequestTable {
+    fn position(&self, id: u16) -> Result<usize, usize> {
+        self.slots.binary_search_by_key(&id, |r| r.id.0)
+    }
+
+    pub(crate) fn get(&self, id: &u16) -> Option<&Request> {
+        self.position(*id).ok().map(|i| &self.slots[i])
+    }
+
+    pub(crate) fn get_mut(&mut self, id: &u16) -> Option<&mut Request> {
+        self.position(*id).ok().map(|i| &mut self.slots[i])
+    }
+
+    /// Inserts a request under its id, replacing any entry already there.
+    pub(crate) fn insert(&mut self, req: Request) {
+        match self.position(req.id.0) {
+            Ok(i) => self.slots[i] = req,
+            Err(i) => self.slots.insert(i, req),
+        }
+    }
+
+    pub(crate) fn remove(&mut self, id: &u16) -> Option<Request> {
+        self.position(*id).ok().map(|i| self.slots.remove(i))
+    }
+
+    pub(crate) fn values(&self) -> std::slice::Iter<'_, Request> {
+        self.slots.iter()
+    }
+
+    pub(crate) fn values_mut(&mut self) -> std::slice::IterMut<'_, Request> {
+        self.slots.iter_mut()
+    }
+}
+
+/// Core `i`'s two inter-core ports on a ring of at least two cores: the
+/// mailbox its left neighbour writes, and the one it writes for its right
+/// neighbour (`mailboxes[i]`).
+fn ports_of(
+    mailboxes: &mut [Option<[u8; 16]>],
+    i: usize,
+) -> (&mut Option<[u8; 16]>, &mut Option<[u8; 16]>) {
+    if i == 0 {
+        let (own, rest) = mailboxes.split_first_mut().expect("ring of two or more");
+        (rest.last_mut().expect("ring of two or more"), own)
+    } else {
+        let (left, right) = mailboxes.split_at_mut(i);
+        (&mut left[i - 1], &mut right[0])
+    }
+}
+
 impl Mccp {
     /// Finds the first idle core with the right personality (the paper's
     /// dispatch policy, §III.C).
@@ -265,8 +324,7 @@ impl Mccp {
                 ReqState::KeyWait(left) => {
                     if left == 0 {
                         for (core, job) in &req.jobs {
-                            let image = self.firmware.image(job.firmware);
-                            self.cores[*core].start(job.firmware, image, job.params);
+                            self.cores[*core].start(job.firmware, job.params);
                             let (core, firmware, request) = (*core, job.firmware, req.id.0);
                             self.telemetry.emit_with(cycle, || Event::CoreStarted {
                                 request,
@@ -300,21 +358,16 @@ impl Mccp {
         // Communication-controller DMA: one 32-bit word per core per cycle.
         self.dma_cycle();
 
-        // Tick every core with its mailboxes.
-        let n = self.cores.len();
-        for i in 0..n {
-            let li = (i + n - 1) % n;
-            if li == i {
-                // Single-core MCCP: no inter-core ports.
-                let mut dummy = None;
-                let mut dummy2 = None;
-                self.cores[i].tick(&mut dummy, &mut dummy2);
-            } else {
-                let mut from_left = self.mailboxes[li].take();
-                let mut to_right = self.mailboxes[i].take();
-                self.cores[i].tick(&mut from_left, &mut to_right);
-                self.mailboxes[li] = from_left;
-                self.mailboxes[i] = to_right;
+        // Tick every core with its mailboxes, in index order: core `i`
+        // sees this cycle's write of core `i - 1` and last cycle's state of
+        // the mailbox it writes.
+        if self.cores.len() == 1 {
+            // Single-core MCCP: no inter-core ports.
+            self.cores[0].tick(&mut None, &mut None);
+        } else {
+            for (i, core) in self.cores.iter_mut().enumerate() {
+                let (from_left, to_right) = ports_of(&mut self.mailboxes, i);
+                core.tick(from_left, to_right);
             }
         }
 
@@ -421,18 +474,6 @@ impl Mccp {
         for (id, core) in integrity_failures {
             self.fail_request(id, MccpError::DataIntegrity, core);
         }
-
-        // High-water FIFO occupancy, sampled after every datapath update
-        // (allocation-free; published as gauges at snapshot time).
-        if self.telemetry.is_enabled() {
-            for i in 0..n {
-                self.telemetry.observe_fifo_levels(
-                    i,
-                    self.cores[i].input.len(),
-                    self.cores[i].output.len(),
-                );
-            }
-        }
     }
 
     /// Conservative event-driven horizon: the number of upcoming cycles
@@ -458,7 +499,18 @@ impl Mccp {
     /// - the Key Scheduler's saturating countdown has no observable
     ///   zero-crossing and never bounds the horizon.
     pub fn quiescent_horizon(&self) -> u64 {
+        // Cores first: an executing core answers 0 at once, and on a busy
+        // engine one almost always is.
         let mut h = u64::MAX;
+        let n = self.cores.len();
+        for (i, core) in self.cores.iter().enumerate() {
+            let from_left_full = n > 1 && self.mailboxes[(i + n - 1) % n].is_some();
+            let to_right_full = n > 1 && self.mailboxes[i].is_some();
+            h = h.min(core.quiescent_for(from_left_full, to_right_full));
+            if h == 0 {
+                return 0;
+            }
+        }
         // Armed fault plane: the leap must land at (or before) the cycle
         // *preceding* the next trigger — tick() increments the clock first
         // and then fires entries, so the trigger cycle itself is active.
@@ -499,18 +551,6 @@ impl Mccp {
                 return 0;
             }
         }
-        if h == 0 {
-            return 0;
-        }
-        let n = self.cores.len();
-        for (i, core) in self.cores.iter().enumerate() {
-            let from_left_full = n > 1 && self.mailboxes[(i + n - 1) % n].is_some();
-            let to_right_full = n > 1 && self.mailboxes[i].is_some();
-            h = h.min(core.quiescent_for(from_left_full, to_right_full));
-            if h == 0 {
-                return 0;
-            }
-        }
         h
     }
 
@@ -539,6 +579,78 @@ impl Mccp {
         self.dma_skip(n);
         for core in &mut self.cores {
             core.skip(n);
+        }
+    }
+
+    /// The wait behind [`ChannelBackend::step`](crate::ChannelBackend::step):
+    /// runs scheduling quanta — each a leap over the quiescent span (capped
+    /// at `bound`, fast-forward on) or one simulated cycle — until the
+    /// caller can act: a fresh Data Available entry appears, a core is
+    /// idle, a channel's handshake horizon is reached, or the next quantum
+    /// would take the total past `bound`. Returns the cycles advanced.
+    ///
+    /// Every quantum is exactly the one a `step` call of the old one-quantum
+    /// schedule would have run, and the wait ends at the first of those
+    /// quantum boundaries where a resubmission could be accepted — so a
+    /// caller that resubmits after each `step` sees the same accept cycles
+    /// either way. With a reconfiguration policy armed, the refused packet
+    /// is re-offered at each boundary the wait passes (one demand sample
+    /// per quantum, as the resubmission would have recorded); no core is
+    /// idle there, so the policy could not have swapped one.
+    pub(crate) fn wait(&mut self, bound: u64) -> u64 {
+        if bound == 0 {
+            return 0;
+        }
+        let signaled = self.data_available.len();
+        let mut spent = 0u64;
+        loop {
+            let span = if self.fast_forward {
+                self.quiescent_horizon().min(bound)
+            } else {
+                0
+            };
+            let len = span.max(1);
+            if spent > 0 {
+                if spent + len > bound {
+                    return spent;
+                }
+                self.reoffer_waiting_demand();
+            }
+            if span == 0 {
+                self.tick();
+            } else {
+                self.skip(span);
+            }
+            spent += len;
+            if self.data_available.len() > signaled || self.cores.iter().any(|c| c.is_idle()) {
+                return spent;
+            }
+            if self.cycle >= self.handshake_due {
+                self.handshake_due = self
+                    .channels
+                    .values()
+                    .map(|c| c.ready_at)
+                    .filter(|&r| r > self.cycle)
+                    .min()
+                    .unwrap_or(u64::MAX);
+                return spent;
+            }
+        }
+    }
+
+    /// One more policy sample per personality the refused submission
+    /// offered (see [`wait`](Self::wait)).
+    fn reoffer_waiting_demand(&mut self) {
+        let Some(pe) = &mut self.policy else {
+            return;
+        };
+        for (p, &n) in crate::reconfig::PERSONALITIES
+            .iter()
+            .zip(self.waiting_demand.iter())
+        {
+            for _ in 0..n {
+                pe.record_offered(*p);
+            }
         }
     }
 
@@ -618,7 +730,7 @@ impl Mccp {
         loop {
             let state = self.requests.get(&id.0).expect("request exists").state;
             if matches!(state, ReqState::Done { .. } | ReqState::Failed { .. }) {
-                let req = &self.requests[&id.0];
+                let req = self.requests.get(&id.0).expect("request exists");
                 return req.done_cycle.expect("done") - req.start_cycle;
             }
             assert!(

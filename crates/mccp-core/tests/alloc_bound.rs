@@ -51,7 +51,8 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 use mccp_core::backend::ChannelBackend;
 use mccp_core::format::Direction;
 use mccp_core::functional::FunctionalBackend;
-use mccp_core::protocol::Algorithm;
+use mccp_core::protocol::{Algorithm, MccpError};
+use mccp_core::{Mccp, MccpConfig};
 use mccp_gf128::{Gf128, GhashPowers};
 
 #[test]
@@ -131,4 +132,52 @@ fn rebind_allocs_are_bounded() {
             "{alg:?}: {allocs} allocations over {REBINDS} rebinds (expected <= {bound} each)"
         );
     }
+}
+
+/// A cycle engine with every core holding a GCM packet, and a CCM channel
+/// whose submissions it must refuse.
+fn saturated_engine() -> (Mccp, mccp_core::ChannelId) {
+    let mut m = Mccp::new(MccpConfig::default());
+    let gcm = m
+        .open_channel(Algorithm::AesGcm128, &[0x41u8; 16], 16)
+        .unwrap();
+    for i in 0..4u8 {
+        m.submit_packet(gcm, Direction::Encrypt, &[i; 12], b"", &[0u8; 512], None)
+            .unwrap();
+    }
+    let ccm = m
+        .open_channel(Algorithm::AesCcm128, &[0x42u8; 16], 8)
+        .unwrap();
+    (m, ccm)
+}
+
+/// The Task Scheduler refuses a packet before it touches the packet's
+/// data: a refused submission formats nothing and allocates nothing.
+#[test]
+fn refused_submission_allocates_nothing() {
+    let (mut m, ccm) = saturated_engine();
+    let body = [0xC3u8; 1024];
+    let before = alloc_calls();
+    for _ in 0..100 {
+        let refused = m.submit_packet(ccm, Direction::Encrypt, &[7u8; 13], b"hdr", &body, None);
+        assert_eq!(refused, Err(MccpError::NoResource));
+    }
+    assert_eq!(alloc_calls() - before, 0, "a refused submission allocated");
+}
+
+/// A malformed packet on a busy engine gets `NoResource` first (the
+/// engine never looked at it), and its typed error once a core frees.
+#[test]
+fn malformed_packet_is_refused_before_it_is_validated() {
+    let (mut m, ccm) = saturated_engine();
+    let bad_nonce = [7u8; 3]; // CCM nonces are 7..=13 bytes
+    let submit =
+        |m: &mut Mccp| m.submit_packet(ccm, Direction::Encrypt, &bad_nonce, b"", &[1u8; 64], None);
+    assert_eq!(submit(&mut m), Err(MccpError::NoResource));
+    while m.poll_completion().is_none() {
+        m.step(4096);
+    }
+    let typed = submit(&mut m).unwrap_err();
+    assert_ne!(typed, MccpError::NoResource);
+    assert!(!typed.is_retryable(), "{typed:?}");
 }

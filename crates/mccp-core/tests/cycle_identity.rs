@@ -5,11 +5,16 @@
 //! fast-forwarded, and the full observable transcript (submission cycles,
 //! completion latencies, output bytes, auth verdicts, final cycle, both
 //! telemetry exports) must match exactly.
+//!
+//! The second half checks `ChannelBackend::step`'s wait: a caller that
+//! resubmits after every `step(bound)` must see the same accept cycles,
+//! completions and policy decisions as one that advances a single
+//! scheduling quantum between resubmissions.
 
 use mccp_core::core_unit::Personality;
-use mccp_core::protocol::{Algorithm, ChannelId, KeyId, MccpError, RequestId};
-use mccp_core::reconfig::{Bitstream, BitstreamSource};
-use mccp_core::{Direction, Mccp, MccpConfig};
+use mccp_core::protocol::{Algorithm, ChannelId, CipherSel, KeyId, MccpError, RequestId};
+use mccp_core::reconfig::{Bitstream, BitstreamSource, PolicyConfig};
+use mccp_core::{ChannelBackend, Direction, Mccp, MccpConfig};
 use mccp_sim::resources::Resources;
 use std::collections::HashMap;
 
@@ -370,4 +375,294 @@ fn identity_two_cores_with_reconfig() {
         n_cores: 2,
         packets: 12,
     });
+}
+
+// ----------------------------------------------------------------------
+// Accept-cycle identity of `step`'s wait
+// ----------------------------------------------------------------------
+
+/// How a run advances the engine after a refusal, and while draining.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Cadence {
+    /// `ChannelBackend::step(bound)`: wait until a resubmission can land.
+    Step,
+    /// One scheduling quantum: a leap of `min(horizon, bound)`, or one tick.
+    Quantum,
+}
+
+fn wait(m: &mut Mccp, cadence: Cadence, bound: u64) -> u64 {
+    if cadence == Cadence::Step {
+        return m.step(bound);
+    }
+    let span = m.quiescent_horizon().min(bound);
+    if span == 0 {
+        m.tick();
+        1
+    } else {
+        m.skip(span);
+        span
+    }
+}
+
+/// One scripted channel: algorithm, key bytes, tag length, IV length,
+/// cipher, and a handshake to pay at open (0 = instant).
+struct Spec {
+    algorithm: Algorithm,
+    key: Vec<u8>,
+    tag_len: usize,
+    iv_len: usize,
+    cipher: CipherSel,
+    handshake: u64,
+}
+
+fn spec(algorithm: Algorithm, key_len: usize, tag_len: usize, iv_len: usize) -> Spec {
+    Spec {
+        algorithm,
+        key: vec![0x30 + key_len as u8; key_len],
+        tag_len,
+        iv_len,
+        cipher: CipherSel::Aes,
+        handshake: 0,
+    }
+}
+
+/// The `sim_paper` mix: WiMax GCM-128, WiFi CCM-128, UMTS CTR-128 and
+/// SecureVoice CCM-256, with each standard's payload range.
+fn paper_mix() -> Vec<(Spec, (usize, usize))> {
+    vec![
+        (spec(Algorithm::AesGcm128, 16, 16, 12), (256, 2000)),
+        (spec(Algorithm::AesCcm128, 16, 8, 13), (64, 1500)),
+        (spec(Algorithm::AesCtr128, 16, 16, 16), (40, 640)),
+        (spec(Algorithm::AesCcm256, 32, 16, 13), (20, 160)),
+    ]
+}
+
+/// One offered packet: channel index, IV, AAD, body.
+type Offer = (usize, Vec<u8>, Vec<u8>, Vec<u8>);
+
+/// `packets` offers cycling over `lens` (per-channel payload ranges).
+fn stream(seed: u64, specs: &[Spec], lens: &[(usize, usize)], packets: usize) -> Vec<Offer> {
+    let mut lcg = Lcg(seed);
+    (0..packets)
+        .map(|i| {
+            let ch = i % lens.len();
+            let (lo, hi) = lens[ch];
+            let len = lo + lcg.below((hi - lo + 1) as u32) as usize;
+            (
+                ch,
+                lcg.bytes(specs[ch].iv_len),
+                lcg.bytes(8),
+                lcg.bytes(len),
+            )
+        })
+        .collect()
+}
+
+/// What a driven run observed, and how it got there.
+struct Driven {
+    transcript: Vec<String>,
+    /// Wait calls and cycles they advanced while packets were still being
+    /// offered (the saturated phase).
+    offer_waits: (u64, u64),
+}
+
+/// Offers `offers` in order, resubmitting each refused packet
+/// (`NoResource`, `HandshakePending`) after every wait and polling
+/// completions after every wait, then drains.
+fn drive(
+    config: MccpConfig,
+    policy: bool,
+    specs: &[Spec],
+    offers: &[Offer],
+    cadence: Cadence,
+    bound: u64,
+) -> Driven {
+    let mut m = Mccp::new(config);
+    m.enable_telemetry(1 << 16);
+    if policy {
+        m.enable_reconfig_policy(PolicyConfig::default());
+    }
+    let channels: Vec<ChannelId> = specs
+        .iter()
+        .enumerate()
+        .map(|(i, s)| {
+            let kid = KeyId(i as u8 + 1);
+            m.key_memory_mut().store(kid, &s.key);
+            if s.handshake > 0 {
+                m.open_with_handshake(s.algorithm, kid, s.tag_len, s.handshake)
+            } else {
+                m.open_with_cipher(s.algorithm, kid, s.tag_len, s.cipher)
+            }
+            .expect("open")
+        })
+        .collect();
+    let mut log = Vec::new();
+    let poll = |m: &mut Mccp, log: &mut Vec<String>| {
+        while let Some(c) = m.poll_completion() {
+            log.push(format!(
+                "done {} at={} latency={} auth={} fault={:?} body={:02x?} tag={:02x?}",
+                c.request.0,
+                m.now(),
+                c.latency_cycles,
+                c.auth_ok,
+                c.fault,
+                c.body,
+                c.tag
+            ));
+        }
+    };
+    let mut offer_waits = (0, 0);
+    for (i, (ch, iv, aad, body)) in offers.iter().enumerate() {
+        loop {
+            match m.submit_packet(channels[*ch], Direction::Encrypt, iv, aad, body, None) {
+                Ok(id) => {
+                    log.push(format!("accept {i} as {} at={}", id.0, m.now()));
+                    break;
+                }
+                Err(MccpError::NoResource | MccpError::HandshakePending) => {
+                    offer_waits.0 += 1;
+                    offer_waits.1 += wait(&mut m, cadence, bound);
+                    poll(&mut m, &mut log);
+                }
+                Err(e) => panic!("packet {i}: {e}"),
+            }
+        }
+    }
+    while m.in_flight() > 0 {
+        wait(&mut m, cadence, bound);
+        poll(&mut m, &mut log);
+    }
+    log.push(format!("end at={}", m.now()));
+    if let Some(pe) = m.policy() {
+        log.push(format!(
+            "policy swaps={} offered={:?} served={:?}",
+            pe.swaps(),
+            pe.offered_total(),
+            pe.served_total()
+        ));
+    }
+    for e in m.telemetry().events() {
+        if matches!(
+            e.event,
+            mccp_telemetry::Event::ReconfigBegin { .. } | mccp_telemetry::Event::ReconfigEnd { .. }
+        ) {
+            log.push(format!("{} {:?}", e.cycle, e.event));
+        }
+    }
+    Driven {
+        transcript: log,
+        offer_waits,
+    }
+}
+
+/// Runs both cadences and asserts identical transcripts; returns the
+/// `step` run.
+fn assert_same_accepts(
+    config: MccpConfig,
+    policy: bool,
+    specs: &[Spec],
+    offers: &[Offer],
+    bound: u64,
+) -> Driven {
+    let stepped = drive(config.clone(), policy, specs, offers, Cadence::Step, bound);
+    let quantum = drive(config, policy, specs, offers, Cadence::Quantum, bound);
+    for (i, (a, b)) in stepped
+        .transcript
+        .iter()
+        .zip(quantum.transcript.iter())
+        .enumerate()
+    {
+        assert_eq!(a, b, "transcript line {i}");
+    }
+    assert_eq!(stepped.transcript.len(), quantum.transcript.len());
+    assert!(stepped.offer_waits.0 <= quantum.offer_waits.0);
+    stepped
+}
+
+#[test]
+fn step_keeps_accept_cycles_on_the_paper_mix() {
+    let (specs, lens): (Vec<_>, Vec<_>) = paper_mix().into_iter().unzip();
+    let offers = stream(7, &specs, &lens, 80);
+    assert_same_accepts(MccpConfig::default(), false, &specs, &offers, 4096);
+}
+
+#[test]
+fn step_keeps_accept_cycles_with_two_core_ccm() {
+    let (specs, lens): (Vec<_>, Vec<_>) = paper_mix().into_iter().unzip();
+    let offers = stream(11, &specs, &lens, 60);
+    let config = MccpConfig {
+        ccm_two_core: true,
+        ..MccpConfig::default()
+    };
+    assert_same_accepts(config, false, &specs, &offers, 4096);
+}
+
+/// A channel mid-handshake while every core is busy: the wait must end at
+/// the handshake horizon, where the resubmission turns from
+/// `HandshakePending` into a `NoResource` refusal (a policy demand sample).
+#[test]
+fn step_keeps_accept_cycles_across_a_handshake() {
+    let (mut specs, mut lens): (Vec<_>, Vec<_>) = paper_mix().into_iter().unzip();
+    specs.push(Spec {
+        handshake: 3_000,
+        ..spec(Algorithm::AesGcm128, 16, 16, 12)
+    });
+    lens.push((256, 2000));
+    // Four long GCM packets fill the cores, then the handshake channel's
+    // packet waits behind them.
+    let mut offers: Vec<Offer> = (0..4u8)
+        .map(|i| (0, vec![i; 12], Vec::new(), vec![i; 2000]))
+        .collect();
+    offers.push((4, vec![9; 12], b"hs".to_vec(), vec![9; 600]));
+    offers.extend(stream(13, &specs, &lens, 30));
+    let driven = assert_same_accepts(MccpConfig::default(), true, &specs, &offers, 4096);
+    assert!(driven
+        .transcript
+        .iter()
+        .any(|l| l.starts_with("accept 4 as 5 at=")));
+}
+
+/// Twofish traffic on an all-AES pool: the policy swaps a core live, and
+/// the swap count, swap cycles and demand samples (one per quantum a
+/// refused packet waits) must match the one-quantum cadence.
+#[test]
+fn step_keeps_policy_swaps_and_demand_samples() {
+    let mut tf = spec(Algorithm::AesGcm128, 16, 16, 12);
+    tf.cipher = CipherSel::Twofish;
+    tf.key = vec![0x7F; 16];
+    let specs = vec![spec(Algorithm::AesGcm128, 16, 16, 12), tf];
+    let lens = [(256, 2000), (256, 2000)];
+    let mut offers: Vec<Offer> = stream(17, &specs, &lens[..1], 12);
+    offers.extend(stream(19, &specs, &lens, 16));
+    let driven = assert_same_accepts(MccpConfig::default(), true, &specs, &offers, 200_000);
+    let swaps = driven
+        .transcript
+        .iter()
+        .find_map(|l| l.strip_prefix("policy swaps="))
+        .and_then(|l| l.split(' ').next())
+        .and_then(|n| n.parse::<u64>().ok())
+        .expect("policy line");
+    assert!(swaps >= 1, "the mix shift must swap a core");
+}
+
+/// On a saturated 4-core engine carrying the `sim_paper` mix, `step`
+/// waits out whole packet phases instead of single cycles.
+#[test]
+fn step_advances_at_least_fifty_cycles_per_call_when_saturated() {
+    let (specs, lens): (Vec<_>, Vec<_>) = paper_mix().into_iter().unzip();
+    let offers = stream(3, &specs, &lens, 160);
+    let driven = drive(
+        MccpConfig::default(),
+        false,
+        &specs,
+        &offers,
+        Cadence::Step,
+        4096,
+    );
+    let (calls, cycles) = driven.offer_waits;
+    assert!(calls > 0);
+    assert!(
+        cycles >= 50 * calls,
+        "{cycles} cycles over {calls} step calls"
+    );
 }

@@ -49,6 +49,23 @@ fn gcm_encrypt_matches_reference() {
     assert!(pkt.cycles > 0);
 }
 
+/// Closing a channel erases its session key everywhere: the next open
+/// reuses the freed key id, and must not hit a core's Key Cache entry left
+/// by the old key.
+#[test]
+fn reopened_key_id_seals_under_the_new_key() {
+    use mccp_core::{submit_and_wait, ChannelBackend};
+    let mut m = Mccp::new(MccpConfig::default());
+    let (iv, aad, payload) = ([9u8; 12], b"hdr", [0x5Au8; 64]);
+    for key in [[0x11u8; 16], [0x22u8; 16]] {
+        let ch = m.open_channel(Algorithm::AesGcm128, &key, 16).unwrap();
+        let c = submit_and_wait(&mut m, ch, Direction::Encrypt, &iv, aad, &payload, None).unwrap();
+        let reference = gcm_seal(&Aes::new_128(&key), &iv, aad, &payload, 16).unwrap();
+        assert_eq!([c.body, c.tag].concat(), reference, "key {:#04x}", key[0]);
+        m.close_channel(ch).unwrap();
+    }
+}
+
 #[test]
 fn gcm_decrypt_roundtrip_and_tamper() {
     let key = [0x24u8; 16];

@@ -464,11 +464,10 @@ impl CryptoUnit {
         use CuInstruction::*;
         match instr {
             Load { a } => {
-                let bytes = io
-                    .input
-                    .pop_bytes(16)
-                    .expect("readiness guaranteed 4 words");
-                self.bank[a as usize].copy_from_slice(&bytes);
+                for word in self.bank[a as usize].chunks_exact_mut(4) {
+                    let w = io.input.pop().expect("readiness guaranteed 4 words");
+                    word.copy_from_slice(&w.to_be_bytes());
+                }
             }
             Store { a } => {
                 let ok = io.output.push_bytes(&self.bank[a as usize]);

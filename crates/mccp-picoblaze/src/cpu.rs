@@ -10,6 +10,7 @@
 
 use crate::isa::{Cond, Instruction, Operand, ShiftOp};
 use crate::{IMEM_DEPTH, INTERRUPT_VECTOR};
+use std::sync::Arc;
 
 /// The environment a controller is wired into: 8-bit port reads/writes.
 pub trait PortIo {
@@ -36,10 +37,38 @@ pub const STACK_DEPTH: usize = 31;
 /// Scratchpad RAM size (KCPSM3: 64 bytes).
 pub const SCRATCHPAD: usize = 64;
 
+/// The contents of the 1024-word instruction memory, decoded once: `None`
+/// marks an illegal word (executing it faults the controller). Share one
+/// `Rom` per program image through an [`Arc`], so loading a program is a
+/// reference-count bump and executing an instruction is an array read —
+/// no copy of the image per load and no decode per executed instruction.
+#[derive(Debug)]
+pub struct Rom {
+    code: [Option<Instruction>; IMEM_DEPTH],
+}
+
+impl Rom {
+    /// Decodes an image of 18-bit words. The image is padded (with
+    /// illegal words) or truncated to the 1024-word instruction memory.
+    pub fn new(image: &[u32]) -> Self {
+        let mut code = [None; IMEM_DEPTH];
+        for (slot, &word) in code.iter_mut().zip(image) {
+            *slot = Instruction::decode(word);
+        }
+        Rom { code }
+    }
+
+    /// The instruction at `pc` (wrapped to the memory depth).
+    #[inline]
+    fn fetch(&self, pc: u16) -> Option<Instruction> {
+        self.code[pc as usize & (IMEM_DEPTH - 1)]
+    }
+}
+
 /// The controller state.
 #[derive(Clone)]
 pub struct PicoBlaze {
-    imem: Vec<u32>,
+    rom: Arc<Rom>,
     regs: [u8; 16],
     scratch: [u8; SCRATCHPAD],
     pc: u16,
@@ -72,10 +101,8 @@ impl PicoBlaze {
     /// Builds a controller around a program image (18-bit words). The image
     /// is padded/truncated to the 1024-word instruction memory.
     pub fn new(image: &[u32]) -> Self {
-        let mut imem = image.to_vec();
-        imem.resize(IMEM_DEPTH, 0x3F << 12); // fill with illegal words
         PicoBlaze {
-            imem,
+            rom: Arc::new(Rom::new(image)),
             regs: [0; 16],
             scratch: [0; SCRATCHPAD],
             pc: 0,
@@ -95,13 +122,11 @@ impl PicoBlaze {
         }
     }
 
-    /// Replaces the program image and resets the processor — the moral
+    /// Replaces the program and resets the processor — the moral
     /// equivalent of reloading the shared instruction BRAM when the Task
     /// Scheduler re-targets a core to a different cipher mode.
-    pub fn load_program(&mut self, image: &[u32]) {
-        let mut imem = image.to_vec();
-        imem.resize(IMEM_DEPTH, 0x3F << 12);
-        self.imem = imem;
+    pub fn load_program(&mut self, rom: &Arc<Rom>) {
+        self.rom = Arc::clone(rom);
         self.reset();
     }
 
@@ -260,8 +285,7 @@ impl PicoBlaze {
         }
         // Execute cycle.
         self.phase = 0;
-        let word = self.imem[self.pc as usize & (IMEM_DEPTH - 1)];
-        let Some(ins) = Instruction::decode(word) else {
+        let Some(ins) = self.rom.fetch(self.pc) else {
             self.fault = true;
             return;
         };
@@ -432,8 +456,7 @@ impl PicoBlaze {
         if self.sleeping {
             return if wake_incoming { 0 } else { u64::MAX };
         }
-        let word = self.imem[self.pc as usize & (IMEM_DEPTH - 1)];
-        if let Some(Instruction::Jump(Cond::Always, addr)) = Instruction::decode(word) {
+        if let Some(Instruction::Jump(Cond::Always, addr)) = self.rom.fetch(self.pc) {
             if addr & 0x3FF == self.pc & 0x3FF && !(self.ie && self.irq) {
                 return u64::MAX;
             }

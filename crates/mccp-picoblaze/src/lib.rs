@@ -46,7 +46,7 @@ pub mod isa;
 pub mod profile;
 
 pub use asm::{assemble, AsmError, Program};
-pub use cpu::{PicoBlaze, PortIo};
+pub use cpu::{PicoBlaze, PortIo, Rom};
 pub use isa::Instruction;
 
 /// Clock cycles per instruction (paper §IV.B: "Each instruction takes two

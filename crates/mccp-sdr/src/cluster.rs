@@ -978,6 +978,11 @@ struct Try {
     ready_at: u64,
 }
 
+/// The earliest release cycle among queued attempts (`u64::MAX` if none).
+fn earliest(pending: &VecDeque<Try>) -> u64 {
+    pending.iter().map(|t| t.ready_at).min().unwrap_or(u64::MAX)
+}
+
 /// One shard's serving loop: submit arrived jobs in queue order (IVs
 /// pre-assigned) until the engine reports `NoResource`, advance the clock
 /// — leaping quiescent spans up to the next arrival, an external event the
@@ -1001,6 +1006,10 @@ fn run_shard<B: ChannelBackend>(
             ready_at: workload.packets[queue[q].pkt_idx].arrival_cycle,
         })
         .collect();
+    // The earliest `ready_at` in `pending`, refreshed whenever it changes:
+    // while it lies ahead, no attempt is ready and the next release bounds
+    // the clock advance, so an idle shard skips both scans of `pending`.
+    let mut next_ready = earliest(&pending);
     // (request, queue slot, failed attempts so far, shard-local submit cycle)
     let mut in_flight: Vec<(mccp_core::RequestId, usize, u32, u64)> = Vec::new();
     let mut records = Vec::with_capacity(queue.len());
@@ -1074,6 +1083,9 @@ fn run_shard<B: ChannelBackend>(
 
         loop {
             let now = backend.now() - start;
+            if next_ready > now {
+                break;
+            }
             let Some(pos) = pending.iter().position(|t| t.ready_at <= now) else {
                 break;
             };
@@ -1095,6 +1107,7 @@ fn run_shard<B: ChannelBackend>(
                     );
                     in_flight.push((id, t.q, t.attempt, now));
                     pending.remove(pos);
+                    next_ready = earliest(&pending);
                 }
                 Err(MccpError::NoResource) => break,
                 // Dispatch-time faults (e.g. a corrupted key cache, wiped
@@ -1137,6 +1150,7 @@ fn run_shard<B: ChannelBackend>(
                         pending[pos].attempt = failed;
                         pending[pos].ready_at = now + backoff_cycles(failed);
                     }
+                    next_ready = earliest(&pending);
                 }
                 Err(e) => panic!("packet {} rejected: {e}", job.pkt_idx),
             }
@@ -1147,13 +1161,19 @@ fn run_shard<B: ChannelBackend>(
         // every core fenced and nothing in flight would fast-forward
         // straight past its own recovery point).
         let now = backend.now() - start;
-        let wait_bound = pending
-            .iter()
-            .map(|t| t.ready_at)
-            .filter(|&a| a > now)
-            .map(|a| a - now)
-            .min()
-            .unwrap_or(u64::MAX);
+        let wait_bound = if next_ready > now {
+            // Nothing ready (or nothing pending: `u64::MAX`, which no
+            // clock value approaches).
+            next_ready - now
+        } else {
+            pending
+                .iter()
+                .map(|t| t.ready_at)
+                .filter(|&a| a > now)
+                .map(|a| a - now)
+                .min()
+                .unwrap_or(u64::MAX)
+        };
         let now_abs = backend.now();
         let reset_bound = backend
             .health()
@@ -1223,6 +1243,7 @@ fn run_shard<B: ChannelBackend>(
                         attempt: failed,
                         ready_at: now + backoff_cycles(failed),
                     });
+                    next_ready = earliest(&pending);
                 } else {
                     // The engine's RequestFailed already closed the span's
                     // failure milestone; stamp the cluster-level terminal.

@@ -206,6 +206,15 @@ struct InFlight {
     user_tag: u64,
 }
 
+/// Engine cycles a packet refused with `NoResource` may wait for a core —
+/// counted as the cycles `step` advanced — before its shard abandons it.
+/// A healthy engine frees a core within one packet time (under 20 000
+/// cycles for 2 KiB); the longest legitimate wait is a partial
+/// reconfiguration landing, at most Table IV's slowest load (Whirlpool
+/// from CompactFlash, 416 ms ≈ 79M cycles at 190 MHz). 200M cycles
+/// (≈ 1.05 s modeled) clears that with a queue of packets behind it.
+const BACKPRESSURE_BUDGET_CYCLES: u64 = 200_000_000;
+
 /// Engine handles are `u8`: this many can be bound at once.
 const ENGINE_HANDLES: usize = 256;
 /// Every bound handle's channel is live: closing unbinds it.
@@ -452,12 +461,14 @@ impl<B: ChannelBackend> ServiceShard<B> {
                 }
             };
             // The engine applies its own backpressure (every core busy):
-            // step/collect until the submission lands. Progress is
-            // guaranteed while the engine drains; the guard turns a wedged
-            // engine into an abandoned packet instead of a hung service.
+            // wait in `step` (it returns once a resubmission can land),
+            // collect, resubmit. Progress is guaranteed while the engine
+            // drains; the cycle budget turns a wedged engine into an
+            // abandoned packet instead of a hung service.
             let mut accepted = false;
             let mut requeued = false;
-            for _ in 0..100_000 {
+            let mut waited = 0u64;
+            while waited <= BACKPRESSURE_BUDGET_CYCLES {
                 match self.backend.submit_packet(
                     handle,
                     Direction::Encrypt,
@@ -487,7 +498,10 @@ impl<B: ChannelBackend> ServiceShard<B> {
                         break;
                     }
                     Err(MccpError::NoResource) => {
-                        self.backend.step(cfg.step_bound);
+                        // At least one cycle per wait, so an engine that
+                        // breaks `step`'s progress contract still runs out
+                        // the budget.
+                        waited += self.backend.step(cfg.step_bound).max(1);
                         self.collect(counters, slo, out);
                     }
                     Err(MccpError::HandshakePending) => {
@@ -1201,5 +1215,56 @@ mod tests {
             snap.counter("mccp_service_admitted_total{class=\"standard\"}"),
             1
         );
+    }
+
+    #[test]
+    fn backpressure_budget_abandons_a_packet_on_a_stalled_engine() {
+        use mccp_core::reconfig::{BitstreamSource, WHIRLPOOL_BITSTREAM};
+        use mccp_core::{FaultKind, FaultPlan, FaultTrigger};
+        // The budget clears the longest legitimate wait for a core.
+        let slowest_swap = WHIRLPOOL_BITSTREAM.load_time_cycles(BitstreamSource::CompactFlash);
+        assert!(BACKPRESSURE_BUDGET_CYCLES > slowest_swap);
+        // Once four packets hold all four cores, every core stalls for
+        // good: the fifth packet waits in `step` until the budget runs out.
+        let plan = (0..4).fold(FaultPlan::new(), |plan, core| {
+            plan.with(
+                FaultTrigger::AtPacket(4),
+                FaultKind::StallCore {
+                    core,
+                    cycles: u64::MAX,
+                },
+            )
+        });
+        let mut svc = MccpService::new(
+            ServiceConfig {
+                shards: 1,
+                ..ServiceConfig::default()
+            },
+            |_| {
+                let mut m = Mccp::new(MccpConfig::default());
+                m.arm_faults(&plan);
+                m
+            },
+        );
+        let id = svc.open(Standard::Wimax, &[3u8; 16]).unwrap();
+        for tag in 0..5 {
+            svc.submit(id, b"", &[0u8; 256], tag).unwrap();
+        }
+        assert!(svc.pump().is_empty(), "stalled cores deliver nothing");
+        assert_eq!(svc.counters().abandoned, 1);
+        let shard = &svc.shards[0];
+        let live = shard.slab.get(id).unwrap();
+        assert_eq!(live.queued, 0, "the abandoned packet released its pin");
+        assert_eq!(live.in_flight, 4);
+        // The wait is bounded in engine cycles: the budget, plus at most
+        // one step of overshoot and the pump's closing step.
+        let now = shard.backend.now();
+        let step = ServiceConfig::default().step_bound;
+        assert!(now > BACKPRESSURE_BUDGET_CYCLES, "waited {now} cycles");
+        assert!(
+            now <= BACKPRESSURE_BUDGET_CYCLES + 2 * step,
+            "waited {now} cycles"
+        );
+        assert!(shard.queue.is_empty());
     }
 }

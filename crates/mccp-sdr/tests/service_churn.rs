@@ -250,3 +250,49 @@ fn recycle_one_slot<B: ChannelBackend>(mut svc: MccpService<B>) {
     }
     assert_eq!(svc.occupancy(), 0);
 }
+
+/// Warm-set eviction recycles engine handles and key slots: with one warm
+/// binding and two channels submitting in turn, every packet rebinds its
+/// channel onto the handle (and key slot) the other one just released.
+/// Each delivery must still be sealed under its own channel's key.
+fn rebinds_seal_under_their_own_key<B: ChannelBackend>(mut svc: MccpService<B>) {
+    use mccp_aes::modes::gcm_seal;
+    use mccp_aes::Aes;
+    let keys = [[0x11u8; 16], [0x22u8; 16]];
+    let ids: Vec<_> = keys
+        .iter()
+        .map(|k| svc.open(Standard::Wimax, k).unwrap())
+        .collect();
+    let (aad, body) = (b"wimax-header", [0xA5u8; 300]);
+    for round in 0..8u64 {
+        let ch = round as usize % 2;
+        svc.submit(ids[ch], aad, &body, round).unwrap();
+        // Idle cores end every `step` after one tick or leap, so the cycle
+        // engine needs about one pump per simulated cycle of the packet.
+        let out = svc.quiesce(1 << 20);
+        assert_eq!(out.len(), 1);
+        for d in out {
+            assert_eq!(d.channel, ids[ch]);
+            let reference = gcm_seal(&Aes::new_128(&keys[ch]), &d.iv, aad, &body, 16).unwrap();
+            assert_eq!(
+                [d.body, d.tag].concat(),
+                reference,
+                "round {round}: channel {ch} sealed under another key"
+            );
+        }
+    }
+    assert!(svc.counters().binding_evictions >= 7);
+}
+
+#[test]
+fn rebinds_seal_under_their_own_key_on_both_engines() {
+    let config = ServiceConfig {
+        shards: 1,
+        warm_set_capacity: 1,
+        ..ServiceConfig::default()
+    };
+    rebinds_seal_under_their_own_key(MccpService::new(config.clone(), |_| {
+        Mccp::new(MccpConfig::default())
+    }));
+    rebinds_seal_under_their_own_key(MccpService::new(config, |_| FunctionalBackend::new()));
+}

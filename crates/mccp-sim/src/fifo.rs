@@ -165,6 +165,11 @@ impl HwFifo {
     pub fn high_water(&self) -> usize {
         self.high_water
     }
+
+    /// Restarts the high-water mark from the current occupancy.
+    pub fn reset_high_water(&mut self) {
+        self.high_water = self.words.len();
+    }
 }
 
 #[cfg(test)]

@@ -139,34 +139,57 @@ pub enum Event {
     },
 }
 
-impl Event {
-    /// Stable snake_case discriminant used by the JSON-lines exporter and
-    /// the per-kind event counters.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Event::RequestSubmitted { .. } => "request_submitted",
-            Event::RequestDispatched { .. } => "request_dispatched",
-            Event::CoreStarted { .. } => "core_started",
-            Event::RequestCompleted { .. } => "request_completed",
-            Event::RequestRetrieved { .. } => "request_retrieved",
-            Event::FifoPush { .. } => "fifo_push",
-            Event::FifoPop { .. } => "fifo_pop",
-            Event::FifoFull { .. } => "fifo_full",
-            Event::KeyCacheHit { .. } => "key_cache_hit",
-            Event::KeyCacheMiss { .. } => "key_cache_miss",
-            Event::CuOpStarted { .. } => "cu_op_started",
-            Event::CuOpFinished { .. } => "cu_op_finished",
-            Event::ReconfigBegin { .. } => "reconfig_begin",
-            Event::ReconfigEnd { .. } => "reconfig_end",
-            Event::AuthFailWipe { .. } => "auth_fail_wipe",
-            Event::FaultInjected { .. } => "fault_injected",
-            Event::FaultDetected { .. } => "fault_detected",
-            Event::CoreQuarantined { .. } => "core_quarantined",
-            Event::CoreReset { .. } => "core_reset",
-            Event::RequestFailed { .. } => "request_failed",
-        }
-    }
+/// Defines [`Event::kind`] and [`Event::kind_series`] from one table of
+/// variant → snake_case name, so the two can never drift apart.
+macro_rules! event_kinds {
+    ($($variant:ident => $name:literal,)*) => {
+        impl Event {
+            /// Stable snake_case discriminant used by the JSON-lines
+            /// exporter and the per-kind event counters.
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $(Event::$variant { .. } => $name,)*
+                }
+            }
 
+            /// The per-kind event counter's series name,
+            /// `mccp_events_total{kind="<kind>"}`: static, so counting an
+            /// event formats no string.
+            pub fn kind_series(&self) -> &'static str {
+                match self {
+                    $(Event::$variant { .. } => {
+                        concat!("mccp_events_total{kind=\"", $name, "\"}")
+                    })*
+                }
+            }
+        }
+    };
+}
+
+event_kinds! {
+    RequestSubmitted => "request_submitted",
+    RequestDispatched => "request_dispatched",
+    CoreStarted => "core_started",
+    RequestCompleted => "request_completed",
+    RequestRetrieved => "request_retrieved",
+    FifoPush => "fifo_push",
+    FifoPop => "fifo_pop",
+    FifoFull => "fifo_full",
+    KeyCacheHit => "key_cache_hit",
+    KeyCacheMiss => "key_cache_miss",
+    CuOpStarted => "cu_op_started",
+    CuOpFinished => "cu_op_finished",
+    ReconfigBegin => "reconfig_begin",
+    ReconfigEnd => "reconfig_end",
+    AuthFailWipe => "auth_fail_wipe",
+    FaultInjected => "fault_injected",
+    FaultDetected => "fault_detected",
+    CoreQuarantined => "core_quarantined",
+    CoreReset => "core_reset",
+    RequestFailed => "request_failed",
+}
+
+impl Event {
     /// Serializes the variant's fields (without the surrounding object or
     /// the cycle stamp) into `out` as JSON key/value pairs.
     fn write_json_fields(&self, out: &mut String) {

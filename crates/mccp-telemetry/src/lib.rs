@@ -153,10 +153,7 @@ impl Telemetry {
     /// meaningful even when the event log itself wraps.
     fn auto_metrics(&mut self, event: &Event) {
         self.registry.counter_add("mccp_events_total", 1);
-        self.registry.counter_add(
-            &format!("mccp_events_total{{kind=\"{}\"}}", event.kind()),
-            1,
-        );
+        self.registry.counter_add(event.kind_series(), 1);
         match event {
             Event::RequestSubmitted { channel, .. } => {
                 self.registry
@@ -222,9 +219,10 @@ impl Telemetry {
         }
     }
 
-    /// Tracks per-core FIFO occupancy high-water marks. Called from the
-    /// simulator's tick loop every cycle, so it is allocation- and
-    /// hash-free: a vector index and two max ops. The marks become
+    /// Raises per-core FIFO occupancy high-water marks. The simulator
+    /// reports each FIFO's own high-water mark when it publishes a
+    /// snapshot (the FIFOs track it where their level changes, so the
+    /// tick loop pays nothing); the marks become
     /// `mccp_fifo_highwater_words` gauges when [`snapshot`] runs.
     ///
     /// [`snapshot`]: Telemetry::snapshot

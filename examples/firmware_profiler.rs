@@ -15,7 +15,7 @@ use mccp::picoblaze::isa::Instruction;
 
 fn main() {
     // Build one core and a formatted 2 KB GCM packet for it.
-    let lib = FirmwareLibrary::new();
+    let lib = FirmwareLibrary::shared();
     // Deep FIFO so the whole formatted stream (J0 + AAD + 128 blocks + LEN
     // + margin) is resident up front; the MCCP proper streams it instead.
     let mut core = CryptoCore::new(0, 1024);
@@ -36,7 +36,7 @@ fn main() {
     .expect("formats");
     let job = &fmt.jobs[0];
     assert!(core.input.push_bytes(&job.stream));
-    core.start(job.firmware, lib.image(job.firmware), job.params);
+    core.start(job.firmware, job.params);
 
     // Run to completion, sampling the controller every cycle.
     let mut counts = vec![0u64; 1024];

@@ -104,10 +104,14 @@ stage_kernel_equivalence() {
 # below 80% of its floor_* in BENCH_functional_kernels.json, then gates
 # the ratios between kernel arms on this host (batched 512 B GCM >= 4x
 # the scalar path; with PCLMULQDQ, batched GHASH >= 8x the serial Shoup
-# arm) without rewriting the JSON.
+# arm) without rewriting the JSON. bench_snapshot --check replays the
+# simulator-speed soak per-tick and fast-forwarded, asserts identical
+# records, completion cycles and bytes, and checks both makespans against
+# BENCH_sim_speed.json without rewriting it.
 stage_perf_smoke() {
   cargo run --release -p mccp-bench --bin bench_cluster -- --quick
   cargo run --release -p mccp-bench --bin bench_kernels -- --quick
+  cargo run --release -p mccp-bench --bin bench_snapshot -- --check
 }
 
 # bench_reconfig --quick drives a standards-mix shift through the demand

@@ -1,100 +1,73 @@
-//! Criterion wall-clock benchmarks of the cryptographic substrates: the
-//! block ciphers, GHASH, and the full reference modes on 2 KB packets.
+//! Wall-clock benchmarks of the cryptographic substrates: the block
+//! ciphers, GHASH, and the full reference modes on 2 KB packets. Each line
+//! is a harness median ([`mccp_bench::Sampler::RECORD`]) with its min and
+//! p90.
+//!
+//! ```sh
+//! cargo bench -p mccp-bench --bench primitives
+//! ```
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use mccp_aes::key_schedule::RoundKeys;
 use mccp_aes::modes::{ccm_seal, gcm_seal, CcmParams};
 use mccp_aes::twofish::Twofish;
 use mccp_aes::whirlpool::whirlpool;
 use mccp_aes::{Aes, BlockCipher128};
+use mccp_bench::{Args, Sampler};
 use mccp_gf128::digit_serial::DigitSerialMultiplier;
 use mccp_gf128::{ghash, Gf128, GhashKey};
+use std::hint::black_box;
 
-fn bench_block_ciphers(c: &mut Criterion) {
-    let mut g = c.benchmark_group("block-ciphers");
-    g.throughput(Throughput::Bytes(16));
+fn main() {
+    Args::parse(&["--bench"]);
+    let s = Sampler::RECORD;
+
     let aes128 = Aes::new_128(&[7u8; 16]);
     let aes256 = Aes::new_256(&[7u8; 32]);
     let twofish = Twofish::new(&[7u8; 16]);
-    g.bench_function("aes128-encrypt-block", |b| {
-        let mut block = [0u8; 16];
-        b.iter(|| aes128.encrypt_block(&mut block));
+    let mut block = [0u8; 16];
+    s.bench("block-ciphers/aes128-encrypt-block", 16, || {
+        aes128.encrypt_block(black_box(&mut block))
     });
-    g.bench_function("aes256-encrypt-block", |b| {
-        let mut block = [0u8; 16];
-        b.iter(|| aes256.encrypt_block(&mut block));
+    s.bench("block-ciphers/aes256-encrypt-block", 16, || {
+        aes256.encrypt_block(black_box(&mut block))
     });
-    g.bench_function("twofish128-encrypt-block", |b| {
-        let mut block = [0u8; 16];
-        b.iter(|| twofish.encrypt_block(&mut block));
+    s.bench("block-ciphers/twofish128-encrypt-block", 16, || {
+        twofish.encrypt_block(black_box(&mut block))
     });
-    g.finish();
-}
 
-fn bench_ghash(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ghash");
     let h = Gf128(0x66e9_4bd4_ef8a_2c3b_884c_fa59_ca34_2b2e);
     let key = GhashKey::new(h);
     let digit = DigitSerialMultiplier::new(h);
     let data = vec![0xA5u8; 2048];
-    g.throughput(Throughput::Bytes(2048));
-    g.bench_function("ghash-2kb-table", |b| {
-        b.iter(|| ghash(&key, &[], &data));
+    let x = Gf128(0x1234_5678_9abc_def0_0fed_cba9_8765_4321);
+    s.bench("ghash/ghash-2kb-table", 2048, || {
+        ghash(&key, &[], black_box(&data))
     });
-    g.throughput(Throughput::Bytes(16));
-    g.bench_function("gf128-mul-table", |b| {
-        b.iter(|| key.mul_h(Gf128(0x1234_5678_9abc_def0_0fed_cba9_8765_4321)));
+    s.bench("ghash/gf128-mul-table", 16, || key.mul_h(black_box(x)));
+    s.bench("ghash/gf128-mul-digit-serial-model", 16, || {
+        digit.mul(black_box(x))
     });
-    g.bench_function("gf128-mul-digit-serial-model", |b| {
-        b.iter(|| digit.mul(Gf128(0x1234_5678_9abc_def0_0fed_cba9_8765_4321)));
-    });
-    g.finish();
-}
 
-fn bench_modes_2kb(c: &mut Criterion) {
-    let mut g = c.benchmark_group("modes-2kb");
-    g.throughput(Throughput::Bytes(2048));
     let aes = Aes::new_128(&[3u8; 16]);
     let payload = vec![0xC3u8; 2048];
-    g.bench_function("gcm-seal", |b| {
-        b.iter(|| gcm_seal(&aes, &[1u8; 12], b"hdr", &payload, 16).unwrap());
+    let params = CcmParams {
+        nonce_len: 12,
+        tag_len: 8,
+    };
+    s.bench("modes-2kb/gcm-seal", 2048, || {
+        gcm_seal(&aes, &[1u8; 12], b"hdr", black_box(&payload), 16).unwrap()
     });
-    g.bench_function("ccm-seal", |b| {
-        let params = CcmParams {
-            nonce_len: 12,
-            tag_len: 8,
-        };
-        b.iter(|| ccm_seal(&aes, &params, &[1u8; 12], b"hdr", &payload).unwrap());
+    s.bench("modes-2kb/ccm-seal", 2048, || {
+        ccm_seal(&aes, &params, &[1u8; 12], b"hdr", black_box(&payload)).unwrap()
     });
-    g.bench_function("whirlpool", |b| {
-        b.iter(|| whirlpool(&payload));
+    s.bench("modes-2kb/whirlpool", 2048, || {
+        whirlpool(black_box(&payload))
     });
-    g.finish();
-}
 
-fn bench_key_schedule(c: &mut Criterion) {
-    let mut g = c.benchmark_group("key-schedule");
-    g.bench_function("aes128-expand", |b| {
-        b.iter_batched(
-            || [7u8; 16],
-            |k| mccp_aes::key_schedule::RoundKeys::expand(&k),
-            BatchSize::SmallInput,
-        );
+    s.bench("key-schedule/aes128-expand", 0, || {
+        RoundKeys::expand(black_box(&[7u8; 16]))
     });
-    g.bench_function("aes256-expand", |b| {
-        b.iter_batched(
-            || [7u8; 32],
-            |k| mccp_aes::key_schedule::RoundKeys::expand(&k),
-            BatchSize::SmallInput,
-        );
+    s.bench("key-schedule/aes256-expand", 0, || {
+        RoundKeys::expand(black_box(&[7u8; 32]))
     });
-    g.finish();
 }
-
-criterion_group!(
-    benches,
-    bench_block_ciphers,
-    bench_ghash,
-    bench_modes_2kb,
-    bench_key_schedule
-);
-criterion_main!(benches);

@@ -1,46 +1,32 @@
-//! Criterion benchmark of the cycle-accurate simulator itself: wall-clock
-//! cost of simulating one 2 KB packet (≈7k modeled cycles across four
-//! cores, a PicoBlaze and a Cryptographic Unit each) — the "how slow is
-//! the simulation" number a user sizing experiments needs.
+//! Wall-clock cost of the cycle-accurate simulator itself: simulating one
+//! 2 KB packet (≈7k modeled cycles across four cores, a PicoBlaze and a
+//! Cryptographic Unit each) — the "how slow is the simulation" number a
+//! user sizing experiments needs.
+//!
+//! ```sh
+//! cargo bench -p mccp-bench --bench simulator
+//! ```
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use mccp_bench::{Args, Sampler};
 use mccp_core::protocol::{Algorithm, KeyId};
 use mccp_core::{Mccp, MccpConfig};
 
-fn bench_simulated_packet(c: &mut Criterion) {
-    let mut g = c.benchmark_group("cycle-accurate-sim");
-    g.sample_size(10);
-    g.throughput(Throughput::Bytes(2048));
-    g.bench_function("gcm128-2kb-packet", |b| {
+fn main() {
+    Args::parse(&["--bench"]);
+    for (name, algorithm, tag_len) in [
+        ("gcm128-2kb-packet", Algorithm::AesGcm128, 16),
+        ("ccm128-2kb-packet", Algorithm::AesCcm128, 8),
+    ] {
         let mut m = Mccp::new(MccpConfig::default());
         m.key_memory_mut().store(KeyId(1), &[7u8; 16]);
-        let ch = m.open(Algorithm::AesGcm128, KeyId(1)).unwrap();
+        let ch = m.open_with_tag_len(algorithm, KeyId(1), tag_len).unwrap();
         let payload = vec![0u8; 2048];
         let mut ctr = 0u64;
-        b.iter(|| {
+        Sampler::RECORD.bench(&format!("cycle-accurate-sim/{name}"), 2048, || {
             ctr += 1;
             let mut iv = [0u8; 12];
             iv[4..].copy_from_slice(&ctr.to_be_bytes());
             m.encrypt_packet(ch, &[], &payload, &iv).unwrap()
         });
-    });
-    g.bench_function("ccm128-2kb-packet", |b| {
-        let mut m = Mccp::new(MccpConfig::default());
-        m.key_memory_mut().store(KeyId(1), &[7u8; 16]);
-        let ch = m
-            .open_with_tag_len(Algorithm::AesCcm128, KeyId(1), 8)
-            .unwrap();
-        let payload = vec![0u8; 2048];
-        let mut ctr = 0u64;
-        b.iter(|| {
-            ctr += 1;
-            let mut iv = [0u8; 12];
-            iv[4..].copy_from_slice(&ctr.to_be_bytes());
-            m.encrypt_packet(ch, &[], &payload, &iv).unwrap()
-        });
-    });
-    g.finish();
+    }
 }
-
-criterion_group!(benches, bench_simulated_packet);
-criterion_main!(benches);

@@ -39,6 +39,7 @@ fn measure(cipher: CipherSel) -> f64 {
 }
 
 fn main() {
+    mccp_bench::Args::parse(&[]);
     println!("Ablation: cipher swap in the reconfigurable CU region (GCM, 2 KB)\n");
     let aes = measure(CipherSel::Aes);
     let tf = measure(CipherSel::Twofish);

@@ -29,6 +29,7 @@ fn measure(fifo_depth: usize) -> f64 {
 }
 
 fn main() {
+    mccp_bench::Args::parse(&[]);
     println!("Ablation: FIFO depth vs 2 KB GCM-128 packet throughput\n");
     println!(
         "{:>12} {:>12} {:>14}",

@@ -36,6 +36,7 @@ fn run(channels: usize, packets: usize) -> (u64, u64) {
 }
 
 fn main() {
+    mccp_bench::Args::parse(&[]);
     println!("Ablation: per-core Key Cache under channel interleaving");
     println!("(single core, 16 x 256-byte GCM-128 packets)\n");
     println!(

@@ -49,6 +49,7 @@ fn measure(pipelined: bool, n: usize) -> f64 {
 }
 
 fn main() {
+    mccp_bench::Args::parse(&[]);
     let pipelined = measure(true, 200);
     let fresh = measure(false, 200);
     println!("Ablation: completion-edge acceptance (the HALT->NOP-pair trick)\n");

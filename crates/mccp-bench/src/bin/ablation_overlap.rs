@@ -84,6 +84,7 @@ impl Rig {
 }
 
 fn main() {
+    mccp_bench::Args::parse(&[]);
     // The Listing-1 GCM body (7 CU instructions per block).
     let body = [
         CuInstruction::Faes { a: 1 },

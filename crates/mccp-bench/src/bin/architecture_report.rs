@@ -5,6 +5,7 @@
 use mccp_sim::resources::{ResourceReport, Virtex4Sx35};
 
 fn main() {
+    mccp_bench::Args::parse(&[]);
     println!("MCCP architecture report (Figs. 1-3 as an inventory)\n");
 
     println!("Fig. 1 — top level:");

@@ -15,47 +15,34 @@
 //!   (`host_parallelism` is recorded), wall-clock cannot scale with the
 //!   shard count; the modeled curve is the scaling claim.
 //!
+//! Each functional wall-clock number is the median of a harness sample
+//! ([`Sampler::RECORD`]) of whole `run` calls on one cluster; the first
+//! run's report is verified against the references.
+//!
 //! A payload-size sweep (64 B – 8 KiB, functional engine at 4 shards)
-//! rides along in full mode, and `--quick` turns the binary into the CI
-//! perf smoke: a reduced scaling run plus a re-measurement of the batched
-//! kernels against the regression floors checked in via
-//! `BENCH_functional_kernels.json` (fails on a >20% drop below a floor).
+//! and a skewed-load arm (modeled makespans with and without work
+//! stealing) ride along. `--quick` is the CI smoke: fewer packets, shard
+//! counts and payloads, [`Sampler::QUICK`], and no rewrite of the JSON.
 //!
 //! ```sh
 //! cargo run --release -p mccp-bench --bin bench_cluster [-- --quick]
 //! ```
 
-use mccp_core::MccpConfig;
-use mccp_sdr::cluster::{ClusterConfig, MccpCluster};
+use mccp_bench::{Args, BenchFile, Sampler};
+use mccp_core::{FunctionalBackend, MccpConfig};
+use mccp_sdr::cluster::{ClusterConfig, ClusterReport, MccpCluster};
 use mccp_sdr::qos::DispatchPolicy;
 use mccp_sdr::workload::{RadioPacket, Workload, WorkloadSpec};
 use mccp_sdr::{Standard, SERIAL_FALLBACK_BYTES};
-use std::time::Instant;
 
 const PACKETS: usize = 160;
 const PAYLOAD_LEN: usize = 512;
 const SEED: u64 = 0xC1A5;
 const KEY_SEED: u64 = 9;
 
-struct Point {
-    shards: usize,
-    modeled_makespan_cycles: u64,
-    modeled_aggregate_mbps: f64,
-    functional_wall_seconds: f64,
-    functional_wall_mbps: f64,
-    functional_effective_parallelism: f64,
-    stolen_packets: usize,
-}
-
-struct SweepPoint {
-    payload_bytes: usize,
-    wall_seconds: f64,
-    mbps: f64,
-    packets_per_sec: f64,
-}
-
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = Args::parse(&["--quick"]).flag("--quick");
+    let sampler = Sampler::new(quick);
     // Eight channels (each standard twice) so affinity dispatch has work
     // for every shard at the 8-shard point.
     let standards = vec![
@@ -86,7 +73,7 @@ fn main() {
     );
 
     let shard_counts: &[usize] = if quick { &[1, 4] } else { &[1, 2, 4, 8] };
-    let mut points = Vec::new();
+    let (mut rows, mut base_mbps, mut modeled_speedup_4) = (Vec::new(), 0.0, 0.0);
     for &shards in shard_counts {
         let cfg = ClusterConfig {
             shards,
@@ -104,42 +91,34 @@ fn main() {
             cycle.verify(&workload, &modeled).expect("cycle verify"),
             packets
         );
+        let (cycles, stolen) = (modeled.merged.cycles, modeled.stolen_packets);
+        let mbps = modeled.aggregate_throughput_mbps();
+        if shards == 1 {
+            base_mbps = mbps;
+        }
+        let speedup = mbps / base_mbps;
+        if shards == 4 {
+            modeled_speedup_4 = speedup;
+        }
 
         let mut functional = MccpCluster::functional(cfg, &standards, KEY_SEED);
-        let wall = functional.run(&workload, DispatchPolicy::Fifo);
-        assert_eq!(
-            functional
-                .verify(&workload, &wall)
-                .expect("functional verify"),
-            packets
-        );
-
-        let bits = modeled.merged.payload_bits as f64;
-        let point = Point {
-            shards,
-            modeled_makespan_cycles: modeled.merged.cycles,
-            modeled_aggregate_mbps: modeled.aggregate_throughput_mbps(),
-            functional_wall_seconds: wall.wall_seconds,
-            functional_wall_mbps: bits / wall.wall_seconds.max(1e-12) / 1e6,
-            functional_effective_parallelism: wall.wall.effective_parallelism(),
-            stolen_packets: modeled.stolen_packets,
-        };
+        let (wall_seconds, wall) = time_runs(sampler, &mut functional, &workload);
+        let wall_mbps = modeled.merged.payload_bits as f64 / wall_seconds / 1e6;
+        let parallelism = wall.wall.effective_parallelism();
         println!(
-            "  {shards} shard(s): modeled {} cyc makespan -> {:.0} Mbps aggregate; \
-             functional {:.4}s -> {:.0} Mbps (effective parallelism {:.2}); {} stolen",
-            point.modeled_makespan_cycles,
-            point.modeled_aggregate_mbps,
-            point.functional_wall_seconds,
-            point.functional_wall_mbps,
-            point.functional_effective_parallelism,
-            point.stolen_packets
+            "  {shards} shard(s): modeled {cycles} cyc makespan -> {mbps:.0} Mbps aggregate; \
+             functional {wall_seconds:.6}s -> {wall_mbps:.0} Mbps \
+             (effective parallelism {parallelism:.2}); {stolen} stolen"
         );
-        points.push(point);
+        rows.push(format!(
+            "    {{\"shards\": {shards}, \"modeled_makespan_cycles\": {cycles}, \
+             \"modeled_aggregate_mbps\": {mbps:.1}, \"modeled_speedup\": {speedup:.2}, \
+             \"functional_wall_seconds\": {wall_seconds:.6}, \
+             \"functional_wall_mbps\": {wall_mbps:.1}, \
+             \"functional_effective_parallelism\": {parallelism:.2}, \
+             \"stolen_packets\": {stolen}}}"
+        ));
     }
-
-    let base = &points[0];
-    let at = |n: usize| points.iter().find(|p| p.shards == n).unwrap();
-    let modeled_speedup_4 = at(4).modeled_aggregate_mbps / base.modeled_aggregate_mbps;
     assert!(
         modeled_speedup_4 >= 2.0,
         "4 shards must at least double aggregate modeled throughput, got {modeled_speedup_4:.2}x"
@@ -155,7 +134,7 @@ fn main() {
         &[64, 512, 1500, 8192]
     };
     let sweep_packets = if quick { 32 } else { 128 };
-    let mut sweep = Vec::new();
+    let mut sweep_rows = Vec::new();
     for &payload in sweep_payloads {
         let spec = WorkloadSpec {
             standards: standards.clone(),
@@ -172,23 +151,14 @@ fn main() {
             observe: false,
         };
         let mut cluster = MccpCluster::functional(cfg, &standards, KEY_SEED);
-        let run = cluster.run(&wl, DispatchPolicy::Fifo);
-        assert_eq!(
-            cluster.verify(&wl, &run).expect("sweep verify"),
-            sweep_packets
-        );
-        let wall = run.wall_seconds.max(1e-12);
-        let point = SweepPoint {
-            payload_bytes: payload,
-            wall_seconds: run.wall_seconds,
-            mbps: run.merged.payload_bits as f64 / wall / 1e6,
-            packets_per_sec: sweep_packets as f64 / wall,
-        };
-        println!(
-            "  sweep {payload} B: {:.0} Mbps ({:.0} pkt/s)",
-            point.mbps, point.packets_per_sec
-        );
-        sweep.push(point);
+        let (wall, run) = time_runs(sampler, &mut cluster, &wl);
+        let mbps = run.merged.payload_bits as f64 / wall / 1e6;
+        let packets_per_sec = sweep_packets as f64 / wall;
+        println!("  sweep {payload} B: {mbps:.0} Mbps ({packets_per_sec:.0} pkt/s)");
+        sweep_rows.push(format!(
+            "    {{\"payload_bytes\": {payload}, \"wall_seconds\": {wall:.6}, \
+             \"mbps\": {mbps:.1}, \"packets_per_sec\": {packets_per_sec:.0}}}"
+        ));
     }
 
     // Skewed-load arm: the affinity dispatcher's worst case. All traffic
@@ -216,51 +186,14 @@ fn main() {
         skew.stealing_speedup
     );
 
-    if quick {
-        perf_smoke_against_floors();
-        println!(
-            "bench_cluster --quick PASSED: scaling {modeled_speedup_4:.2}x at 4 shards, \
-             stealing {:.2}x on the skewed arm, kernel floors held (BENCH files not rewritten)",
-            skew.stealing_speedup
-        );
-        return;
-    }
-
-    let rows: Vec<String> = points
-        .iter()
-        .map(|p| {
-            format!(
-                "    {{\"shards\": {}, \"modeled_makespan_cycles\": {}, \
-                 \"modeled_aggregate_mbps\": {:.1}, \"modeled_speedup\": {:.2}, \
-                 \"functional_wall_seconds\": {:.6}, \"functional_wall_mbps\": {:.1}, \
-                 \"functional_effective_parallelism\": {:.2}, \"stolen_packets\": {}}}",
-                p.shards,
-                p.modeled_makespan_cycles,
-                p.modeled_aggregate_mbps,
-                p.modeled_aggregate_mbps / base.modeled_aggregate_mbps,
-                p.functional_wall_seconds,
-                p.functional_wall_mbps,
-                p.functional_effective_parallelism,
-                p.stolen_packets
-            )
-        })
-        .collect();
-    let sweep_rows: Vec<String> = sweep
-        .iter()
-        .map(|p| {
-            format!(
-                "    {{\"payload_bytes\": {}, \"wall_seconds\": {:.6}, \
-                 \"mbps\": {:.1}, \"packets_per_sec\": {:.0}}}",
-                p.payload_bytes, p.wall_seconds, p.mbps, p.packets_per_sec
-            )
-        })
-        .collect();
     let json = format!(
         "{{\n  \"benchmark\": \"cluster_scaling\",\n  \"workload\": {{\"channels\": {}, \
-         \"packets\": {PACKETS}, \"payload_bytes\": {PAYLOAD_LEN}, \"cores_per_shard\": 4}},\n  \
+         \"packets\": {packets}, \"payload_bytes\": {PAYLOAD_LEN}, \"cores_per_shard\": 4}},\n  \
          \"host_parallelism\": {host_parallelism},\n  \
+         \"samples\": {},\n  \
          \"serial_fallback_bytes\": {SERIAL_FALLBACK_BYTES},\n  \
          \"note\": \"modeled curve is host-independent serving capacity (makespan at 190 MHz); \
+         wall-clock fields are medians of `samples` harness samples of whole run calls; \
          functional wall-clock runs each shard count through the cluster's fan-out over \
          min(shards, host_parallelism) threads and is bounded by host_parallelism; batches \
          under serial_fallback_bytes of queued payload run on the caller thread\",\n  \"points\": [\n{}\n  ],\n  \
@@ -272,6 +205,7 @@ fn main() {
          \"stolen_packets\": {}, \"hot_shard_packets_no_steal\": {}, \
          \"max_shard_packets_stealing\": {}}}\n}}\n",
         standards.len(),
+        sampler.samples,
         rows.join(",\n"),
         sweep_packets,
         sweep_rows.join(",\n"),
@@ -283,9 +217,29 @@ fn main() {
         skew.hot_shard_packets_no_steal,
         skew.max_shard_packets_stealing
     );
-    std::fs::write("BENCH_cluster.json", &json).expect("write BENCH_cluster.json");
+    BenchFile("BENCH_cluster.json").record(&json, !quick);
     print!("{json}");
-    println!("modeled aggregate speedup at 4 shards: {modeled_speedup_4:.2}x (>= 2x required)");
+    println!(
+        "bench_cluster PASSED: modeled aggregate speedup at 4 shards {modeled_speedup_4:.2}x \
+         (>= 2x required), stealing {:.2}x on the skewed arm",
+        skew.stealing_speedup
+    );
+}
+
+/// Median seconds per `run` of `workload` on `cluster` and the first
+/// run's report, verified against the references.
+fn time_runs(
+    sampler: Sampler,
+    cluster: &mut MccpCluster<FunctionalBackend>,
+    workload: &Workload,
+) -> (f64, ClusterReport) {
+    let first = cluster.run(workload, DispatchPolicy::Fifo);
+    assert_eq!(
+        cluster.verify(workload, &first).expect("functional verify"),
+        workload.packets.len()
+    );
+    let stats = sampler.run(|| cluster.run(workload, DispatchPolicy::Fifo));
+    (stats.median, first)
 }
 
 struct SkewResult {
@@ -348,101 +302,5 @@ fn run_skewed_arm(standards: &[Standard], packets: usize) -> SkewResult {
         stolen_packets: r_eager.stolen_packets,
         hot_shard_packets_no_steal: r_lazy.shards[0].packets,
         max_shard_packets_stealing: r_eager.shards.iter().map(|s| s.packets).max().unwrap_or(0),
-    }
-}
-
-/// The CI perf smoke: re-measures the batched kernel arms briefly and
-/// fails if any lands more than 20% below its checked-in regression
-/// floor from `BENCH_functional_kernels.json`. Floors are deliberate
-/// underestimates (see `bench_kernels`), so tripping this means a real
-/// kernel regression, not host noise.
-fn perf_smoke_against_floors() {
-    use mccp_aes::modes::GcmContext;
-    use mccp_gf128::{ghash_batched, Gf128, GhashPowers};
-
-    let floors = std::fs::read_to_string("BENCH_functional_kernels.json")
-        .expect("BENCH_functional_kernels.json must be checked in for the perf smoke");
-    let floor = |key: &str| -> f64 {
-        let tail = floors
-            .split(&format!("\"{key}\":"))
-            .nth(1)
-            .unwrap_or_else(|| panic!("{key} missing from BENCH_functional_kernels.json"));
-        tail.trim_start()
-            .split([',', '\n', '}'])
-            .next()
-            .unwrap()
-            .trim()
-            .parse()
-            .unwrap_or_else(|e| panic!("{key}: unparseable floor: {e}"))
-    };
-
-    let measure = |mut f: Box<dyn FnMut()>| -> f64 {
-        let mut iters = 1u64;
-        loop {
-            let t0 = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            let dt = t0.elapsed().as_secs_f64();
-            if dt >= 0.08 || iters >= (1 << 30) {
-                return iters as f64 / dt.max(1e-12);
-            }
-            iters = iters.saturating_mul(((0.08 / dt.max(1e-9)) * 1.25).ceil().max(2.0) as u64);
-        }
-    };
-
-    let buf = vec![0x5Au8; 8192];
-    let powers = GhashPowers::new(Gf128::from_bytes(&[0xB8; 16]));
-    let ghash_gb_s = {
-        let powers = &powers;
-        let buf = &buf;
-        measure(Box::new(move || {
-            std::hint::black_box(ghash_batched(powers, &[], buf));
-        })) * 8192.0
-            / 1e9
-    };
-
-    let ctx = GcmContext::new(mccp_aes::Aes::new(&[0x42; 16]));
-    let payload = vec![0xC3u8; 512];
-    let mut ct = vec![0x99u8; 8192];
-    let ctr_gb_s = {
-        let aes = mccp_aes::Aes::new(&[0x42; 16]);
-        measure(Box::new(move || {
-            mccp_aes::modes::ctr_xcrypt(&aes, &[0xA5; 16], std::hint::black_box(&mut ct)).unwrap();
-        })) * 8192.0
-            / 1e9
-    };
-    let mut out = Vec::with_capacity(512 + 16);
-    let gcm_pps = {
-        let ctx = &ctx;
-        let payload = &payload;
-        measure(Box::new(move || {
-            ctx.seal_into(&[0x11; 12], &[0x22; 16], payload, 16, &mut out)
-                .unwrap();
-        }))
-    };
-
-    for (label, measured, floor) in [
-        (
-            "ghash_batched_gb_s",
-            ghash_gb_s,
-            floor("floor_ghash_batched_gb_s"),
-        ),
-        (
-            "ctr_batched_gb_s",
-            ctr_gb_s,
-            floor("floor_ctr_batched_gb_s"),
-        ),
-        (
-            "gcm512_batched_packets_per_sec",
-            gcm_pps,
-            floor("floor_gcm512_batched_packets_per_sec"),
-        ),
-    ] {
-        println!("  perf smoke {label}: measured {measured:.4}, floor {floor:.4}");
-        assert!(
-            measured >= 0.8 * floor,
-            "{label} regressed: measured {measured:.4} < 80% of checked-in floor {floor:.4}"
-        );
     }
 }

@@ -14,11 +14,13 @@
 //!   [`GcmContext`] reused across packets with `seal_into`, packets/s at
 //!   the 512 B reference payload.
 //!
-//! The `floor_*` fields are conservative regression floors (well under
-//! half of what this class of host measures); `bench_cluster --quick`
-//! re-measures the batched arms and fails if they drop below a floor. The
-//! ratio gates (GCM ≥ 4x, CLMUL GHASH ≥ 8x) compare two arms on the same
-//! host, so they hold across machines.
+//! Every number is a harness median ([`Sampler::RECORD`]; `--quick` takes
+//! [`Sampler::QUICK`]'s shorter samples and does not rewrite the JSON).
+//! The `FLOOR_*` constants below are regression floors for the batched
+//! arms, recorded in the JSON as `floor_*`; every run, `--quick` (the CI
+//! perf smoke) included, fails if a batched arm's median lands below its
+//! floor. The ratio gates (GCM ≥ 4x, CLMUL GHASH ≥ 8x) compare two arms on
+//! the same host, so they hold across machines.
 //!
 //! ```sh
 //! cargo run --release -p mccp-bench --bin bench_kernels [-- --quick]
@@ -26,9 +28,9 @@
 
 use mccp_aes::modes::{ctr_xcrypt, ctr_xcrypt_scalar, gcm_seal_scalar, GcmContext};
 use mccp_aes::Aes;
+use mccp_bench::{Args, BenchFile, Sampler, Stats};
 use mccp_gf128::{ghash, ghash_batched, Gf128, GhashKey, GhashPowers};
 use std::hint::black_box;
-use std::time::Instant;
 
 const KERNEL_BUF_BYTES: usize = 8192;
 const GCM_PAYLOAD_BYTES: usize = 512;
@@ -36,7 +38,7 @@ const GCM_AAD_BYTES: usize = 16;
 
 // Regression floors for the batched arms. Deliberately far below the
 // measured numbers (see BENCH_functional_kernels.json) so only a real
-// kernel regression — not host noise — trips the perf smoke check.
+// kernel regression — not host noise — trips them.
 const FLOOR_GHASH_BATCHED_GB_S: f64 = 0.04;
 const FLOOR_CTR_BATCHED_GB_S: f64 = 0.04;
 const FLOOR_GCM512_BATCHED_PACKETS_PER_SEC: f64 = 4000.0;
@@ -45,27 +47,10 @@ const FLOOR_GCM512_BATCHED_PACKETS_PER_SEC: f64 = 4000.0;
 /// runs on PCLMULQDQ (the table arm reads about 1.75x and is not gated).
 const MIN_CLMUL_GHASH_SPEEDUP: f64 = 8.0;
 
-/// Calls `f` repeatedly until at least `target_secs` of wall clock has
-/// been sampled and returns the measured calls per second.
-fn calls_per_sec(target_secs: f64, mut f: impl FnMut()) -> f64 {
-    let mut iters = 1u64;
-    loop {
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        let dt = t0.elapsed().as_secs_f64();
-        if dt >= target_secs || iters >= (1 << 30) {
-            return iters as f64 / dt.max(1e-12);
-        }
-        let scale = ((target_secs / dt.max(1e-9)) * 1.25).ceil().max(2.0) as u64;
-        iters = iters.saturating_mul(scale).min(1 << 30);
-    }
-}
-
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let target = if quick { 0.08 } else { 0.4 };
+    let quick = Args::parse(&["--quick"]).flag("--quick");
+    let sampler = Sampler::new(quick);
+    let gb_s = |s: Stats| s.rate(KERNEL_BUF_BYTES as f64) / 1e9;
     let host_parallelism = mccp_sdr::host_parallelism();
     println!(
         "bench_kernels{}: host parallelism {host_parallelism}",
@@ -87,14 +72,9 @@ fn main() {
         ghash_batched(&powers, &[], &buf),
         "batched GHASH must agree with the serial arm"
     );
-    let ghash_scalar_gb_s = calls_per_sec(target, || {
-        black_box(ghash(black_box(&key), &[], black_box(&buf)));
-    }) * KERNEL_BUF_BYTES as f64
-        / 1e9;
-    let ghash_batched_gb_s = calls_per_sec(target, || {
-        black_box(ghash_batched(black_box(&powers), &[], black_box(&buf)));
-    }) * KERNEL_BUF_BYTES as f64
-        / 1e9;
+    let ghash_scalar_gb_s = gb_s(sampler.run(|| ghash(black_box(&key), &[], black_box(&buf))));
+    let ghash_batched_gb_s =
+        gb_s(sampler.run(|| ghash_batched(black_box(&powers), &[], black_box(&buf))));
     let ghash_speedup = ghash_batched_gb_s / ghash_scalar_gb_s;
     println!(
         "  GHASH {KERNEL_BUF_BYTES} B: scalar {ghash_scalar_gb_s:.3} GB/s, \
@@ -120,14 +100,10 @@ fn main() {
         "batched CTR must agree with scalar"
     );
     let mut work = buf.clone();
-    let ctr_scalar_gb_s = calls_per_sec(target, || {
-        ctr_xcrypt_scalar(&aes, &counter, black_box(&mut work)).unwrap();
-    }) * KERNEL_BUF_BYTES as f64
-        / 1e9;
-    let ctr_batched_gb_s = calls_per_sec(target, || {
-        ctr_xcrypt(&aes, &counter, black_box(&mut work)).unwrap();
-    }) * KERNEL_BUF_BYTES as f64
-        / 1e9;
+    let ctr_scalar_gb_s =
+        gb_s(sampler.run(|| ctr_xcrypt_scalar(&aes, &counter, black_box(&mut work)).unwrap()));
+    let ctr_batched_gb_s =
+        gb_s(sampler.run(|| ctr_xcrypt(&aes, &counter, black_box(&mut work)).unwrap()));
     println!(
         "  AES-CTR {KERNEL_BUF_BYTES} B: scalar {ctr_scalar_gb_s:.3} GB/s, \
          batched {ctr_batched_gb_s:.3} GB/s ({:.2}x)",
@@ -144,15 +120,17 @@ fn main() {
         ctx.seal(&iv, &aad, &payload, 16).unwrap(),
         "warm-context seal must be byte-identical to the pre-batching path"
     );
-    let gcm_scalar_pps = calls_per_sec(target, || {
-        black_box(gcm_seal_scalar(&aes, &iv, &aad, black_box(&payload), 16).unwrap());
-    });
+    let gcm_scalar_pps = sampler
+        .run(|| gcm_seal_scalar(&aes, &iv, &aad, black_box(&payload), 16).unwrap())
+        .rate(1.0);
     let mut out = Vec::with_capacity(GCM_PAYLOAD_BYTES + 16);
-    let gcm_batched_pps = calls_per_sec(target, || {
-        ctx.seal_into(&iv, &aad, black_box(&payload), 16, &mut out)
-            .unwrap();
-        black_box(&out);
-    });
+    let gcm_batched_pps = sampler
+        .run(|| {
+            ctx.seal_into(&iv, &aad, black_box(&payload), 16, &mut out)
+                .unwrap();
+            black_box(&out);
+        })
+        .rate(1.0);
     let gcm_speedup = gcm_batched_pps / gcm_scalar_pps;
     println!(
         "  GCM {GCM_PAYLOAD_BYTES} B packets: scalar {gcm_scalar_pps:.0}/s, \
@@ -185,6 +163,7 @@ fn main() {
     let json = format!(
         "{{\n  \"benchmark\": \"functional_kernels\",\n  \
          \"host_parallelism\": {host_parallelism},\n  \
+         \"samples\": {},\n  \
          \"kernel_buf_bytes\": {KERNEL_BUF_BYTES},\n  \
          \"ghash_arm\": \"{ghash_arm}\",\n  \
          \"ghash_scalar_gb_s\": {ghash_scalar_gb_s:.4},\n  \
@@ -201,17 +180,15 @@ fn main() {
          \"floor_ghash_batched_gb_s\": {FLOOR_GHASH_BATCHED_GB_S},\n  \
          \"floor_ctr_batched_gb_s\": {FLOOR_CTR_BATCHED_GB_S},\n  \
          \"floor_gcm512_batched_packets_per_sec\": {FLOOR_GCM512_BATCHED_PACKETS_PER_SEC},\n  \
-         \"note\": \"scalar arms are the exact pre-batching kernels (per-call hash subkey on \
-         the GCM path); ghash_arm is the batched arm the CPU selected (clmul: PCLMULQDQ, \
-         gated at >= 8x the scalar arm; table: Shoup tables); floors are deliberate \
-         underestimates consumed by bench_cluster --quick as regression tripwires\"\n}}\n",
+         \"note\": \"every rate is the median of `samples` harness samples; scalar arms are \
+         the exact pre-batching kernels (per-call hash subkey on the GCM path); ghash_arm is \
+         the batched arm the CPU selected (clmul: PCLMULQDQ, gated at >= 8x the scalar arm; \
+         table: Shoup tables); floors are deliberate underestimates that bench_kernels \
+         checks the batched medians against on every run, --quick included\"\n}}\n",
+        sampler.samples,
         ctr_batched_gb_s / ctr_scalar_gb_s,
     );
-    if quick {
-        println!("--quick: floors checked, not rewriting BENCH_functional_kernels.json");
-    } else {
-        std::fs::write("BENCH_functional_kernels.json", &json).expect("write BENCH json");
-    }
+    BenchFile("BENCH_functional_kernels.json").record(&json, !quick);
     print!("{json}");
     println!("bench_kernels PASSED: 512 B GCM speedup {gcm_speedup:.2}x (>= 4x required)");
 }

@@ -23,7 +23,7 @@
 //!   disturbed; telemetry exports carry zero key bytes.
 //!
 //! `--quick` shrinks the counts into a CI smoke that asserts the same
-//! invariants without rewriting the BENCH file.
+//! invariants and prints the JSON without rewriting the BENCH file.
 //!
 //! ```sh
 //! cargo run --release -p mccp-bench --bin bench_keylife [-- --quick]
@@ -31,6 +31,7 @@
 
 use mccp_aes::modes::gcm_seal;
 use mccp_aes::Aes;
+use mccp_bench::{Args, BenchFile};
 use mccp_core::model::ECC_SCALAR_MULT_CYCLES;
 use mccp_core::protocol::Algorithm;
 use mccp_core::{
@@ -350,7 +351,7 @@ fn key_leak_scan() -> (usize, u64) {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = Args::parse(&["--quick"]).flag("--quick");
     let (channels, rounds, pkts, crowd, critical, overlap_pkts, attacks) = if quick {
         (8, 3, 2, 24, 2, 8, 14)
     } else {
@@ -415,16 +416,6 @@ fn main() {
 
     let (scanned, leak_occurrences) = key_leak_scan();
     println!("  key-leak scan: {scanned} exports scanned, {leak_occurrences} occurrences");
-
-    if quick {
-        println!(
-            "bench_keylife --quick PASSED: 0 dropped / 0 nonce reuse on both engines, \
-             0 Critical sheds under the flash crowd, {}/{} + {}/{} attacks rejected typed, \
-             0 plaintext leaks, 0 key-byte leaks (BENCH_keylife.json not rewritten)",
-            adv_cycle.rejected, adv_cycle.attacks, adv_func.rejected, adv_func.attacks
-        );
-        return;
-    }
 
     let per_kind: Vec<String> = adv_func
         .per_kind
@@ -503,7 +494,7 @@ fn main() {
         adv_func.nonces_burned,
         per_kind.join(", "),
     );
-    std::fs::write("BENCH_keylife.json", &json).expect("write BENCH_keylife.json");
+    BenchFile("BENCH_keylife.json").record(&json, !quick);
     print!("{json}");
     println!(
         "bench_keylife PASSED: 0 dropped / 0 nonce reuse across {} rotations per engine, \

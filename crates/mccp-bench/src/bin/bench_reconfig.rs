@@ -17,12 +17,13 @@
 //!   Critical-class packets while a core is reconfiguring.
 //!
 //! `--quick` shrinks the packet counts into a CI smoke that asserts the
-//! same invariants without rewriting the BENCH file.
+//! same invariants and prints the JSON without rewriting the BENCH file.
 //!
 //! ```sh
 //! cargo run --release -p mccp-bench --bin bench_reconfig [-- --quick]
 //! ```
 
+use mccp_bench::{Args, BenchFile};
 use mccp_core::core_unit::Personality;
 use mccp_core::pipeline::{PipelineGraph, PipelineStage, StageOp};
 use mccp_core::protocol::{Algorithm, ChannelId, CipherSel, KeyId, MccpError, RequestId};
@@ -343,7 +344,7 @@ fn service_dip_soak(rounds: usize) -> ServiceDipResult {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = Args::parse(&["--quick"]).flag("--quick");
     let (phase1, phase2_pairs, phase3, rounds) = if quick {
         (12, 6, 4, 12)
     } else {
@@ -387,16 +388,6 @@ fn main() {
         dip.sheds[2],
         dip.delivered
     );
-
-    if quick {
-        println!(
-            "bench_reconfig --quick PASSED: {} swaps charged {} cycles, \
-             0 dropped / 0 nonce reuse / 0 Critical sheds \
-             (BENCH_reconfig.json not rewritten)",
-            mix.swaps, mix.stall_cycles
-        );
-        return;
-    }
 
     let json = format!(
         "{{\n  \"benchmark\": \"reconfig_policy\",\n  \
@@ -456,7 +447,7 @@ fn main() {
         dip.sheds[2],
         dip.sheds[0],
     );
-    std::fs::write("BENCH_reconfig.json", &json).expect("write BENCH_reconfig.json");
+    BenchFile("BENCH_reconfig.json").record(&json, !quick);
     print!("{json}");
     println!(
         "bench_reconfig PASSED: {} swaps charged {} stall cycles, 0 dropped, \

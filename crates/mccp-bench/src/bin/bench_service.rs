@@ -18,12 +18,14 @@
 //!   recycling + generation bumps on every cycle).
 //!
 //! `--quick` shrinks the channel count and round counts into a CI smoke
-//! that asserts the same invariants without rewriting the BENCH file.
+//! that asserts the same invariants and prints the JSON without rewriting
+//! the BENCH file.
 //!
 //! ```sh
 //! cargo run --release -p mccp-bench --bin bench_service [-- --quick]
 //! ```
 
+use mccp_bench::{Args, BenchFile};
 use mccp_core::FunctionalBackend;
 use mccp_sdr::{MccpService, QosClass, ServiceChannelId, ServiceConfig, ServiceError, Standard};
 use rand::rngs::StdRng;
@@ -127,7 +129,7 @@ fn class_counts(svc: &MccpService<FunctionalBackend>) -> ([u64; 3], [u64; 3], [u
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = Args::parse(&["--quick"]).flag("--quick");
     let channels: usize = if quick { 20_000 } else { 120_000 };
     let activity_rounds = if quick { 40 } else { 250 };
     let arm_rounds = if quick { 15 } else { 50 };
@@ -346,15 +348,6 @@ fn main() {
          ({churn_ops_per_sec:.0} lifecycle ops/s); occupancy back to {channels}"
     );
 
-    if quick {
-        println!(
-            "bench_service --quick PASSED: {channels} channels at {bytes_per_idle} B idle, \
-             knee at {knee:?}x, zero Critical sheds below knee \
-             (BENCH_service.json not rewritten)"
-        );
-        return;
-    }
-
     let arm_rows: Vec<String> = arms
         .iter()
         .map(|a| {
@@ -412,7 +405,7 @@ fn main() {
             .unwrap_or_else(|| "null".into()),
         arm_rows.join(",\n")
     );
-    std::fs::write("BENCH_service.json", &json).expect("write BENCH_service.json");
+    BenchFile("BENCH_service.json").record(&json, !quick);
     print!("{json}");
     println!(
         "bench_service PASSED: {channels} channels at {bytes_per_idle} B idle, \

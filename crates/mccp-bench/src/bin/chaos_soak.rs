@@ -24,6 +24,7 @@
 //! cargo run --release -p mccp-bench --bin chaos_soak -- --packets 400 --seed 7 --faults 12
 //! ```
 
+use mccp_bench::{Args, BenchFile};
 use mccp_core::{FaultPlan, MccpConfig};
 use mccp_sdr::cluster::{ClusterConfig, ClusterReport, MccpCluster};
 use mccp_sdr::qos::DispatchPolicy;
@@ -47,24 +48,16 @@ struct EngineRow {
 }
 
 fn main() {
-    let mut packets = 200usize;
-    let mut seed = 0xC405u64;
-    let mut faults_per_shard = 6usize;
-    let mut shards = 2usize;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut next = |what: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{what} expects a value"))
-        };
-        match arg.as_str() {
-            "--packets" => packets = next("--packets").parse().expect("packet count"),
-            "--seed" => seed = next("--seed").parse().expect("seed"),
-            "--faults" => faults_per_shard = next("--faults").parse().expect("fault count"),
-            "--shards" => shards = next("--shards").parse().expect("shard count"),
-            other => panic!("unknown argument {other:?}"),
-        }
-    }
+    let args = Args::parse(&[
+        "--packets <n>",
+        "--seed <n>",
+        "--faults <n>",
+        "--shards <n>",
+    ]);
+    let packets: usize = args.get("--packets").unwrap_or(200);
+    let seed: u64 = args.get("--seed").unwrap_or(0xC405);
+    let faults_per_shard: usize = args.get("--faults").unwrap_or(6);
+    let shards: usize = args.get("--shards").unwrap_or(2);
     assert!(shards >= 1 && packets >= 1);
 
     let standards = vec![
@@ -160,9 +153,17 @@ fn main() {
         summarize("functional", packets, &baseline_fn, &chaos_fn),
     ];
     for row in &rows {
+        let modeled = if row.models_clock() {
+            format!(
+                "; p95 latency {} -> {} cyc; {:.0} -> {:.0} Mbps",
+                row.baseline_p95, row.chaos_p95, row.baseline_mbps, row.chaos_mbps
+            )
+        } else {
+            String::new()
+        };
         println!(
             "  {}: {}/{} delivered ({:.1}% recovery), {} retries, {} core resets, \
-             {} dead shard(s); p95 latency {} -> {} cyc; {:.0} -> {:.0} Mbps",
+             {} dead shard(s){modeled}",
             row.engine,
             row.delivered,
             packets,
@@ -170,10 +171,6 @@ fn main() {
             row.retries,
             row.core_resets,
             row.dead_shards,
-            row.baseline_p95,
-            row.chaos_p95,
-            row.baseline_mbps,
-            row.chaos_mbps,
         );
         assert_eq!(
             row.delivered + row.abandoned,
@@ -201,13 +198,28 @@ fn main() {
     let json_rows: Vec<String> = rows
         .iter()
         .map(|r| {
+            let modeled = if r.models_clock() {
+                format!(
+                    ", \"baseline_cycles\": {}, \"chaos_cycles\": {}, \
+                     \"baseline_p95_latency\": {}, \"chaos_p95_latency\": {}, \
+                     \"added_p95_latency\": {}, \"baseline_mbps\": {:.1}, \"chaos_mbps\": {:.1}, \
+                     \"throughput_retention\": {:.3}",
+                    r.baseline_cycles,
+                    r.chaos_cycles,
+                    r.baseline_p95,
+                    r.chaos_p95,
+                    r.chaos_p95.saturating_sub(r.baseline_p95),
+                    r.baseline_mbps,
+                    r.chaos_mbps,
+                    r.chaos_mbps / r.baseline_mbps,
+                )
+            } else {
+                String::new()
+            };
             format!(
                 "    {{\"engine\": \"{}\", \"delivered\": {}, \"abandoned\": {}, \
                  \"recovery_rate\": {:.4}, \"retries\": {}, \"core_resets\": {}, \
-                 \"dead_shards\": {}, \"baseline_cycles\": {}, \"chaos_cycles\": {}, \
-                 \"baseline_p95_latency\": {}, \"chaos_p95_latency\": {}, \
-                 \"added_p95_latency\": {}, \"baseline_mbps\": {:.1}, \"chaos_mbps\": {:.1}, \
-                 \"throughput_retention\": {:.3}}}",
+                 \"dead_shards\": {}{modeled}}}",
                 r.engine,
                 r.delivered,
                 r.abandoned,
@@ -215,18 +227,6 @@ fn main() {
                 r.retries,
                 r.core_resets,
                 r.dead_shards,
-                r.baseline_cycles,
-                r.chaos_cycles,
-                r.baseline_p95,
-                r.chaos_p95,
-                r.chaos_p95.saturating_sub(r.baseline_p95),
-                r.baseline_mbps,
-                r.chaos_mbps,
-                if r.baseline_mbps > 0.0 {
-                    r.chaos_mbps / r.baseline_mbps
-                } else {
-                    0.0
-                },
             )
         })
         .collect();
@@ -242,9 +242,17 @@ fn main() {
         fault_labels.join(", "),
         json_rows.join(",\n")
     );
-    std::fs::write("BENCH_chaos.json", &json).expect("write BENCH_chaos.json");
+    BenchFile("BENCH_chaos.json").record(&json, true);
     print!("{json}");
     println!("chaos_soak PASSED: recovery >= 99% on both engines, zero silent corruption");
+}
+
+impl EngineRow {
+    /// Whether the cycles, latencies and Mbps mean anything: the
+    /// functional engine models no clock, so its row leaves them out.
+    fn models_clock(&self) -> bool {
+        self.engine == "cycle"
+    }
 }
 
 fn summarize(

@@ -27,6 +27,7 @@ fn measure(aad_bytes: usize, payload_bytes: usize) -> (u64, f64) {
 }
 
 fn main() {
+    mccp_bench::Args::parse(&[]);
     println!("GCM-128 throughput vs authenticated-only (header) fraction");
     println!("(2 KB total per packet, single core, Mbps at 190 MHz)\n");
     println!(

@@ -11,6 +11,7 @@ use mccp_sdr::workload::{Workload, WorkloadSpec};
 use mccp_sdr::{ClusterConfig, MccpCluster, Standard};
 
 fn main() {
+    mccp_bench::Args::parse(&[]);
     println!("Aggregate throughput vs core count (saturated WiMax/GCM load)\n");
     println!(
         "{:>6} {:>14} {:>12} {:>16}",

@@ -10,6 +10,7 @@ use mccp_bench::measure_schedule;
 use mccp_core::model::Schedule;
 
 fn main() {
+    mccp_bench::Args::parse(&[]);
     println!("CCM scheduling trade-off (four 2 KB CCM-128 packets, 4 cores)\n");
     println!(
         "{:>14} {:>18} {:>22}",

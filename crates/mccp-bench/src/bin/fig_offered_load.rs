@@ -12,6 +12,7 @@ use mccp_sdr::workload::{Workload, WorkloadSpec};
 use mccp_sdr::{ClusterConfig, MccpCluster, Standard};
 
 fn main() {
+    mccp_bench::Args::parse(&[]);
     println!("Sojourn time vs offered load (WiMax/GCM, 1 KB packets, 4 cores)\n");
     println!(
         "{:>14} {:>10} {:>14} {:>14} {:>14}",

@@ -11,6 +11,7 @@ use mccp_bench::measure_schedule;
 use mccp_core::model::{packet_mbps, stream_mbps, Schedule};
 
 fn main() {
+    mccp_bench::Args::parse(&[]);
     println!("Throughput vs packet size (single core, AES-128, Mbps @ 190 MHz)\n");
     println!(
         "{:>9} {:>14} {:>14} {:>14} {:>14}",

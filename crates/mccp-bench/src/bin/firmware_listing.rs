@@ -7,13 +7,13 @@
 //! cargo run -p mccp-bench --bin firmware_listing GcmEnc     # full listing
 //! ```
 
+use mccp_bench::Args;
 use mccp_core::firmware::{source, FirmwareId, FirmwareLibrary};
 
 fn main() {
+    let firmware = Args::parse(&["<firmware>"]).get::<String>("<firmware>");
     let lib = FirmwareLibrary::shared();
-    let arg = std::env::args().nth(1);
-
-    match arg {
+    match firmware {
         Some(name) => {
             let id = FirmwareId::ALL
                 .iter()

@@ -41,6 +41,7 @@ fn measure(alg: Algorithm, two_core: bool) -> f64 {
 }
 
 fn main() {
+    mccp_bench::Args::parse(&[]);
     println!("Mode-loop cycle budgets: paper equations vs cycle-accurate measurement\n");
     println!(
         "{:<22} {:>8} {:>8} {:>8} {:>10}",

@@ -29,6 +29,7 @@
 //! cargo run --release -p mccp-bench --bin obs_report -- --packets 50 --pairs 101
 //! ```
 
+use mccp_bench::{Args, BenchFile, Stats};
 use mccp_core::MccpConfig;
 use mccp_sdr::cluster::{ClusterConfig, ClusterReport, MccpCluster};
 use mccp_sdr::qos::DispatchPolicy;
@@ -41,24 +42,11 @@ use mccp_telemetry::trace::AttemptOutcome;
 const OVERHEAD_BUDGET: f64 = 0.05;
 
 fn main() {
-    let mut packets = 200usize;
-    let mut seed = 0x0B5Eu64;
-    let mut shards = 2usize;
-    let mut pairs = 101usize;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut next = |what: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{what} expects a value"))
-        };
-        match arg.as_str() {
-            "--packets" => packets = next("--packets").parse().expect("packet count"),
-            "--seed" => seed = next("--seed").parse().expect("seed"),
-            "--shards" => shards = next("--shards").parse().expect("shard count"),
-            "--pairs" => pairs = next("--pairs").parse().expect("pair count"),
-            other => panic!("unknown argument {other:?}"),
-        }
-    }
+    let args = Args::parse(&["--packets <n>", "--seed <n>", "--shards <n>", "--pairs <n>"]);
+    let packets: usize = args.get("--packets").unwrap_or(200);
+    let seed: u64 = args.get("--seed").unwrap_or(0x0B5E);
+    let shards: usize = args.get("--shards").unwrap_or(2);
+    let pairs: usize = args.get("--pairs").unwrap_or(101);
     assert!(shards >= 1 && packets >= 1 && pairs >= 1);
 
     // GCM soak: two WiMAX channels so a 2-shard cluster has affinity work
@@ -137,6 +125,7 @@ fn main() {
     }
     let ratio_list: Vec<String> = ratios.iter().map(|r| format!("{r:.3}")).collect();
     println!("  on/off ratio per pair: {}", ratio_list.join(" "));
+    let median = |v| Stats::of(v).median;
     let (off_wall, on_wall) = (median(off_walls), median(on_walls));
     let overhead = median(ratios) - 1.0;
     println!(
@@ -159,8 +148,7 @@ fn main() {
         .filter_map(|s| s.snapshot.as_ref().map(|snap| (s.shard, snap)))
         .collect();
     let collapsed = collapsed_stacks(&stacks);
-    std::fs::write("BENCH_obs_profile.collapsed", &collapsed)
-        .expect("write BENCH_obs_profile.collapsed");
+    BenchFile("BENCH_obs_profile.collapsed").record(&collapsed, true);
     assert!(
         !collapsed.is_empty(),
         "enabled run must attribute cycles to stages"
@@ -216,7 +204,7 @@ fn main() {
         journeys.len(),
         slo_rows.join(",\n")
     );
-    std::fs::write("BENCH_obs.json", &json).expect("write BENCH_obs.json");
+    BenchFile("BENCH_obs.json").record(&json, true);
     print!("{json}");
     println!(
         "obs_report PASSED: overhead {:.2}% <= {:.0}%, disabled run byte-identical, \
@@ -224,11 +212,4 @@ fn main() {
         100.0 * overhead,
         100.0 * OVERHEAD_BUDGET
     );
-}
-
-/// The median of `v` (the mean of the middle two for an even count).
-fn median(mut v: Vec<f64>) -> f64 {
-    v.sort_by(f64::total_cmp);
-    let n = v.len();
-    (v[(n - 1) / 2] + v[n / 2]) / 2.0
 }

@@ -8,6 +8,7 @@
 //! cargo run --release -p mccp-bench --bin soak -- 1000 --engine functional
 //! ```
 
+use mccp_bench::Args;
 use mccp_core::{ChannelBackend, FunctionalBackend, Mccp, MccpConfig};
 use mccp_sdr::qos::DispatchPolicy;
 use mccp_sdr::workload::{Workload, WorkloadSpec};
@@ -15,11 +16,24 @@ use mccp_sdr::{
     ClusterConfig, MccpCluster, MccpService, QosClass, RunReport, ServiceChannelId, ServiceConfig,
     ServiceError, Standard,
 };
+use std::str::FromStr;
 
 #[derive(Clone, Copy, PartialEq)]
 enum Engine {
     Cycle,
     Functional,
+}
+
+impl FromStr for Engine {
+    type Err = ();
+
+    fn from_str(s: &str) -> Result<Engine, ()> {
+        match s {
+            "cycle" => Ok(Engine::Cycle),
+            "functional" => Ok(Engine::Functional),
+            _ => Err(()),
+        }
+    }
 }
 
 /// One verified duplex round on any engine: encrypt the workload on a
@@ -52,21 +66,9 @@ fn round_on<B: ChannelBackend + Send>(
 }
 
 fn main() {
-    let mut packets = 200usize;
-    let mut engine = Engine::Cycle;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--engine" => {
-                engine = match args.next().as_deref() {
-                    Some("cycle") => Engine::Cycle,
-                    Some("functional") => Engine::Functional,
-                    other => panic!("--engine expects cycle|functional, got {other:?}"),
-                }
-            }
-            n => packets = n.parse().expect("packet count"),
-        }
-    }
+    let args = Args::parse(&["<packets>", "--engine <cycle|functional>"]);
+    let packets: usize = args.get("<packets>").unwrap_or(200);
+    let engine = args.get("--engine").unwrap_or(Engine::Cycle);
     let standards = vec![
         Standard::Wifi,
         Standard::Wimax,

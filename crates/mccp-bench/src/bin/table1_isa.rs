@@ -5,6 +5,7 @@ use mccp_cryptounit::timing::{GHASH_CYCLES, T_FINALIZE, T_FOREGROUND, T_SAMPLE};
 use mccp_cryptounit::CuInstruction;
 
 fn main() {
+    mccp_bench::Args::parse(&[]);
     println!("Table I — The Cryptographic Unit ISA");
     println!("(4-bit opcode, two 2-bit bank-register addresses; 8-bit instructions)\n");
     println!(

@@ -11,6 +11,7 @@ use mccp_bench::measure_schedule;
 use mccp_core::model::{theoretical_mbps, Schedule, PAPER_TABLE2};
 
 fn main() {
+    mccp_bench::Args::parse(&[]);
     println!("Table II — MCCP encryption throughputs at 190 MHz (Mbps)");
     println!("packet = 2 KB; theoretical / paper-2KB / reproduced-2KB\n");
     print!("{:<10}", "Key");

@@ -10,6 +10,7 @@ use mccp_bench::measure_schedule;
 use mccp_core::model::{Schedule, PAPER_OUR_WORK};
 
 fn main() {
+    mccp_bench::Args::parse(&[]);
     let gcm = measure_schedule(Schedule::Gcm4x1, KeySize::Aes128, 2048);
     let ccm = measure_schedule(Schedule::Ccm4x1, KeySize::Aes128, 2048);
     let table = Table3::build(gcm.mbps, ccm.mbps);

@@ -31,6 +31,7 @@ fn charge_swaps(source: BitstreamSource) -> (u64, u64) {
 }
 
 fn main() {
+    mccp_bench::Args::parse(&[]);
     println!("Table IV — Partial reconfiguration results");
     println!(
         "(reconfigurable region: {} slices, {} BRAM)\n",

@@ -6,9 +6,10 @@
 //! whole run is executed twice and every export byte-compared).
 //!
 //! ```sh
-//! cargo run --release -p mccp-bench --bin telemetry_report
+//! cargo run --release -p mccp-bench --bin telemetry_report [-- --vcd]
 //! ```
 
+use mccp_bench::Args;
 use mccp_core::protocol::{Algorithm, KeyId};
 use mccp_core::{Direction, Mccp, MccpConfig, RequestId};
 use mccp_sim::CLOCK_HZ;
@@ -115,6 +116,7 @@ fn run_workload() -> Exports {
 }
 
 fn main() {
+    let vcd = Args::parse(&["--vcd"]).flag("--vcd");
     println!(
         "telemetry report: {CHANNELS} GCM-128 channels x {PACKETS_PER_CHANNEL} packets \
          x {PAYLOAD_LEN} B on a saturated 4-core MCCP\n"
@@ -140,7 +142,7 @@ fn main() {
         first.vcd.len(),
         first.vcd.lines().filter(|l| l.starts_with('#')).count()
     );
-    if std::env::args().any(|a| a == "--vcd") {
+    if vcd {
         print!("{}", first.vcd);
     }
 

@@ -7,7 +7,23 @@
 //! it, and [`crate::twofish::Twofish`] is a second implementor proving the
 //! claim.
 
+use crate::modes::ccm::{ccm_pass_serial, CcmPacket};
+
 /// A block cipher with a 128-bit block.
+///
+/// An implementor supplies [`encrypt_block`], [`decrypt_block`] and
+/// [`name`]. The two kernel seams default to loops over
+/// [`encrypt_block`]: [`encrypt_blocks4`] for independent blocks and
+/// [`ccm_pass`] for a whole CCM packet. [`crate::Aes`] overrides all
+/// three encrypt paths with AES-NI when the CPU has it and keeps the
+/// T-table and serial paths otherwise; [`crate::twofish::Twofish`] takes
+/// the defaults.
+///
+/// [`encrypt_block`]: BlockCipher128::encrypt_block
+/// [`decrypt_block`]: BlockCipher128::decrypt_block
+/// [`name`]: BlockCipher128::name
+/// [`encrypt_blocks4`]: BlockCipher128::encrypt_blocks4
+/// [`ccm_pass`]: BlockCipher128::ccm_pass
 pub trait BlockCipher128 {
     /// Encrypts one 16-byte block in place.
     fn encrypt_block(&self, block: &mut [u8; 16]);
@@ -37,8 +53,8 @@ pub trait BlockCipher128 {
     /// The batched CTR/GCM kernels feed independent counter blocks through
     /// this seam. The default loops over [`encrypt_block`]
     /// (byte-identical, no speedup); implementors with an interleavable
-    /// datapath (like [`crate::Aes`]'s T-table path) override it to give
-    /// the host four dependency chains to overlap.
+    /// datapath (like [`crate::Aes`]'s T-table and AES-NI paths) override
+    /// it to give the host four dependency chains to overlap.
     ///
     /// [`encrypt_block`]: BlockCipher128::encrypt_block
     fn encrypt_blocks4(&self, blocks: &mut [u8; 64]) {
@@ -46,6 +62,24 @@ pub trait BlockCipher128 {
             let b: &mut [u8; 16] = chunk.try_into().expect("16-byte chunk");
             self.encrypt_block(b);
         }
+    }
+
+    /// Runs one CCM packet (SP 800-38C) over `data` in place and returns
+    /// the full 16-byte tag, `CBC-MAC ^ E(K, Ctr_0)`.
+    ///
+    /// The CBC-MAC covers `B0 ‖ len(A) ‖ A ‖ pad ‖ P ‖ pad`; the CTR
+    /// keystream from `Ctr_1` turns `P` into the ciphertext on a seal and
+    /// back on an open ([`CcmPacket::direction`]). The default is the
+    /// serial pass: the chain one [`encrypt_block`] at a time, then the
+    /// keystream through [`encrypt_blocks4`]. [`crate::Aes`] overrides it
+    /// on AES-NI hosts with one pass that carries each chained block
+    /// through the rounds together with an independent counter block.
+    /// Every implementation must be byte-identical to the default.
+    ///
+    /// [`encrypt_block`]: BlockCipher128::encrypt_block
+    /// [`encrypt_blocks4`]: BlockCipher128::encrypt_blocks4
+    fn ccm_pass(&self, packet: &CcmPacket<'_>, data: &mut [u8]) -> [u8; 16] {
+        ccm_pass_serial(self, packet, data)
     }
 }
 
@@ -61,6 +95,9 @@ impl<T: BlockCipher128 + ?Sized> BlockCipher128 for &T {
     }
     fn encrypt_blocks4(&self, blocks: &mut [u8; 64]) {
         (**self).encrypt_blocks4(blocks)
+    }
+    fn ccm_pass(&self, packet: &CcmPacket<'_>, data: &mut [u8]) -> [u8; 16] {
+        (**self).ccm_pass(packet, data)
     }
 }
 

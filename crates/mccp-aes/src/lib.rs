@@ -18,9 +18,16 @@
 //! * [`twofish`] — Twofish, the paper's example of "any other 128-bit block
 //!   cipher" that can replace AES through partial reconfiguration.
 //!
-//! These are *reference* implementations: clarity and testability over raw
-//! speed. The cycle-accurate MCCP simulator uses them as functional oracles
-//! while charging the hardware's latencies.
+//! Two kinds of arm live here. The *references* put clarity first: the
+//! byte-wise datapath ([`block`]), which the cycle-accurate simulator's
+//! Cryptographic Unit runs while charging the hardware's latencies, the
+//! T-table kernels ([`tables`]) and the serial `*_scalar` mode arms. The
+//! *fast arms* serve the functional packet path: 4-wide batched
+//! keystreams, batched GHASH, and on x86-64 hosts with AES-NI the
+//! [`aesni`] routines — single blocks, four-block batches and a stitched
+//! one-pass CCM ([`BlockCipher128::ccm_pass`]). The CPU alone picks the
+//! arm at run time; every fast arm is tested byte for byte against a
+//! reference.
 //!
 //! ```
 //! use mccp_aes::{Aes, BlockCipher128};
@@ -48,6 +55,7 @@ pub use cipher::BlockCipher128;
 pub use key_schedule::{KeySize, RoundKeys};
 
 use block::decrypt_with_round_keys;
+use modes::CcmPacket;
 
 /// An AES cipher instance with a pre-expanded key schedule.
 #[derive(Clone)]
@@ -94,6 +102,12 @@ impl Aes {
 
 impl BlockCipher128 for Aes {
     fn encrypt_block(&self, block: &mut [u8; 16]) {
+        #[cfg(target_arch = "x86_64")]
+        if crate::aesni::supported() {
+            // SAFETY: feature presence just checked.
+            unsafe { crate::aesni::encrypt_block(&self.round_keys, block) };
+            return;
+        }
         // Software fast path (T-tables); equivalence with the byte-wise
         // datapath formulation is property-tested.
         crate::tables::encrypt_block_ttable(&self.round_keys, block);
@@ -111,6 +125,15 @@ impl BlockCipher128 for Aes {
             return;
         }
         crate::tables::encrypt_blocks4_ttable(&self.round_keys, blocks);
+    }
+
+    fn ccm_pass(&self, packet: &CcmPacket<'_>, data: &mut [u8]) -> [u8; 16] {
+        #[cfg(target_arch = "x86_64")]
+        if crate::aesni::supported() {
+            // SAFETY: feature presence just checked.
+            return unsafe { crate::aesni::ccm_pass(&self.round_keys, packet, data) };
+        }
+        modes::ccm::ccm_pass_serial(self, packet, data)
     }
 
     fn name(&self) -> &'static str {

@@ -71,7 +71,7 @@ impl CbcMacState {
     }
 
     /// Absorbs `data`, encrypting each completed 16-byte block.
-    pub fn absorb<C: BlockCipher128>(&mut self, cipher: &C, mut data: &[u8]) {
+    pub fn absorb<C: BlockCipher128 + ?Sized>(&mut self, cipher: &C, mut data: &[u8]) {
         if self.buf_len > 0 {
             let take = data.len().min(16 - self.buf_len);
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
@@ -98,7 +98,7 @@ impl CbcMacState {
     /// Zero-pads and closes the pending partial block, if any. SP 800-38C
     /// pads the AAD section and the payload section independently, so CCM
     /// calls this at each section boundary.
-    pub fn pad_block<C: BlockCipher128>(&mut self, cipher: &C) {
+    pub fn pad_block<C: BlockCipher128 + ?Sized>(&mut self, cipher: &C) {
         if self.buf_len > 0 {
             let buf = self.buf;
             xor_in_place(&mut self.mac, &buf[..self.buf_len]);

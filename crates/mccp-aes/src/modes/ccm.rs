@@ -7,12 +7,23 @@
 //! across two cores chained by the inter-core port
 //! (`T_loop = 55` cycles/block).
 //!
+//! The host runs both halves as one pass per packet,
+//! [`BlockCipher128::ccm_pass`]. The serial default walks the CBC-MAC
+//! chain one block at a time and then the CTR keystream, the host's form
+//! of the one-core 104-cycle loop. With AES-NI, [`crate::Aes`] carries
+//! each chained CBC-MAC block through the rounds together with an
+//! independent counter block: the chain is bound by `AESENC` latency and
+//! the keystream rides in its shadow, the host's form of the two-core
+//! 55-cycle loop. On a 2-vCPU Xeon VM a 512 B seal with 16 B of AAD took
+//! ~510 ns stitched against ~920 ns for the serial pass over single-block
+//! AES-NI, 1.8–1.9x, beside the paper's 104/55 = 1.9x.
+//!
 //! The formatting of `B0`, the AAD length encoding and the counter blocks
 //! follow SP 800-38C Appendix A — in the real system this formatting is the
 //! communication controller's job (paper §VI.B); `mccp-sdr` reuses the
 //! functions exposed here.
 
-use super::{tags_equal, xor_keystream_blocks, ModeError};
+use super::{tags_equal, xor_in_place, xor_keystream_blocks, ModeError};
 use crate::cipher::BlockCipher128;
 use crate::modes::cbc_mac::CbcMacState;
 
@@ -128,28 +139,137 @@ pub fn format_mac_input(params: &CcmParams, nonce: &[u8], aad: &[u8], payload: &
     blocks
 }
 
-/// Streams `B0 ‖ len(A) ‖ A ‖ pad ‖ P ‖ pad` through the incremental
-/// CBC-MAC — byte-identical to MACing [`format_mac_input`]'s output, but
-/// without materializing the formatted stream.
-fn raw_cbc_mac_tag<C: BlockCipher128>(
-    cipher: &C,
-    params: &CcmParams,
-    nonce: &[u8],
-    aad: &[u8],
-    payload: &[u8],
-) -> [u8; 16] {
-    let mut st = CbcMacState::new();
-    st.absorb(cipher, &format_b0(params, nonce, aad.len(), payload.len()));
-    if !aad.is_empty() {
-        let mut lenbuf = [0u8; 10];
-        let n = encode_aad_len_into(aad.len(), &mut lenbuf);
-        st.absorb(cipher, &lenbuf[..n]);
-        st.absorb(cipher, aad);
-        st.pad_block(cipher);
+/// Which way a CCM pass runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CcmDirection {
+    /// MAC the plaintext in the buffer, then encrypt it in place.
+    Seal,
+    /// Decrypt the ciphertext in the buffer in place, then MAC the
+    /// plaintext.
+    Open,
+}
+
+/// One packet's formatted CCM control blocks (SP 800-38C A.2–A.3): what
+/// [`BlockCipher128::ccm_pass`] needs besides the payload. Only the seal
+/// and open functions of this module build one, after checking the
+/// parameters, the nonce and the payload length.
+#[derive(Clone, Copy, Debug)]
+pub struct CcmPacket<'a> {
+    direction: CcmDirection,
+    b0: [u8; 16],
+    ctr0: [u8; 16],
+    aad_prefix: [u8; 10],
+    aad_prefix_len: usize,
+    aad: &'a [u8],
+}
+
+impl<'a> CcmPacket<'a> {
+    fn new(
+        direction: CcmDirection,
+        params: &CcmParams,
+        nonce: &[u8],
+        aad: &'a [u8],
+        payload_len: usize,
+    ) -> Self {
+        let mut aad_prefix = [0u8; 10];
+        let aad_prefix_len = encode_aad_len_into(aad.len(), &mut aad_prefix);
+        CcmPacket {
+            direction,
+            b0: format_b0(params, nonce, aad.len(), payload_len),
+            ctr0: format_counter(params, nonce, 0),
+            aad_prefix,
+            aad_prefix_len,
+            aad,
+        }
     }
-    st.absorb(cipher, payload);
-    st.pad_block(cipher);
-    st.mac()
+
+    /// Seal or open.
+    pub fn direction(&self) -> CcmDirection {
+        self.direction
+    }
+
+    /// `B0`, the first CBC-MAC block.
+    pub fn b0(&self) -> &[u8; 16] {
+        &self.b0
+    }
+
+    /// `Ctr_0`, whose encryption masks the tag. Payload block `i`
+    /// (0-based) takes `Ctr_{i+1}`, which is `Ctr_0 + i + 1` as a 128-bit
+    /// big-endian integer: the payload is bounded by
+    /// [`CcmParams::max_payload`], so the sum never carries out of the
+    /// `q`-byte counter field.
+    pub fn ctr0(&self) -> &[u8; 16] {
+        &self.ctr0
+    }
+
+    /// The AAD section `len(A) ‖ A ‖ zero pad` as 16-byte CBC-MAC blocks;
+    /// none when there is no AAD.
+    pub fn aad_blocks(&self) -> impl Iterator<Item = [u8; 16]> + 'a {
+        let (aad, prefix) = (self.aad, &self.aad_prefix[..self.aad_prefix_len]);
+        let head = aad.len().min(16 - prefix.len());
+        let first = (!aad.is_empty()).then(|| {
+            let mut block = [0u8; 16];
+            block[..prefix.len()].copy_from_slice(prefix);
+            block[prefix.len()..prefix.len() + head].copy_from_slice(&aad[..head]);
+            block
+        });
+        let rest = aad[head..].chunks(16).map(|chunk| {
+            let mut block = [0u8; 16];
+            block[..chunk.len()].copy_from_slice(chunk);
+            block
+        });
+        first.into_iter().chain(rest)
+    }
+}
+
+/// The serial CCM pass, [`BlockCipher128::ccm_pass`]'s default: the
+/// CBC-MAC chain one [`BlockCipher128::encrypt_block`] at a time, the CTR
+/// keystream four blocks at a time, then the tag mask `E(K, Ctr_0)`.
+/// Returns the full 16-byte tag.
+pub(crate) fn ccm_pass_serial<C: BlockCipher128 + ?Sized>(
+    cipher: &C,
+    packet: &CcmPacket<'_>,
+    data: &mut [u8],
+) -> [u8; 16] {
+    let base = u128::from_be_bytes(packet.ctr0);
+    let counter = |i: u64| base.wrapping_add(u128::from(i) + 1).to_be_bytes();
+    let mut mac = CbcMacState::new();
+    mac.absorb(cipher, &packet.b0);
+    // The AAD section streams through the carry buffer rather than
+    // `aad_blocks`, so the referee suite compares two formatters.
+    if !packet.aad.is_empty() {
+        mac.absorb(cipher, &packet.aad_prefix[..packet.aad_prefix_len]);
+        mac.absorb(cipher, packet.aad);
+        mac.pad_block(cipher);
+    }
+    match packet.direction {
+        CcmDirection::Seal => {
+            mac.absorb(cipher, data);
+            mac.pad_block(cipher);
+            xor_keystream_blocks(cipher, data, counter);
+        }
+        CcmDirection::Open => {
+            xor_keystream_blocks(cipher, data, counter);
+            mac.absorb(cipher, data);
+            mac.pad_block(cipher);
+        }
+    }
+    let mut tag = mac.mac();
+    xor_in_place(&mut tag, &cipher.encrypt_copy(&packet.ctr0));
+    tag
+}
+
+/// The checks seal and open share: the parameters, the nonce length, and
+/// a payload short enough for the `q`-byte counter field to count.
+fn check_lengths(params: &CcmParams, nonce: &[u8], payload_len: usize) -> Result<(), ModeError> {
+    params.validate()?;
+    if nonce.len() != params.nonce_len {
+        return Err(ModeError::InvalidParams("nonce length mismatch"));
+    }
+    if payload_len as u64 > params.max_payload() {
+        return Err(ModeError::InvalidParams("payload too long for q"));
+    }
+    Ok(())
 }
 
 /// CCM authenticated encryption. Returns `ciphertext || tag`.
@@ -175,29 +295,12 @@ pub fn ccm_seal_into<C: BlockCipher128>(
     payload: &[u8],
     out: &mut Vec<u8>,
 ) -> Result<(), ModeError> {
-    params.validate()?;
-    if nonce.len() != params.nonce_len {
-        return Err(ModeError::InvalidParams("nonce length mismatch"));
-    }
-    if payload.len() as u64 > params.max_payload() {
-        return Err(ModeError::InvalidParams("payload too long for q"));
-    }
-
-    let t = raw_cbc_mac_tag(cipher, params, nonce, aad, payload);
-
+    check_lengths(params, nonce, payload.len())?;
+    let packet = CcmPacket::new(CcmDirection::Seal, params, nonce, aad, payload.len());
     out.clear();
     out.reserve(payload.len() + params.tag_len);
     out.extend_from_slice(payload);
-    // CTR over the payload starts at Ctr_1; the counter blocks are
-    // independent, so they go four at a time through `encrypt_blocks4`.
-    xor_keystream_blocks(cipher, out, |i| format_counter(params, nonce, i + 1));
-    // The tag is masked with Ctr_0.
-    let ctr0 = format_counter(params, nonce, 0);
-    let s0 = cipher.encrypt_copy(&ctr0);
-    let mut tag = [0u8; 16];
-    for i in 0..16 {
-        tag[i] = t[i] ^ s0[i];
-    }
+    let tag = cipher.ccm_pass(&packet, out);
     out.extend_from_slice(&tag[..params.tag_len]);
     Ok(())
 }
@@ -249,26 +352,15 @@ pub fn ccm_open_detached_into<C: BlockCipher128>(
     tag: &[u8],
     out: &mut Vec<u8>,
 ) -> Result<(), ModeError> {
-    params.validate()?;
-    if nonce.len() != params.nonce_len {
-        return Err(ModeError::InvalidParams("nonce length mismatch"));
-    }
+    check_lengths(params, nonce, ct.len())?;
     if tag.len() != params.tag_len {
         return Err(ModeError::InvalidParams("tag length mismatch"));
     }
-
+    let packet = CcmPacket::new(CcmDirection::Open, params, nonce, aad, ct.len());
     out.clear();
     out.reserve(ct.len());
     out.extend_from_slice(ct);
-    xor_keystream_blocks(cipher, out, |i| format_counter(params, nonce, i + 1));
-
-    let t = raw_cbc_mac_tag(cipher, params, nonce, aad, out);
-    let ctr0 = format_counter(params, nonce, 0);
-    let s0 = cipher.encrypt_copy(&ctr0);
-    let mut expect = [0u8; 16];
-    for i in 0..16 {
-        expect[i] = t[i] ^ s0[i];
-    }
+    let expect = cipher.ccm_pass(&packet, out);
     if !tags_equal(tag, &expect[..params.tag_len]) {
         out.clear();
         return Err(ModeError::AuthFail);
@@ -399,25 +491,66 @@ mod tests {
     }
 
     #[test]
-    fn streaming_mac_matches_formatted_input() {
+    fn serial_pass_matches_formatted_input() {
         use crate::modes::cbc_mac::cbc_mac_raw;
         let params = CcmParams {
             nonce_len: 11,
             tag_len: 12,
         };
         let nonce = [3u8; 11];
-        let data: Vec<u8> = (0..400u16).map(|i| (i * 13) as u8).collect();
-        for &(aad_len, pt_len) in &[(0usize, 0usize), (0, 37), (8, 4), (20, 60), (300, 259)] {
+        let data: Vec<u8> = (0..0xFF40u32).map(|i| (i * 13) as u8).collect();
+        let s0 = k().encrypt_copy(&format_counter(&params, &nonce, 0));
+        for &(aad_len, pt_len) in &[
+            (0usize, 0usize),
+            (0, 37),
+            (8, 4),
+            (14, 3),
+            (20, 60),
+            (300, 259),
+            (0xFF00, 17),
+        ] {
             let aad = &data[..aad_len];
             let payload = &data[..pt_len];
-            let streamed = raw_cbc_mac_tag(&k(), &params, &nonce, aad, payload);
-            let formatted = format_mac_input(&params, &nonce, aad, payload);
+            let packet = CcmPacket::new(CcmDirection::Seal, &params, &nonce, aad, pt_len);
+            let mut mac =
+                cbc_mac_raw(&k(), &format_mac_input(&params, &nonce, aad, payload)).unwrap();
+            xor_in_place(&mut mac, &s0);
+            let mut buf = payload.to_vec();
             assert_eq!(
-                streamed,
-                cbc_mac_raw(&k(), &formatted).unwrap(),
+                ccm_pass_serial(&k(), &packet, &mut buf),
+                mac,
                 "aad {aad_len} pt {pt_len}"
             );
         }
+    }
+
+    #[test]
+    fn open_refuses_a_payload_seal_refuses() {
+        // q = 2 counts at most 65,535 payload bytes.
+        let params = CcmParams {
+            nonce_len: 13,
+            tag_len: 8,
+        };
+        let nonce = [4u8; 13];
+        let long = vec![0u8; 65_536];
+        let refused = ModeError::InvalidParams("payload too long for q");
+        assert_eq!(ccm_seal(&k(), &params, &nonce, &[], &long), Err(refused));
+        let mut out = vec![0xEEu8; 3];
+        assert_eq!(
+            ccm_open_detached_into(&k(), &params, &nonce, &[], &long, &[0u8; 8], &mut out),
+            Err(refused)
+        );
+        assert_eq!(out, [0xEE; 3], "refused before any work");
+        assert_eq!(
+            ccm_open_detached(&k(), &params, &nonce, &[], &long, &[0u8; 8]),
+            Err(refused)
+        );
+        // The longest payload q = 2 counts still round-trips.
+        let sealed = ccm_seal(&k(), &params, &nonce, &[], &long[1..]).unwrap();
+        assert_eq!(
+            ccm_open(&k(), &params, &nonce, &[], &sealed).unwrap(),
+            &long[1..]
+        );
     }
 
     #[test]

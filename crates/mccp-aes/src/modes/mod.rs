@@ -7,9 +7,11 @@
 //! because the paper's design brief is that AES "may be easily replaced by
 //! any other 128-bit block cipher".
 //!
-//! These are the *reference* (oracle) implementations; the cycle-accurate
-//! simulator executes the same computations on the modeled hardware and is
-//! tested for bit-exact agreement with this module.
+//! These are the oracle implementations; the cycle-accurate simulator
+//! executes the same computations on the modeled hardware and is tested
+//! for bit-exact agreement with this module. The functional engine runs
+//! them directly, through the cipher's fastest arm (see
+//! [`BlockCipher128`]).
 
 pub mod cbc;
 pub mod cbc_mac;
@@ -21,7 +23,8 @@ pub mod gcm;
 pub use cbc::{cbc_decrypt, cbc_encrypt};
 pub use cbc_mac::{cbc_mac, CbcMacState};
 pub use ccm::{
-    ccm_open, ccm_open_detached, ccm_open_detached_into, ccm_seal, ccm_seal_into, CcmParams,
+    ccm_open, ccm_open_detached, ccm_open_detached_into, ccm_seal, ccm_seal_into, CcmDirection,
+    CcmPacket, CcmParams,
 };
 pub use ctr::{ctr_xcrypt, ctr_xcrypt_scalar};
 pub use ecb::{ecb_decrypt, ecb_encrypt};
@@ -90,7 +93,7 @@ pub(crate) fn xor_keystream<C: BlockCipher128>(cipher: &C, counter: &[u8; 16], c
 /// zero-filled. The output is byte-identical to calling [`xor_keystream`]
 /// per block — batching only changes how many independent AES dependency
 /// chains are in flight at once. Shared by the CTR, GCM and CCM kernels.
-pub(crate) fn xor_keystream_blocks<C: BlockCipher128>(
+pub(crate) fn xor_keystream_blocks<C: BlockCipher128 + ?Sized>(
     cipher: &C,
     data: &mut [u8],
     mut counter_for: impl FnMut(u64) -> [u8; 16],

@@ -1,17 +1,20 @@
 //! Batched-kernel ↔ scalar-path equivalence (the referee suite).
 //!
 //! The batched kernels — eight-block GHASH folding over precomputed
-//! `H^1..H^8`, four-wide CTR keystream generation, and the per-key
-//! [`GcmContext`] — must be **byte-identical** to the scalar reference
-//! path on every input shape: payload lengths 0..=1024 including
-//! non-multiple-of-16 tails, AAD-only packets, and short/long IVs. The
-//! NIST SP 800-38D vectors are additionally replayed through both arms.
+//! `H^1..H^8`, four-wide CTR keystream generation, the per-key
+//! [`GcmContext`] and the stitched CCM pass — must be **byte-identical**
+//! to the scalar reference path on every input shape: payload lengths
+//! 0..=1024 including non-multiple-of-16 tails, AAD-only packets, and
+//! short/long IVs. The NIST SP 800-38D vectors are additionally replayed
+//! through both arms.
 
+use mccp_aes::block::{decrypt_with_round_keys, encrypt_with_round_keys};
 use mccp_aes::modes::{
-    ccm_open_detached, ccm_seal, ctr_xcrypt, ctr_xcrypt_scalar, gcm_open_detached,
-    gcm_open_detached_scalar, gcm_seal, gcm_seal_scalar, CcmParams, GcmContext,
+    ccm_open_detached, ccm_open_detached_into, ccm_seal, ctr_xcrypt, ctr_xcrypt_scalar,
+    gcm_open_detached, gcm_open_detached_scalar, gcm_seal, gcm_seal_scalar, CcmParams, GcmContext,
+    ModeError,
 };
-use mccp_aes::Aes;
+use mccp_aes::{Aes, BlockCipher128, RoundKeys};
 use mccp_gf128::{ghash, ghash_batched, Gf128, GhashKey, GhashPowers};
 use proptest::prelude::*;
 
@@ -92,6 +95,8 @@ proptest! {
         let params = CcmParams { nonce_len: 11, tag_len: 12 };
         let nonce = [9u8; 11];
         let sealed = ccm_seal(&aes, &params, &nonce, &aad, &pt).unwrap();
+        let reference = BytewiseAes(RoundKeys::expand(&key));
+        prop_assert_eq!(&sealed, &ccm_seal(&reference, &params, &nonce, &aad, &pt).unwrap());
         let (ct, tag) = sealed.split_at(sealed.len() - params.tag_len);
         prop_assert_eq!(ccm_open_detached(&aes, &params, &nonce, &aad, ct, tag).unwrap(), pt);
     }
@@ -175,5 +180,76 @@ fn leftover_blocks_and_fold_boundary_sweep() {
         ctr_xcrypt(&aes, &ctr0, &mut batched).unwrap();
         ctr_xcrypt_scalar(&aes, &ctr0, &mut scalar).unwrap();
         assert_eq!(batched, scalar, "ctr: len {len}");
+    }
+}
+
+/// AES on the byte-wise datapath model ([`encrypt_with_round_keys`]). It
+/// overrides only the single-block calls, so CCM over it takes the
+/// trait's default serial pass: the reference arm on every host, with or
+/// without AES-NI.
+struct BytewiseAes(RoundKeys);
+
+impl BlockCipher128 for BytewiseAes {
+    fn encrypt_block(&self, block: &mut [u8; 16]) {
+        encrypt_with_round_keys(&self.0, block);
+    }
+    fn decrypt_block(&self, block: &mut [u8; 16]) {
+        decrypt_with_round_keys(&self.0, block);
+    }
+    fn name(&self) -> &'static str {
+        "AES (byte-wise reference)"
+    }
+}
+
+/// CCM over [`Aes`] (the stitched AES-NI pass where the CPU has it) against
+/// CCM over [`BytewiseAes`]: [`Aes`] must seal to the reference's bytes
+/// and open them back. Payloads 0..=130 bytes under AAD lengths around the
+/// block edges, 128/192/256-bit keys, 7- and 13-byte nonces, every tag
+/// length 4..=16 (cycled over the payloads), and an AAD of 0xFF00 bytes,
+/// whose length takes the 6-byte prefix. A flipped tag bit must fail and
+/// release nothing.
+#[test]
+fn ccm_stitched_pass_matches_serial_reference_sweep() {
+    let data: Vec<u8> = (0..0xFF00u32 + 131).map(|i| (i * 29 % 251) as u8).collect();
+    let mut opened = Vec::new();
+    for key_len in [16usize, 24, 32] {
+        let key: Vec<u8> = (0..key_len as u8).map(|i| i ^ 0xA5).collect();
+        let aes = Aes::new(&key);
+        let reference = BytewiseAes(RoundKeys::expand(&key));
+        for nonce_len in [7usize, 13] {
+            let nonce = &data[3..3 + nonce_len];
+            let shapes = [0usize, 1, 15, 16, 17, 128, 129]
+                .into_iter()
+                .flat_map(|aad_len| (0..=130usize).map(move |pt_len| (aad_len, pt_len)))
+                .chain([0usize, 17].map(|pt_len| (0xFF00, pt_len)));
+            for (aad_len, pt_len) in shapes {
+                let tag_len = 4 + 2 * ((aad_len + pt_len) % 7);
+                let params = CcmParams { nonce_len, tag_len };
+                let (aad, pt) = (&data[..aad_len], &data[aad_len..aad_len + pt_len]);
+                let at = format!(
+                    "key {key_len} nonce {nonce_len} tag {tag_len} aad {aad_len} pt {pt_len}"
+                );
+
+                let sealed = ccm_seal(&aes, &params, nonce, aad, pt).unwrap();
+                assert_eq!(
+                    sealed,
+                    ccm_seal(&reference, &params, nonce, aad, pt).unwrap(),
+                    "seal: {at}"
+                );
+
+                let (ct, tag) = sealed.split_at(pt_len);
+                ccm_open_detached_into(&aes, &params, nonce, aad, ct, tag, &mut opened).unwrap();
+                assert_eq!(opened, pt, "open: {at}");
+
+                let mut bad = tag.to_vec();
+                bad[pt_len % tag_len] ^= 1 << (pt_len % 8);
+                assert_eq!(
+                    ccm_open_detached_into(&aes, &params, nonce, aad, ct, &bad, &mut opened),
+                    Err(ModeError::AuthFail),
+                    "flipped tag: {at}"
+                );
+                assert!(opened.is_empty(), "flipped tag released plaintext: {at}");
+            }
+        }
     }
 }

@@ -87,26 +87,40 @@ fn warm_into_kernels_do_not_allocate() {
     );
     assert_eq!(opened, payload);
 
-    // --- CCM seal/open: streaming CBC-MAC, no formatted-input buffer. ---
+    // --- CCM seal/open: one pass per packet, no formatted-input buffer;
+    // the 0xFF00-byte AAD takes the 6-byte length prefix. ---
     let params = CcmParams {
         nonce_len: 13,
         tag_len: 8,
     };
     let nonce = [7u8; 13];
-    let mut sealed = Vec::new();
-    ccm_seal_into(&aes, &params, &nonce, &aad, &payload, &mut sealed).unwrap();
-    let n = allocs_during(|| {
-        ccm_seal_into(&aes, &params, &nonce, &aad, &payload, &mut sealed).unwrap();
-    });
-    assert_eq!(n, 0, "warm ccm_seal_into allocated {n} times");
+    let long_aad = vec![0x3Du8; 0xFF00];
+    for aad in [&aad[..], &long_aad[..]] {
+        let mut sealed = Vec::new();
+        ccm_seal_into(&aes, &params, &nonce, aad, &payload, &mut sealed).unwrap();
+        let n = allocs_during(|| {
+            ccm_seal_into(&aes, &params, &nonce, aad, &payload, &mut sealed).unwrap();
+        });
+        assert_eq!(
+            n,
+            0,
+            "warm ccm_seal_into allocated {n} times (aad {})",
+            aad.len()
+        );
 
-    let (ct, tag) = sealed.split_at(sealed.len() - params.tag_len);
-    let (ct, tag) = (ct.to_vec(), tag.to_vec());
-    let mut opened = Vec::new();
-    ccm_open_detached_into(&aes, &params, &nonce, &aad, &ct, &tag, &mut opened).unwrap();
-    let n = allocs_during(|| {
-        ccm_open_detached_into(&aes, &params, &nonce, &aad, &ct, &tag, &mut opened).unwrap();
-    });
-    assert_eq!(n, 0, "warm ccm_open_detached_into allocated {n} times");
-    assert_eq!(opened, payload);
+        let (ct, tag) = sealed.split_at(sealed.len() - params.tag_len);
+        let (ct, tag) = (ct.to_vec(), tag.to_vec());
+        let mut opened = Vec::new();
+        ccm_open_detached_into(&aes, &params, &nonce, aad, &ct, &tag, &mut opened).unwrap();
+        let n = allocs_during(|| {
+            ccm_open_detached_into(&aes, &params, &nonce, aad, &ct, &tag, &mut opened).unwrap();
+        });
+        assert_eq!(
+            n,
+            0,
+            "warm ccm_open_detached_into allocated {n} times (aad {})",
+            aad.len()
+        );
+        assert_eq!(opened, payload);
+    }
 }

@@ -1,6 +1,10 @@
-//! Functional-kernel microbenchmarks: scalar vs block-batched arms of the
-//! three kernels the packet path spends its time in, emitted as
+//! Functional-kernel microbenchmarks: serial vs batched or stitched arms
+//! of the four kernels the packet path spends its time in, emitted as
 //! `BENCH_functional_kernels.json`.
+//!
+//! [`Aes`] runs every block on AES-NI when the CPU has it, else on the
+//! T-table (`aes_arm`: `aesni` or `ttable`), so on an `aesni` host the
+//! serial arms below make one AES-NI call per block.
 //!
 //! - **GHASH** — serial Shoup-table Horner loop vs 8-block folding over
 //!   precomputed H-powers ([`GhashPowers`]), GB/s over an 8 KiB buffer.
@@ -8,33 +12,41 @@
 //!   with PCLMULQDQ, else `table`); on a `clmul` host it must run at
 //!   least 8x the serial arm.
 //! - **AES-CTR** — one `encrypt_block` per counter vs the 4-wide
-//!   interleaved T-table keystream, GB/s over an 8 KiB buffer.
-//! - **GCM packets** — the exact pre-batching seal path (per-call hash
-//!   subkey + serial GHASH + per-block keystream) vs a warm
+//!   interleaved keystream, GB/s over an 8 KiB buffer.
+//! - **GCM packets** — the serial seal path (per-call hash subkey +
+//!   serial GHASH + one `encrypt_block` per keystream block) vs a warm
 //!   [`GcmContext`] reused across packets with `seal_into`, packets/s at
-//!   the 512 B reference payload.
+//!   the 512 B reference payload with 16 B of AAD.
+//! - **CCM packets** — `ccm_seal_into` over [`Aes`] seen only through
+//!   `encrypt_block` (the trait's serial CCM pass) vs over [`Aes`] itself
+//!   (the stitched one-pass arm on an `aesni` host), packets/s at the same
+//!   512 B payload with 16 B of AAD. On an `aesni` host the stitched arm
+//!   must run at least 1.5x the serial one.
 //!
 //! Every number is a harness median ([`Sampler::RECORD`]; `--quick` takes
 //! [`Sampler::QUICK`]'s shorter samples and does not rewrite the JSON).
 //! The `FLOOR_*` constants below are regression floors for the batched
-//! arms, recorded in the JSON as `floor_*`; every run, `--quick` (the CI
-//! perf smoke) included, fails if a batched arm's median lands below its
-//! floor. The ratio gates (GCM ≥ 4x, CLMUL GHASH ≥ 8x) compare two arms on
-//! the same host, so they hold across machines.
+//! and stitched arms, recorded in the JSON as `floor_*`; every run,
+//! `--quick` (the CI perf smoke) included, fails if one of those arms'
+//! medians lands below its floor. The ratio gates (GCM ≥ 4x, CLMUL
+//! GHASH ≥ 8x, stitched CCM ≥ 1.5x) compare two arms on the same host,
+//! so they hold across machines.
 //!
 //! ```sh
 //! cargo run --release -p mccp-bench --bin bench_kernels [-- --quick]
 //! ```
 
-use mccp_aes::modes::{ctr_xcrypt, ctr_xcrypt_scalar, gcm_seal_scalar, GcmContext};
-use mccp_aes::Aes;
+use mccp_aes::modes::{
+    ccm_seal_into, ctr_xcrypt, ctr_xcrypt_scalar, gcm_seal_scalar, CcmParams, GcmContext,
+};
+use mccp_aes::{Aes, BlockCipher128};
 use mccp_bench::{Args, BenchFile, Sampler, Stats};
 use mccp_gf128::{ghash, ghash_batched, Gf128, GhashKey, GhashPowers};
 use std::hint::black_box;
 
 const KERNEL_BUF_BYTES: usize = 8192;
-const GCM_PAYLOAD_BYTES: usize = 512;
-const GCM_AAD_BYTES: usize = 16;
+const PACKET_PAYLOAD_BYTES: usize = 512;
+const PACKET_AAD_BYTES: usize = 16;
 
 // Regression floors for the batched arms. Deliberately far below the
 // measured numbers (see BENCH_functional_kernels.json) so only a real
@@ -42,18 +54,44 @@ const GCM_AAD_BYTES: usize = 16;
 const FLOOR_GHASH_BATCHED_GB_S: f64 = 0.04;
 const FLOOR_CTR_BATCHED_GB_S: f64 = 0.04;
 const FLOOR_GCM512_BATCHED_PACKETS_PER_SEC: f64 = 4000.0;
+const FLOOR_CCM512_STITCHED_PACKETS_PER_SEC: f64 = 4000.0;
 
 /// Batched GHASH over the serial Shoup arm, required when the batched arm
 /// runs on PCLMULQDQ (the table arm reads about 1.75x and is not gated).
 const MIN_CLMUL_GHASH_SPEEDUP: f64 = 8.0;
+
+/// Stitched CCM over the serial pass, required on an AES-NI host (without
+/// AES-NI both arms run the same serial pass).
+const MIN_AESNI_CCM_SPEEDUP: f64 = 1.5;
+
+/// [`Aes`] seen only through `encrypt_block`: CCM over it takes the
+/// trait's default serial pass, one block per call.
+struct SerialCcm<'a>(&'a Aes);
+
+impl BlockCipher128 for SerialCcm<'_> {
+    fn encrypt_block(&self, block: &mut [u8; 16]) {
+        self.0.encrypt_block(block);
+    }
+    fn decrypt_block(&self, block: &mut [u8; 16]) {
+        self.0.decrypt_block(block);
+    }
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+}
 
 fn main() {
     let quick = Args::parse(&["--quick"]).flag("--quick");
     let sampler = Sampler::new(quick);
     let gb_s = |s: Stats| s.rate(KERNEL_BUF_BYTES as f64) / 1e9;
     let host_parallelism = mccp_sdr::host_parallelism();
+    let aes_arm = if mccp_aes::aesni::supported() {
+        "aesni"
+    } else {
+        "ttable"
+    };
     println!(
-        "bench_kernels{}: host parallelism {host_parallelism}",
+        "bench_kernels{}: host parallelism {host_parallelism}, AES arm {aes_arm}",
         if quick { " (--quick)" } else { "" }
     );
 
@@ -112,8 +150,8 @@ fn main() {
 
     // --- GCM 512 B packets: pre-batching path vs warm context ------------
     let iv = [0x11u8; 12];
-    let aad = [0x22u8; GCM_AAD_BYTES];
-    let payload = vec![0xC3u8; GCM_PAYLOAD_BYTES];
+    let aad = [0x22u8; PACKET_AAD_BYTES];
+    let payload = vec![0xC3u8; PACKET_PAYLOAD_BYTES];
     let ctx = GcmContext::new(aes.clone());
     assert_eq!(
         gcm_seal_scalar(&aes, &iv, &aad, &payload, 16).unwrap(),
@@ -123,7 +161,7 @@ fn main() {
     let gcm_scalar_pps = sampler
         .run(|| gcm_seal_scalar(&aes, &iv, &aad, black_box(&payload), 16).unwrap())
         .rate(1.0);
-    let mut out = Vec::with_capacity(GCM_PAYLOAD_BYTES + 16);
+    let mut out = Vec::with_capacity(PACKET_PAYLOAD_BYTES + 16);
     let gcm_batched_pps = sampler
         .run(|| {
             ctx.seal_into(&iv, &aad, black_box(&payload), 16, &mut out)
@@ -133,13 +171,55 @@ fn main() {
         .rate(1.0);
     let gcm_speedup = gcm_batched_pps / gcm_scalar_pps;
     println!(
-        "  GCM {GCM_PAYLOAD_BYTES} B packets: scalar {gcm_scalar_pps:.0}/s, \
+        "  GCM {PACKET_PAYLOAD_BYTES} B packets: scalar {gcm_scalar_pps:.0}/s, \
          batched {gcm_batched_pps:.0}/s ({gcm_speedup:.2}x)"
     );
     assert!(
         gcm_speedup >= 4.0,
-        "batched 512 B GCM must be >= 4x the pre-batching path, got {gcm_speedup:.2}x"
+        "batched 512 B GCM must be >= 4x the serial path, got {gcm_speedup:.2}x"
     );
+
+    // --- CCM 512 B packets: serial pass vs stitched pass -----------------
+    let ccm = CcmParams {
+        nonce_len: 13,
+        tag_len: 8,
+    };
+    let nonce = [0x33u8; 13];
+    let serial = SerialCcm(&aes);
+    let ccm_seal = |cipher: &dyn BlockCipher128, out: &mut Vec<u8>| {
+        ccm_seal_into(&cipher, &ccm, &nonce, &aad, black_box(&payload), out).unwrap();
+    };
+    let (mut serial_out, mut stitched_out) = (Vec::new(), Vec::new());
+    ccm_seal(&serial, &mut serial_out);
+    ccm_seal(&aes, &mut stitched_out);
+    assert_eq!(
+        serial_out, stitched_out,
+        "stitched CCM seal must be byte-identical to the serial pass"
+    );
+    let ccm_serial_pps = sampler
+        .run(|| {
+            ccm_seal(&serial, &mut out);
+            black_box(&out);
+        })
+        .rate(1.0);
+    let ccm_stitched_pps = sampler
+        .run(|| {
+            ccm_seal(&aes, &mut out);
+            black_box(&out);
+        })
+        .rate(1.0);
+    let ccm_speedup = ccm_stitched_pps / ccm_serial_pps;
+    println!(
+        "  CCM {PACKET_PAYLOAD_BYTES} B packets: serial {ccm_serial_pps:.0}/s, \
+         stitched {ccm_stitched_pps:.0}/s ({ccm_speedup:.2}x)"
+    );
+    if aes_arm == "aesni" {
+        assert!(
+            ccm_speedup >= MIN_AESNI_CCM_SPEEDUP,
+            "stitched 512 B CCM must be >= {MIN_AESNI_CCM_SPEEDUP}x the serial pass, \
+             got {ccm_speedup:.2}x"
+        );
+    }
 
     for (label, measured, floor) in [
         (
@@ -153,6 +233,11 @@ fn main() {
             gcm_batched_pps,
             FLOOR_GCM512_BATCHED_PACKETS_PER_SEC,
         ),
+        (
+            "CCM 512B stitched packets/s",
+            ccm_stitched_pps,
+            FLOOR_CCM512_STITCHED_PACKETS_PER_SEC,
+        ),
     ] {
         assert!(
             measured >= floor,
@@ -165,6 +250,7 @@ fn main() {
          \"host_parallelism\": {host_parallelism},\n  \
          \"samples\": {},\n  \
          \"kernel_buf_bytes\": {KERNEL_BUF_BYTES},\n  \
+         \"aes_arm\": \"{aes_arm}\",\n  \
          \"ghash_arm\": \"{ghash_arm}\",\n  \
          \"ghash_scalar_gb_s\": {ghash_scalar_gb_s:.4},\n  \
          \"ghash_batched_gb_s\": {ghash_batched_gb_s:.4},\n  \
@@ -172,23 +258,35 @@ fn main() {
          \"ctr_scalar_gb_s\": {ctr_scalar_gb_s:.4},\n  \
          \"ctr_batched_gb_s\": {ctr_batched_gb_s:.4},\n  \
          \"ctr_speedup\": {:.2},\n  \
-         \"gcm_payload_bytes\": {GCM_PAYLOAD_BYTES},\n  \
-         \"gcm_aad_bytes\": {GCM_AAD_BYTES},\n  \
+         \"gcm_payload_bytes\": {PACKET_PAYLOAD_BYTES},\n  \
+         \"gcm_aad_bytes\": {PACKET_AAD_BYTES},\n  \
          \"gcm512_scalar_packets_per_sec\": {gcm_scalar_pps:.0},\n  \
          \"gcm512_batched_packets_per_sec\": {gcm_batched_pps:.0},\n  \
          \"gcm512_packet_speedup\": {gcm_speedup:.2},\n  \
+         \"ccm512_serial_packets_per_sec\": {ccm_serial_pps:.0},\n  \
+         \"ccm512_stitched_packets_per_sec\": {ccm_stitched_pps:.0},\n  \
+         \"ccm512_stitch_speedup\": {ccm_speedup:.2},\n  \
          \"floor_ghash_batched_gb_s\": {FLOOR_GHASH_BATCHED_GB_S},\n  \
          \"floor_ctr_batched_gb_s\": {FLOOR_CTR_BATCHED_GB_S},\n  \
          \"floor_gcm512_batched_packets_per_sec\": {FLOOR_GCM512_BATCHED_PACKETS_PER_SEC},\n  \
-         \"note\": \"every rate is the median of `samples` harness samples; scalar arms are \
-         the exact pre-batching kernels (per-call hash subkey on the GCM path); ghash_arm is \
-         the batched arm the CPU selected (clmul: PCLMULQDQ, gated at >= 8x the scalar arm; \
-         table: Shoup tables); floors are deliberate underestimates that bench_kernels \
-         checks the batched medians against on every run, --quick included\"\n}}\n",
+         \"floor_ccm512_stitched_packets_per_sec\": {FLOOR_CCM512_STITCHED_PACKETS_PER_SEC},\n  \
+         \"note\": \"every rate is the median of `samples` harness samples; aes_arm is the \
+         AES the CPU selected (aesni: AES-NI for single blocks, 4-wide batches and the \
+         stitched CCM pass; ttable: software T-tables); scalar arms are the serial kernels, one \
+         encrypt_block per keystream block, with a per-call hash subkey and serial GHASH on \
+         the GCM path; the CCM serial arm is the trait's default pass over encrypt_block \
+         alone and the stitched arm the one-pass AES-NI override (gated at >= 1.5x the serial \
+         arm on aesni); ghash_arm is the batched arm the CPU selected (clmul: PCLMULQDQ, gated \
+         at >= 8x the scalar arm; table: Shoup tables); packet arms seal 512 B with 16 B of \
+         AAD; floors are deliberate underestimates that bench_kernels checks the batched and \
+         stitched medians against on every run, --quick included\"\n}}\n",
         sampler.samples,
         ctr_batched_gb_s / ctr_scalar_gb_s,
     );
     BenchFile("BENCH_functional_kernels.json").record(&json, !quick);
     print!("{json}");
-    println!("bench_kernels PASSED: 512 B GCM speedup {gcm_speedup:.2}x (>= 4x required)");
+    println!(
+        "bench_kernels PASSED: 512 B GCM speedup {gcm_speedup:.2}x (>= 4x required), \
+         CCM stitch {ccm_speedup:.2}x"
+    );
 }

@@ -25,7 +25,7 @@
 //! cargo run --release -p mccp-bench --bin bench_service [-- --quick]
 //! ```
 
-use mccp_bench::{Args, BenchFile};
+use mccp_bench::{percentile, Args, BenchFile};
 use mccp_core::FunctionalBackend;
 use mccp_sdr::{MccpService, QosClass, ServiceChannelId, ServiceConfig, ServiceError, Standard};
 use rand::rngs::StdRng;
@@ -105,14 +105,6 @@ struct SweepArm {
     shed: [u64; 3],
     delivered: u64,
     max_queue_depth: usize,
-}
-
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx]
 }
 
 fn class_counts(svc: &MccpService<FunctionalBackend>) -> ([u64; 3], [u64; 3], [u64; 3]) {

@@ -309,13 +309,23 @@ impl Sampler {
     }
 }
 
+/// The percentile rule of every binary: the sample at rank
+/// `round(p * (n - 1))` of a sorted series, `p` in `0.0..=1.0`.
+///
+/// # Panics
+/// Panics on an empty series.
+pub fn percentile<T: Copy>(sorted: &[T], p: f64) -> T {
+    assert!(!sorted.is_empty(), "percentile of an empty series");
+    sorted[((sorted.len() - 1) as f64 * p).round() as usize]
+}
+
 /// Median, min and p90 of a series of samples.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Stats {
     /// The middle sample (the mean of the middle two for an even count).
     pub median: f64,
     pub min: f64,
-    /// The sample at rank `round(0.9 * (n - 1))` of the sorted series.
+    /// The sorted series' [`percentile`] at 0.9.
     pub p90: f64,
 }
 
@@ -327,7 +337,7 @@ impl Stats {
         Stats {
             median: (xs[(n - 1) / 2] + xs[n / 2]) / 2.0,
             min: xs[0],
-            p90: xs[((n - 1) as f64 * 0.9).round() as usize],
+            p90: percentile(&xs, 0.9),
         }
     }
 
@@ -444,6 +454,19 @@ mod tests {
         let s = Stats::of(vec![0.2, 0.4, 0.1]);
         assert_eq!((s.median, s.min, s.p90), (0.2, 0.1, 0.4));
         assert_eq!(s.rate(1.0), 5.0);
+    }
+
+    #[test]
+    fn percentile_takes_the_nearest_rank() {
+        let series: Vec<u64> = (1..=11).map(|i| i * 10).collect();
+        assert_eq!(percentile(&series, 0.0), 10);
+        assert_eq!(percentile(&series, 0.5), 60);
+        assert_eq!(percentile(&series, 0.9), 100);
+        assert_eq!(percentile(&series, 0.99), 110);
+        assert_eq!(percentile(&series, 1.0), 110);
+        // Rank round(0.5 * 3) = 2 of four samples.
+        assert_eq!(percentile(&[1.0, 2.0, 3.0, 4.0], 0.5), 3.0);
+        assert_eq!(percentile(&[7u64], 0.99), 7);
     }
 
     #[test]

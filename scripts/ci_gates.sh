@@ -102,12 +102,14 @@ stage_kernel_equivalence() {
 
 # bench_cluster --quick asserts the modeled 4-shard scaling and the
 # work-stealing win on a reduced workload. bench_kernels --quick measures
-# the batched GHASH/CTR/GCM arms (harness medians) and fails if any lands
-# below its regression floor: the floors live in bench_kernels (recorded
-# as floor_* in BENCH_functional_kernels.json) and are checked there at
-# 100%. It also gates the ratios between kernel arms on this host
-# (batched 512 B GCM >= 4x the scalar path; with PCLMULQDQ, batched GHASH
-# >= 8x the serial Shoup arm). bench_snapshot --check replays the
+# the batched GHASH/CTR/GCM arms and the stitched CCM arm (harness
+# medians) and fails if any lands below its regression floor: the floors
+# live in bench_kernels (recorded as floor_* in
+# BENCH_functional_kernels.json) and are checked there at 100%. It also
+# gates the ratios between kernel arms on this host (batched 512 B GCM
+# >= 4x the scalar path; with PCLMULQDQ, batched GHASH >= 8x the serial
+# Shoup arm; with AES-NI, stitched 512 B CCM >= 1.5x the serial CCM
+# pass). bench_snapshot --check replays the
 # simulator-speed soak per-tick and fast-forwarded, asserts identical
 # records, completion cycles and bytes, and checks both makespans against
 # BENCH_sim_speed.json. None of the three rewrites its JSON.
@@ -168,11 +170,14 @@ for path in files:
             "floor_ghash_batched_gb_s",
             "floor_ctr_batched_gb_s",
             "floor_gcm512_batched_packets_per_sec",
+            "floor_ccm512_stitched_packets_per_sec",
         ):
             if key not in doc:
                 failures.append(f"{path}: missing {key} (records a bench_kernels floor)")
         if doc.get("ghash_arm") not in ("clmul", "table"):
             failures.append(f"{path}: ghash_arm must be \"clmul\" or \"table\"")
+        if doc.get("aes_arm") not in ("aesni", "ttable"):
+            failures.append(f"{path}: aes_arm must be \"aesni\" or \"ttable\"")
     if path == "BENCH_reconfig.json":
         mix = doc.get("mix_shift", {})
         svc = doc.get("service_swap_window", {})

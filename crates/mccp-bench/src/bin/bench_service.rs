@@ -17,6 +17,9 @@
 //! - **Churn** — open/close cycle rate on the fully loaded slab (slot
 //!   recycling + generation bumps on every cycle).
 //!
+//! The two wall-clock rates (served Mbps, lifecycle ops/s) are each the
+//! median over [`CHUNKS`] equal chunks of their phase.
+//!
 //! `--quick` shrinks the channel count and round counts into a CI smoke
 //! that asserts the same invariants and prints the JSON without rewriting
 //! the BENCH file.
@@ -25,7 +28,7 @@
 //! cargo run --release -p mccp-bench --bin bench_service [-- --quick]
 //! ```
 
-use mccp_bench::{percentile, Args, BenchFile};
+use mccp_bench::{percentile, Args, BenchFile, Stats};
 use mccp_core::FunctionalBackend;
 use mccp_sdr::{MccpService, QosClass, ServiceChannelId, ServiceConfig, ServiceError, Standard};
 use rand::rngs::StdRng;
@@ -35,6 +38,9 @@ use std::time::Instant;
 const SEED: u64 = 0x5E21_CE00;
 const ZIPF_EXPONENT: f64 = 1.1;
 const PAYLOAD_LEN: usize = 256;
+/// Equal chunks the activity and churn phases are timed in; each phase
+/// reports its median chunk's rate.
+const CHUNKS: usize = 10;
 
 const STANDARDS: [Standard; 4] = [
     Standard::Wifi,
@@ -186,27 +192,36 @@ fn main() {
     let mut submitted = 0u64;
     let mut shed_warm = 0u64;
     let mut hits = vec![0u32; channels];
-    let t_activity = Instant::now();
-    for round in 0..activity_rounds {
-        for _ in 0..capacity {
-            let ch = zipf.sample(&mut rng);
-            hits[ch] += 1;
-            match svc.submit(ids[ch], b"svc-aad", &payload, round as u64) {
-                Ok(()) => submitted += 1,
-                Err(ServiceError::Busy { .. }) => shed_warm += 1,
-                Err(e) => panic!("activity submit: {e:?}"),
+    assert_eq!(activity_rounds % CHUNKS, 0, "activity chunks are equal");
+    let rounds_per_chunk = activity_rounds / CHUNKS;
+    let mut chunk_mbps = Vec::with_capacity(CHUNKS);
+    for chunk in 0..CHUNKS {
+        let (t_chunk, delivered_before) = (Instant::now(), delivered);
+        for round in chunk * rounds_per_chunk..(chunk + 1) * rounds_per_chunk {
+            for _ in 0..capacity {
+                let ch = zipf.sample(&mut rng);
+                hits[ch] += 1;
+                match svc.submit(ids[ch], b"svc-aad", &payload, round as u64) {
+                    Ok(()) => submitted += 1,
+                    Err(ServiceError::Busy { .. }) => shed_warm += 1,
+                    Err(e) => panic!("activity submit: {e:?}"),
+                }
+            }
+            for d in svc.pump() {
+                assert!(d.auth_ok);
+                delivered += d.body.len() as u64;
             }
         }
-        for d in svc.pump() {
-            assert!(d.auth_ok);
-            delivered += d.body.len() as u64;
+        // The last chunk also drains what the phase left queued.
+        if chunk + 1 == CHUNKS {
+            for d in svc.quiesce(10_000) {
+                delivered += d.body.len() as u64;
+            }
         }
+        let wall = t_chunk.elapsed().as_secs_f64();
+        chunk_mbps.push((delivered - delivered_before) as f64 * 8.0 / wall.max(1e-12) / 1e6);
     }
-    for d in svc.quiesce(10_000) {
-        delivered += d.body.len() as u64;
-    }
-    let activity_wall = t_activity.elapsed().as_secs_f64();
-    let served_mbps = delivered as f64 * 8.0 / activity_wall.max(1e-12) / 1e6;
+    let served_mbps = Stats::of(chunk_mbps).median;
     let offered_pkts = (activity_rounds * capacity) as u64;
     let mut distinct = 0usize;
     let mut top_hits = 0u64;
@@ -223,7 +238,7 @@ fn main() {
     println!(
         "  activity: {offered_pkts} pkts offered at capacity over {distinct} distinct \
          channels (top 1% of slots took {:.0}% of traffic); served {served_mbps:.0} Mbps \
-         sustained, {submitted} admitted / {shed_warm} shed",
+         sustained (median of {CHUNKS} chunks), {submitted} admitted / {shed_warm} shed",
         top1pct_share * 100.0
     );
     assert!(
@@ -324,20 +339,29 @@ fn main() {
 
     // ---- Phase 4: churn on the loaded slab. ----------------------------
     let churn_cycles = if quick { 2_000 } else { 20_000 };
-    let t_churn = Instant::now();
-    for i in 0..churn_cycles {
-        let standard = standard_for(i);
-        let id = svc
-            .open(standard, &key_for(standard, i))
-            .expect("churn open");
-        svc.close(id).expect("churn close");
+    assert_eq!(churn_cycles % CHUNKS, 0, "churn chunks are equal");
+    let cycles_per_chunk = churn_cycles / CHUNKS;
+    let mut churn_wall = 0.0;
+    let mut chunk_ops = Vec::with_capacity(CHUNKS);
+    for chunk in 0..CHUNKS {
+        let t_chunk = Instant::now();
+        for i in chunk * cycles_per_chunk..(chunk + 1) * cycles_per_chunk {
+            let standard = standard_for(i);
+            let id = svc
+                .open(standard, &key_for(standard, i))
+                .expect("churn open");
+            svc.close(id).expect("churn close");
+        }
+        let wall = t_chunk.elapsed().as_secs_f64();
+        churn_wall += wall;
+        chunk_ops.push(cycles_per_chunk as f64 * 2.0 / wall.max(1e-12));
     }
-    let churn_wall = t_churn.elapsed().as_secs_f64();
-    let churn_ops_per_sec = churn_cycles as f64 * 2.0 / churn_wall.max(1e-12);
+    let churn_ops_per_sec = Stats::of(chunk_ops).median;
     assert_eq!(svc.occupancy(), channels, "churn must not leak slots");
     println!(
         "  churn: {churn_cycles} open/close cycles in {churn_wall:.3}s \
-         ({churn_ops_per_sec:.0} lifecycle ops/s); occupancy back to {channels}"
+         ({churn_ops_per_sec:.0} lifecycle ops/s, median of {CHUNKS} chunks); \
+         occupancy back to {channels}"
     );
 
     let arm_rows: Vec<String> = arms
@@ -380,11 +404,11 @@ fn main() {
          \"rounds\": {activity_rounds}, \"payload_bytes\": {PAYLOAD_LEN}, \
          \"offered_packets\": {offered_pkts}, \"admitted_packets\": {submitted}, \
          \"distinct_channels\": {distinct}, \"top1pct_traffic_share\": {top1pct_share:.4}, \
-         \"served_mbps\": {served_mbps:.1}}},\n  \
+         \"chunks\": {CHUNKS}, \"served_mbps\": {served_mbps:.1}}},\n  \
          \"admission_sweep\": {{\"rounds_per_arm\": {arm_rounds}, \
          \"knee_multiplier\": {}, \"points\": [\n{}\n  ]}},\n  \
          \"churn\": {{\"cycles\": {churn_cycles}, \"wall_seconds\": {churn_wall:.4}, \
-         \"lifecycle_ops_per_sec\": {churn_ops_per_sec:.0}}},\n  \
+         \"chunks\": {CHUNKS}, \"lifecycle_ops_per_sec\": {churn_ops_per_sec:.0}}},\n  \
          \"note\": \"knee = first arm shedding >0.5% of offer; SecureVoice (critical) sheds \
          only with the queue completely full; bytes_per_idle_channel is the statm RSS delta \
          over the mass-open phase, an upper bound including allocator slack\"\n}}\n",

@@ -6,23 +6,23 @@
 //!
 //! | binary or bench target | artifact |
 //! |------------------------|----------|
-//! | `table1_isa` | Table I — the Cryptographic Unit ISA with timing |
-//! | `loop_cycles` | §VII loop-cycle equations (49 / 55 / 104, +8/+16) |
-//! | `table2_throughput` | Table II — throughput grid, paper vs measured |
-//! | `table3_comparison` | Table III — architecture comparison |
-//! | `table4_reconfig` | Table IV — partial reconfiguration |
-//! | `architecture_report` | Figs 1–3 — component inventory + area budget |
+//! | `paper table1_isa` | Table I — the Cryptographic Unit ISA with timing |
+//! | `paper loop_cycles` | §VII loop-cycle equations (49 / 55 / 104, +8/+16) |
+//! | `paper table2_throughput` | Table II — throughput grid, paper vs measured |
+//! | `paper table3_comparison` | Table III — architecture comparison |
+//! | `paper table4_reconfig` | Table IV — partial reconfiguration |
+//! | `paper architecture_report` | Figs 1–3 — component inventory + area budget |
+//! | `paper fig_packet_sweep` | derived: throughput vs packet size |
+//! | `paper fig_latency_tradeoff` | derived: CCM 4×1 vs 2×2 latency/throughput |
+//! | `paper fig_core_scaling` | derived: throughput vs core count |
+//! | `paper fig_aad_fraction` | derived: throughput vs authenticated-only fraction |
+//! | `paper fig_offered_load` | derived: latency vs offered load |
+//! | `paper ablation_overlap` | ablation: background start/finalize vs blocking |
+//! | `paper ablation_nop` | ablation: completion-edge acceptance (NOP trick) |
+//! | `paper ablation_fifo` | ablation: FIFO depth sweep |
+//! | `paper ablation_key_cache` | ablation: the per-core key cache |
+//! | `paper ablation_cipher_swap` | ablation: AES replaced by Twofish |
 //! | `firmware_listing [<firmware>]` | Listing 1 — the assembled mode firmware |
-//! | `fig_packet_sweep` | derived: throughput vs packet size |
-//! | `fig_latency_tradeoff` | derived: CCM 4×1 vs 2×2 latency/throughput |
-//! | `fig_core_scaling` | derived: throughput vs core count |
-//! | `fig_aad_fraction` | derived: throughput vs authenticated-only fraction |
-//! | `fig_offered_load` | derived: latency vs offered load |
-//! | `ablation_overlap` | ablation: background start/finalize vs blocking |
-//! | `ablation_nop` | ablation: completion-edge acceptance (NOP trick) |
-//! | `ablation_fifo` | ablation: FIFO depth sweep |
-//! | `ablation_key_cache` | ablation: the per-core key cache |
-//! | `ablation_cipher_swap` | ablation: AES replaced by Twofish |
 //! | `soak [<packets>] [--engine cycle\|functional]` | duplex verification soak |
 //! | `telemetry_report [--vcd]` | every telemetry export, checked deterministic |
 //! | `bench_kernels [--quick]` | `BENCH_functional_kernels.json` — scalar vs batched kernels |
@@ -37,128 +37,15 @@
 //! | `cargo bench --bench simulator` | wall clock: one cycle-accurate 2 KB packet |
 //! | `cargo bench --bench functional_throughput` | W-1: functional engine over 1/2/4/8 shards |
 //!
-//! Every binary and bench target goes through one harness: [`Args`]
-//! parses the command line (anything a binary does not name exits 2
-//! before it does any work), [`Sampler`] times closures, and
-//! [`BenchFile`] reads and writes the checked-in `BENCH_*.json` files.
+//! `paper` takes exactly one artifact name; every other binary and bench
+//! target goes through one harness: [`Args`] parses the command line
+//! (anything a binary does not name exits 2 before it does any work),
+//! [`Sampler`] times closures, and [`BenchFile`] reads and writes the
+//! checked-in `BENCH_*.json` files.
 
-use mccp_aes::KeySize;
-use mccp_core::model::Schedule;
-use mccp_core::protocol::{Algorithm, KeyId};
-use mccp_core::{Direction, Mccp, MccpConfig};
-use mccp_sim::throughput_mbps;
 use std::hint::black_box;
 use std::str::FromStr;
 use std::time::Instant;
-
-/// Measured throughput/latency for one Table II cell.
-#[derive(Clone, Copy, Debug)]
-pub struct Measured {
-    /// Aggregate throughput, Mbps at 190 MHz.
-    pub mbps: f64,
-    /// Per-packet latency in cycles.
-    pub latency_cycles: u64,
-}
-
-/// Algorithm for a (schedule, key) pair.
-fn algorithm_for(schedule: Schedule, key: KeySize) -> Algorithm {
-    use Schedule::*;
-    match (schedule, key) {
-        (Gcm1Core | Gcm4x1, KeySize::Aes128) => Algorithm::AesGcm128,
-        (Gcm1Core | Gcm4x1, KeySize::Aes192) => Algorithm::AesGcm192,
-        (Gcm1Core | Gcm4x1, KeySize::Aes256) => Algorithm::AesGcm256,
-        (_, KeySize::Aes128) => Algorithm::AesCcm128,
-        (_, KeySize::Aes192) => Algorithm::AesCcm192,
-        (_, KeySize::Aes256) => Algorithm::AesCcm256,
-    }
-}
-
-/// Runs `streams` concurrent packets of `packet_bytes` each through a
-/// 4-core cycle-accurate MCCP and reports aggregate throughput and the
-/// per-packet latency. `two_core` selects the paired-CCM schedule.
-pub fn measure_schedule(schedule: Schedule, key: KeySize, packet_bytes: usize) -> Measured {
-    let two_core = matches!(schedule, Schedule::Ccm2Core | Schedule::Ccm2x2);
-    let streams = schedule.streams() as usize;
-
-    // Oversize packets (sweep experiments) run in streaming mode.
-    let mut m = Mccp::new(MccpConfig {
-        ccm_two_core: two_core,
-        ..MccpConfig::default()
-    });
-
-    let key_bytes: Vec<u8> = (0..key.key_bytes() as u8).collect();
-    m.key_memory_mut().store(KeyId(1), &key_bytes);
-    let alg = algorithm_for(schedule, key);
-    let ch = m.open_with_tag_len(alg, KeyId(1), 16).unwrap();
-
-    // Warm the key caches (Table II assumes a running channel, not a
-    // cold-start key expansion).
-    let payload = vec![0xA5u8; packet_bytes];
-    let warm = m
-        .submit(ch, Direction::Encrypt, &iv_for(alg, 0), &[], &payload, None)
-        .unwrap();
-    m.run_until_done(warm, 1_000_000_000);
-    m.retrieve(warm).unwrap();
-    m.transfer_done(warm).unwrap();
-
-    let start = m.cycle();
-    let ids: Vec<_> = (0..streams)
-        .map(|i| {
-            m.submit(
-                ch,
-                Direction::Encrypt,
-                &iv_for(alg, i as u64 + 1),
-                &[],
-                &payload,
-                None,
-            )
-            .expect("stream fits")
-        })
-        .collect();
-    m.run_to_completion(1_000_000_000);
-    let latency = ids
-        .iter()
-        .map(|&id| m.request_cycles(id).expect("done"))
-        .max()
-        .unwrap_or(0);
-    let total_cycles = m.cycle() - start;
-    for &id in &ids {
-        m.retrieve(id).unwrap();
-        m.transfer_done(id).unwrap();
-    }
-    let bits = (packet_bytes * streams) as u64 * 8;
-    Measured {
-        mbps: throughput_mbps(bits, total_cycles),
-        latency_cycles: latency,
-    }
-}
-
-/// Deterministic IV/nonce of the right length for an algorithm.
-pub fn iv_for(alg: Algorithm, i: u64) -> Vec<u8> {
-    use mccp_core::protocol::Mode;
-    match alg.mode() {
-        Mode::Gcm => {
-            let mut iv = vec![0u8; 12];
-            iv[4..].copy_from_slice(&i.to_be_bytes());
-            iv
-        }
-        Mode::Ccm => {
-            let mut iv = vec![0u8; 12];
-            iv[4..].copy_from_slice(&i.to_be_bytes());
-            iv
-        }
-        Mode::Ctr => {
-            let mut iv = vec![0u8; 16];
-            iv[4..12].copy_from_slice(&i.to_be_bytes());
-            iv
-        }
-        Mode::CbcMac => Vec::new(),
-    }
-}
-
-// ---------------------------------------------------------------------
-// The measurement harness.
-// ---------------------------------------------------------------------
 
 /// A binary's parsed command line. Each `spec` entry names one accepted
 /// argument: `"--quick"` is a switch, `"--packets <n>"` takes one value,
@@ -383,26 +270,6 @@ fn field<T: FromStr>(body: &str, path: &str) -> Option<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn gcm_single_core_measures_near_model() {
-        let m = measure_schedule(Schedule::Gcm1Core, KeySize::Aes128, 2048);
-        // Theoretical bound 496 Mbps; paper measured 437 with their
-        // firmware overhead; ours must land between 400 and 496.
-        assert!(m.mbps > 400.0 && m.mbps < 497.0, "got {}", m.mbps);
-    }
-
-    #[test]
-    fn four_streams_scale() {
-        let one = measure_schedule(Schedule::Gcm1Core, KeySize::Aes128, 1024);
-        let four = measure_schedule(Schedule::Gcm4x1, KeySize::Aes128, 1024);
-        assert!(
-            four.mbps > 3.5 * one.mbps,
-            "one={}, four={}",
-            one.mbps,
-            four.mbps
-        );
-    }
 
     fn parse(spec: &[&str], argv: &[&str]) -> Result<Args, String> {
         Args::parse_from(spec, argv.iter().map(|a| a.to_string()))

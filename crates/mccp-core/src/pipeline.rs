@@ -31,6 +31,7 @@ use mccp_aes::modes::{cbc_mac, ctr_xcrypt};
 use mccp_aes::twofish::Twofish;
 use mccp_aes::whirlpool::Whirlpool;
 use mccp_aes::Aes;
+use std::fmt;
 
 /// What one pipeline stage computes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -55,12 +56,23 @@ impl StageOp {
 
 /// One stage of a pipeline graph: the operation, the block cipher the
 /// stage's core must host, and the stage's own session key.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct PipelineStage {
     pub op: StageOp,
     /// Ignored for `WhirlpoolHmac` (the hash core has no block cipher).
     pub cipher: CipherSel,
     pub key: Vec<u8>,
+}
+
+/// Prints the key's length, never its bytes.
+impl fmt::Debug for PipelineStage {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PipelineStage")
+            .field("op", &self.op)
+            .field("cipher", &self.cipher)
+            .field("key_len", &self.key.len())
+            .finish()
+    }
 }
 
 impl PipelineStage {
@@ -112,7 +124,7 @@ pub enum PipelineKind {
 /// maps them into its own key store when the channel opens (the
 /// cycle-accurate engine allocates [`KeyId`]s in the write-protected Key
 /// Memory, the functional engine keeps the bytes).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct PipelineGraph {
     pub kind: PipelineKind,
     /// Tag length in bytes for the final MAC stage (≤ 16 for CBC-MAC,
@@ -121,6 +133,17 @@ pub struct PipelineGraph {
     /// Session key for the `FusedCcm2` form (stage chains carry keys per
     /// stage instead).
     fused_key: Option<Vec<u8>>,
+}
+
+/// Prints the fused key's length, never its bytes.
+impl fmt::Debug for PipelineGraph {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PipelineGraph")
+            .field("kind", &self.kind)
+            .field("tag_len", &self.tag_len)
+            .field("fused_key_len", &self.fused_key.as_ref().map(Vec::len))
+            .finish()
+    }
 }
 
 impl PipelineGraph {
@@ -317,7 +340,7 @@ pub fn run_stages_functional(
 }
 
 /// A stage resolved against the cycle-accurate engine's key stores.
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub(crate) struct ResolvedStage {
     pub(crate) op: StageOp,
     pub(crate) cipher: CipherSel,
@@ -326,6 +349,19 @@ pub(crate) struct ResolvedStage {
     /// Raw key bytes, needed at hash time by Whirlpool stages.
     pub(crate) key_bytes: Vec<u8>,
     pub(crate) algorithm: Algorithm,
+}
+
+/// Prints the key's length, never its bytes.
+impl fmt::Debug for ResolvedStage {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ResolvedStage")
+            .field("op", &self.op)
+            .field("cipher", &self.cipher)
+            .field("key", &self.key)
+            .field("key_len", &self.key_bytes.len())
+            .field("algorithm", &self.algorithm)
+            .finish()
+    }
 }
 
 impl ResolvedStage {

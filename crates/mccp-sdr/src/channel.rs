@@ -6,13 +6,12 @@
 //! CTR-based modes cannot survive breaking.
 
 use crate::standards::StandardProfile;
-use mccp_core::protocol::{ChannelId, KeyId, Mode};
+use mccp_core::protocol::{ChannelId, Mode};
 
 /// One secure channel.
 #[derive(Clone, Debug)]
 pub struct SecureChannel {
     pub profile: StandardProfile,
-    pub key: KeyId,
     /// The MCCP channel handle, once opened.
     pub handle: Option<ChannelId>,
     /// Per-channel salt (distinguishes channels sharing a key size).
@@ -23,10 +22,9 @@ pub struct SecureChannel {
 
 impl SecureChannel {
     /// Creates a channel with a fixed salt (deterministic workloads).
-    pub fn new(profile: StandardProfile, key: KeyId, salt: u32) -> Self {
+    pub fn new(profile: StandardProfile, salt: u32) -> Self {
         SecureChannel {
             profile,
-            key,
             handle: None,
             salt,
             counter: 0,
@@ -40,17 +38,6 @@ impl SecureChannel {
 
     /// Generates the next IV/nonce for this channel's mode and advances
     /// the counter.
-    pub fn next_iv(&mut self) -> Vec<u8> {
-        let iv = self.peek_iv();
-        self.counter += 1;
-        iv
-    }
-
-    /// The IV/nonce the *next* packet will use, without consuming it —
-    /// pair with [`commit_iv`](Self::commit_iv) once the packet is
-    /// actually accepted, so a backpressured submission never burns a
-    /// nonce (keeps IV sequences identical across engines that apply
-    /// backpressure at different points).
     ///
     /// * GCM: 12 bytes = salt (4) ‖ counter (8) — the deterministic
     ///   construction of SP 800-38D §8.2.1.
@@ -59,8 +46,9 @@ impl SecureChannel {
     ///   zero, leaving the hardware INC core headroom for any packet that
     ///   fits the FIFO.
     /// * CBC-MAC: empty.
-    pub fn peek_iv(&self) -> Vec<u8> {
+    pub fn next_iv(&mut self) -> Vec<u8> {
         let c = self.counter;
+        self.counter += 1;
         match self.profile.algorithm.mode() {
             Mode::Gcm => {
                 let mut iv = Vec::with_capacity(12);
@@ -88,11 +76,6 @@ impl SecureChannel {
             Mode::CbcMac => Vec::new(),
         }
     }
-
-    /// Consumes the IV returned by [`peek_iv`](Self::peek_iv).
-    pub fn commit_iv(&mut self) {
-        self.counter += 1;
-    }
 }
 
 #[cfg(test)]
@@ -102,7 +85,7 @@ mod tests {
 
     #[test]
     fn nonces_never_repeat() {
-        let mut ch = SecureChannel::new(Standard::Wifi.profile(), KeyId(1), 0xA1B2C3D4);
+        let mut ch = SecureChannel::new(Standard::Wifi.profile(), 0xA1B2C3D4);
         let mut seen = std::collections::HashSet::new();
         for _ in 0..1000 {
             assert!(seen.insert(ch.next_iv()), "nonce repeated");
@@ -120,14 +103,14 @@ mod tests {
                 Mode::Ctr => 16,
                 Mode::CbcMac => 0,
             };
-            let mut ch = SecureChannel::new(p, KeyId(0), 1);
+            let mut ch = SecureChannel::new(p, 1);
             assert_eq!(ch.next_iv().len(), expect, "{s:?}");
         }
     }
 
     #[test]
     fn ctr_low_bits_are_zero() {
-        let mut ch = SecureChannel::new(Standard::Umts.profile(), KeyId(0), 9);
+        let mut ch = SecureChannel::new(Standard::Umts.profile(), 9);
         for _ in 0..10 {
             let iv = ch.next_iv();
             assert_eq!(&iv[14..], &[0, 0], "INC headroom violated");
@@ -136,8 +119,8 @@ mod tests {
 
     #[test]
     fn different_salts_differ() {
-        let mut a = SecureChannel::new(Standard::Wimax.profile(), KeyId(0), 1);
-        let mut b = SecureChannel::new(Standard::Wimax.profile(), KeyId(0), 2);
+        let mut a = SecureChannel::new(Standard::Wimax.profile(), 1);
+        let mut b = SecureChannel::new(Standard::Wimax.profile(), 2);
         assert_ne!(a.next_iv(), b.next_iv());
     }
 }

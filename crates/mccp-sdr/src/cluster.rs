@@ -42,7 +42,7 @@ use crate::channel::SecureChannel;
 use crate::qos::{channel_slo, DispatchPolicy};
 use crate::standards::Standard;
 use crate::workload::Workload;
-use mccp_core::protocol::{ChannelId, KeyId, MccpError, Mode};
+use mccp_core::protocol::{ChannelId, MccpError, Mode};
 use mccp_core::{submit_and_wait, ChannelBackend, Direction, FunctionalBackend, Mccp, MccpConfig};
 use mccp_sim::throughput_mbps;
 use mccp_telemetry::slo::{ChannelAttainment, HealthScore, SloEngine};
@@ -447,7 +447,7 @@ impl<B: ChannelBackend> MccpCluster<B> {
                     Some(h0) => assert_eq!(h0, h, "shard {s} diverged on channel {i} handle"),
                 }
             }
-            let mut ch = SecureChannel::new(profile, KeyId(i as u8 + 1), 0x1000_0000 + i as u32);
+            let mut ch = SecureChannel::new(profile, 0x1000_0000 + i as u32);
             ch.handle = handle;
             channels.push(ch);
             keys.push(key);
@@ -1101,10 +1101,16 @@ fn run_shard<B: ChannelBackend>(
                 None,
             ) {
                 Ok(id) => {
-                    backend.telemetry_counter_add(
-                        &metrics::series("mccp_sdr_offered_packets_total", "channel", pkt.channel),
-                        1,
-                    );
+                    if backend.telemetry_enabled() {
+                        backend.telemetry_counter_add(
+                            &metrics::series(
+                                "mccp_sdr_offered_packets_total",
+                                "channel",
+                                pkt.channel,
+                            ),
+                            1,
+                        );
+                    }
                     in_flight.push((id, t.q, t.attempt, now));
                     pending.remove(pos);
                     next_ready = earliest(&pending);

@@ -45,7 +45,7 @@ use crate::qos::{class_slo, qos_class, AdmissionConfig, AdmitError, QosClass};
 use crate::slab::{ChannelSlab, ChannelStats, LiveChannel, ServiceChannelId, SlabError};
 use crate::standards::Standard;
 use mccp_core::format::Direction;
-use mccp_core::protocol::{ChannelId, KeyId, MccpError, RequestId};
+use mccp_core::protocol::{ChannelId, MccpError, RequestId};
 use mccp_core::ChannelBackend;
 use mccp_telemetry::service::ServiceCounters;
 use mccp_telemetry::slo::{ChannelAttainment, SloEngine};
@@ -653,7 +653,7 @@ impl<B: ChannelBackend> MccpService<B> {
         let profile = standard.profile();
         let live = LiveChannel {
             standard,
-            chan: SecureChannel::new(profile, KeyId(0), self.salt_seq),
+            chan: SecureChannel::new(profile, self.salt_seq),
             key: key.to_vec(),
             class,
             epoch: 0,

@@ -21,6 +21,7 @@
 use crate::channel::SecureChannel;
 use crate::qos::QosClass;
 use crate::standards::Standard;
+use std::fmt;
 
 /// A service-layer channel handle: `[generation:32][shard:8][slot:24]`.
 ///
@@ -89,7 +90,7 @@ pub struct ChannelStats {
 }
 
 /// The live state of one open service channel.
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct LiveChannel {
     /// Radio standard the channel runs (profile + QoS class derive from
     /// it).
@@ -121,6 +122,24 @@ pub struct LiveChannel {
     pub draining: bool,
     /// Lifetime accounting.
     pub stats: ChannelStats,
+}
+
+/// Prints the key's length, never its bytes.
+impl fmt::Debug for LiveChannel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("LiveChannel")
+            .field("standard", &self.standard)
+            .field("chan", &self.chan)
+            .field("key_len", &self.key.len())
+            .field("class", &self.class)
+            .field("epoch", &self.epoch)
+            .field("established", &self.established)
+            .field("in_flight", &self.in_flight)
+            .field("queued", &self.queued)
+            .field("draining", &self.draining)
+            .field("stats", &self.stats)
+            .finish()
+    }
 }
 
 impl LiveChannel {
@@ -275,12 +294,11 @@ impl ChannelSlab {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mccp_core::protocol::KeyId;
 
     fn live(standard: Standard) -> LiveChannel {
         LiveChannel {
             standard,
-            chan: SecureChannel::new(standard.profile(), KeyId(1), 7),
+            chan: SecureChannel::new(standard.profile(), 7),
             key: vec![0u8; 16],
             class: crate::qos::qos_class(standard),
             epoch: 0,

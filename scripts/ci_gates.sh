@@ -26,17 +26,25 @@ golden_diff() {
   fi
 }
 
-# The paper-fidelity outputs (Table II/IV, loop budgets, the derived
-# figures, the soaks and the multi-channel example) are deterministic, so
-# any byte of difference from golden/ is a real behaviour change. To
-# accept an intended change, rerun the command into its golden file.
+# Every artifact `paper <artifact>` prints, in its table's order (a
+# mccp-bench unit test keeps this list and that table equal).
+PAPER_ARTIFACTS=(
+  table1_isa loop_cycles table2_throughput table3_comparison table4_reconfig
+  architecture_report fig_packet_sweep fig_latency_tradeoff fig_core_scaling
+  fig_aad_fraction fig_offered_load ablation_overlap ablation_nop ablation_fifo
+  ablation_key_cache ablation_cipher_swap
+)
+
+# The paper artifacts, the soaks and the multi-channel example are
+# deterministic, so any byte of difference from golden/ is a real
+# behaviour change. To accept an intended change, rerun the command into
+# its golden file.
 stage_golden() {
   local bin=(cargo run -q --release -p mccp-bench --bin)
-  golden_diff table2_throughput "${bin[@]}" table2_throughput
-  golden_diff loop_cycles "${bin[@]}" loop_cycles
-  golden_diff table4_reconfig "${bin[@]}" table4_reconfig
-  golden_diff fig_core_scaling "${bin[@]}" fig_core_scaling
-  golden_diff fig_offered_load "${bin[@]}" fig_offered_load
+  local artifact
+  for artifact in "${PAPER_ARTIFACTS[@]}"; do
+    golden_diff "$artifact" "${bin[@]}" paper -- "$artifact"
+  done
   golden_diff soak_100 "${bin[@]}" soak -- 100
   golden_diff soak_100_functional "${bin[@]}" soak -- 100 --engine functional
   golden_diff multichannel_radio cargo run -q --release --example multichannel_radio

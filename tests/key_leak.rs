@@ -3,10 +3,15 @@
 //! trace_event, and the VCD waveform — is scanned for key material after
 //! a keyed workload with a live rekey. Keys must never appear in any
 //! export, in any common encoding (contiguous hex upper/lower, spaced or
-//! comma-separated hex byte lists, or decimal byte arrays).
+//! comma-separated hex byte lists, or decimal byte arrays). The same scan
+//! runs over the `{:?}` text of every public type that holds key bytes.
 
-use mccp::core::protocol::{Algorithm, MccpError};
-use mccp::core::{ChannelBackend, Direction, Mccp, MccpConfig};
+use mccp::core::protocol::{Algorithm, CipherSel, MccpError};
+use mccp::core::{
+    ChannelBackend, Direction, Mccp, MccpConfig, PipelineGraph, PipelineStage, StageOp,
+};
+use mccp::sdr::slab::ChannelStats;
+use mccp::sdr::{qos_class, LiveChannel, SecureChannel, Standard};
 use mccp::sim::CLOCK_HZ;
 use mccp::telemetry::trace::{Attempt, AttemptOutcome, PacketJourney};
 use mccp::telemetry::{export, trace, vcd_bridge};
@@ -139,6 +144,33 @@ fn no_exporter_output_contains_key_bytes() {
         assert!(!text.is_empty(), "{name}: exporter produced no output");
         scan(name, text);
     }
+}
+
+#[test]
+fn debug_formatting_of_key_holders_prints_no_key_bytes() {
+    let live = LiveChannel {
+        standard: Standard::Wifi,
+        chan: SecureChannel::new(Standard::Wifi.profile(), 7),
+        key: KEY_EPOCH0.to_vec(),
+        class: qos_class(Standard::Wifi),
+        epoch: 0,
+        established: true,
+        in_flight: 0,
+        queued: 0,
+        draining: false,
+        stats: ChannelStats::default(),
+    };
+    let stage = PipelineStage {
+        op: StageOp::Ctr,
+        cipher: CipherSel::Aes,
+        key: KEY_EPOCH0.to_vec(),
+    };
+    let chain = PipelineGraph::new(vec![stage.clone()], 16);
+    let fused = PipelineGraph::two_core_ccm(Algorithm::AesCcm128, KEY_EPOCH0.to_vec(), 16);
+    scan("LiveChannel", &format!("{live:?}"));
+    scan("PipelineStage", &format!("{stage:?}"));
+    scan("PipelineGraph (stages)", &format!("{chain:?}"));
+    scan("PipelineGraph (fused CCM)", &format!("{fused:?}"));
 }
 
 #[test]

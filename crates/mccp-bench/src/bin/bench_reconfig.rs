@@ -28,7 +28,7 @@ use mccp_core::core_unit::Personality;
 use mccp_core::pipeline::{PipelineGraph, PipelineStage, StageOp};
 use mccp_core::protocol::{Algorithm, ChannelId, CipherSel, KeyId, MccpError, RequestId};
 use mccp_core::reconfig::{bitstream_for, BitstreamSource, PolicyConfig};
-use mccp_core::{Direction, Mccp, MccpConfig};
+use mccp_core::{Direction, Mccp, MccpConfig, SessionKey};
 use mccp_sdr::{MccpService, QosClass, ServiceConfig, Standard};
 use std::collections::HashSet;
 
@@ -189,12 +189,12 @@ fn mix_shift_soak(phase1: usize, phase2_pairs: usize, phase3: usize) -> MixShift
             PipelineStage {
                 op: StageOp::Ctr,
                 cipher: CipherSel::Twofish,
-                key: vec![0x77; 16],
+                key: SessionKey::new(&[0x77; 16]).unwrap(),
             },
             PipelineStage {
                 op: StageOp::WhirlpoolHmac,
                 cipher: CipherSel::Aes,
-                key: vec![0x88; 32],
+                key: SessionKey::new(&[0x88; 32]).unwrap(),
             },
         ],
         32,

@@ -12,7 +12,7 @@
 //! deterministic for a given call sequence.
 
 use crate::format::Direction;
-use crate::protocol::{Algorithm, ChannelId, KeyId, MccpError, RequestId};
+use crate::protocol::{Algorithm, ChannelId, MccpError, RequestId};
 use mccp_telemetry::{Snapshot, Telemetry};
 
 /// One finished request, as surfaced by [`ChannelBackend::poll_completion`].
@@ -319,36 +319,40 @@ impl ChannelBackend for Mccp {
         "cycle"
     }
 
-    /// Stores the key bytes under the first free [`KeyId`] (allocated
-    /// ascending from 1) and opens the channel on it.
+    /// Checks the key, stores it under the first free [`KeyId`]
+    /// (allocated ascending from 1) and opens the channel on it. A refused
+    /// open leaves the Key Memory as it found it.
     fn open_channel(
         &mut self,
         algorithm: Algorithm,
         key: &[u8],
         tag_len: usize,
     ) -> Result<ChannelId, MccpError> {
-        let kid = (1..=u8::MAX)
-            .map(KeyId)
-            .find(|&k| !self.key_memory_mut().contains(k))
-            .ok_or(MccpError::BadKey)?;
-        self.key_memory_mut().store(kid, key);
-        self.open_with_tag_len(algorithm, kid, tag_len)
+        self.open_on_fresh_key(algorithm, key, |m, kid| {
+            m.open_with_tag_len(algorithm, kid, tag_len)
+        })
     }
 
-    /// CLOSE, recycling the session key [`open_channel`] allocated: once
-    /// no other channel references the [`KeyId`], it is erased — the Key
-    /// Memory slot zeroized and every core's Key Cache entry for it wiped,
-    /// since the next open reuses the lowest free id. Without this,
-    /// open/close churn through the trait would exhaust the 255-slot Key
-    /// Memory after 255 opens — long-lived service operation demands that
-    /// both the channel id and the key slot come back.
+    /// CLOSE, recycling every session key [`open_channel`] or
+    /// [`Mccp::open_pipeline`] allocated for the channel (a pipeline holds
+    /// one per CU stage): each [`KeyId`] nothing else references is erased
+    /// — the Key Memory slot zeroized and every core's Key Cache entry for
+    /// it wiped, since the next open reuses the lowest free id. Without
+    /// this, open/close churn through the trait would exhaust the 255-slot
+    /// Key Memory after 255 opens — long-lived service operation demands
+    /// that both the channel id and the key slots come back.
     ///
     /// [`open_channel`]: ChannelBackend::open_channel
     fn close_channel(&mut self, channel: ChannelId) -> Result<(), MccpError> {
-        let key = self.channel(channel)?.key;
+        let ch = self.channel(channel)?;
+        let (key, pipeline) = (ch.key, ch.pipeline.clone());
         self.close(channel)?;
-        if !self.channels.values().any(|c| c.key == key) {
-            self.erase_key(key);
+        let stage_keys = pipeline.iter().flat_map(|pl| pl.stages.iter());
+        let cu_keys = stage_keys.filter(|s| s.key_bytes.is_none()).map(|s| s.key);
+        for k in std::iter::once(key).chain(cu_keys) {
+            if !self.key_in_use(k) {
+                self.erase_key(k);
+            }
         }
         Ok(())
     }
@@ -360,12 +364,9 @@ impl ChannelBackend for Mccp {
         tag_len: usize,
         handshake_cycles: u64,
     ) -> Result<ChannelId, MccpError> {
-        let kid = (1..=u8::MAX)
-            .map(KeyId)
-            .find(|&k| !self.key_memory_mut().contains(k))
-            .ok_or(MccpError::BadKey)?;
-        self.key_memory_mut().store(kid, key);
-        self.open_with_handshake(algorithm, kid, tag_len, handshake_cycles)
+        self.open_on_fresh_key(algorithm, key, |m, kid| {
+            m.open_with_handshake(algorithm, kid, tag_len, handshake_cycles)
+        })
     }
 
     /// Stores the new key under a fresh [`KeyId`], rotates the channel and
@@ -373,21 +374,14 @@ impl ChannelBackend for Mccp {
     /// expansion) is zeroized the moment the last request submitted under
     /// the old epoch drains.
     fn rekey_channel(&mut self, channel: ChannelId, new_key: &[u8]) -> Result<u32, MccpError> {
-        use mccp_aes::KeySize;
         let (algorithm, old_key) = {
             let ch = self.channel(channel)?;
             (ch.algorithm, ch.key)
         };
-        if KeySize::from_key_len(new_key.len()) != Some(algorithm.key_size()) {
-            return Err(MccpError::BadKey);
-        }
-        let kid = (1..=u8::MAX)
-            .map(KeyId)
-            .find(|&k| !self.key_memory_mut().contains(k))
-            .ok_or(MccpError::BadKey)?;
-        self.key_memory_mut().store(kid, new_key);
+        algorithm.check_key(new_key)?;
+        let kid = self.alloc_key(new_key)?;
         if let Err(e) = self.rekey(channel, kid) {
-            self.key_memory_mut().erase(kid);
+            self.erase_key(kid);
             return Err(e);
         }
         self.retire_key(old_key);

@@ -9,6 +9,7 @@
 use crate::core_unit::Personality;
 use crate::crossbar::Route;
 use crate::format::{format_request, parse_output, Direction, FormattedRequest, ProcessedPacket};
+use crate::key::SessionKey;
 use crate::mccp::Mccp;
 use crate::pipeline::{
     stage_counter, whirlpool_hmac, whirlpool_hmac_cycles, PipelineGraph, PipelineKind,
@@ -21,6 +22,9 @@ use crate::reconfig::{
 use crate::scheduler::{ReqState, Request};
 use mccp_telemetry::{Event, FifoPort};
 use std::sync::Arc;
+
+/// Tag length in bytes of a channel opened by [`Mccp::open`].
+const DEFAULT_TAG_LEN: usize = 16;
 
 /// A live channel binding (algorithm, session key, tag length, cipher).
 #[derive(Clone, Debug)]
@@ -50,7 +54,7 @@ pub(crate) struct Channel {
 impl Mccp {
     /// OPEN: binds an algorithm and session key to a new channel.
     pub fn open(&mut self, algorithm: Algorithm, key: KeyId) -> Result<ChannelId, MccpError> {
-        self.open_with_tag_len(algorithm, key, self.config.default_tag_len)
+        self.open_with_tag_len(algorithm, key, DEFAULT_TAG_LEN)
     }
 
     /// OPEN with an explicit tag length (authenticated channels).
@@ -73,9 +77,6 @@ impl Mccp {
         tag_len: usize,
         cipher: CipherSel,
     ) -> Result<ChannelId, MccpError> {
-        if !self.key_memory.contains(key) {
-            return Err(MccpError::BadKey);
-        }
         if self.key_memory.key_size(key) != Some(algorithm.key_size()) {
             return Err(MccpError::BadKey);
         }
@@ -141,63 +142,72 @@ impl Mccp {
     /// byte- and cycle-identical to a `ccm_two_core` channel.
     ///
     /// Stage keys are carried as bytes and stored into free Key Memory
-    /// slots here (the main controller's key-load step).
+    /// slots here (the main controller's key-load step); a refused open
+    /// releases every slot it took.
     pub fn open_pipeline(&mut self, graph: &PipelineGraph) -> Result<ChannelId, MccpError> {
         graph.validate()?;
-        match &graph.kind {
-            PipelineKind::FusedCcm2 { algorithm } => {
-                let key = self.alloc_key(graph.fused_key().unwrap_or(&[]))?;
-                let ch = self.open_with_cipher(*algorithm, key, graph.tag_len, CipherSel::Aes)?;
+        let stages = match &graph.kind {
+            PipelineKind::FusedCcm2 { algorithm, key } => {
+                let ch = self.open_on_fresh_key(*algorithm, key.as_bytes(), |m, kid| {
+                    m.open_with_cipher(*algorithm, kid, graph.tag_len, CipherSel::Aes)
+                })?;
                 if let Some(c) = self.channels.get_mut(&ch.0) {
                     c.fused_two_core = true;
                 }
-                Ok(ch)
+                return Ok(ch);
             }
-            PipelineKind::Stages(stages) => {
-                let mut resolved = Vec::with_capacity(stages.len());
-                for st in stages {
-                    // Whirlpool stages hash key bytes directly; CU stages
-                    // go through the write-protected Key Memory.
-                    let key = if st.op == StageOp::WhirlpoolHmac {
-                        KeyId(0)
-                    } else {
-                        self.alloc_key(&st.key)?
-                    };
-                    resolved.push(ResolvedStage {
-                        op: st.op,
-                        cipher: st.cipher,
-                        key,
-                        key_bytes: st.key.clone(),
-                        algorithm: st.algorithm()?,
-                    });
-                }
-                let id = (0..=u8::MAX)
-                    .find(|i| !self.channels.contains_key(i))
-                    .ok_or(MccpError::NoChannelId)?;
-                let first_cu = resolved.iter().find(|s| s.op != StageOp::WhirlpoolHmac);
-                self.channels.insert(
-                    id,
-                    Channel {
-                        algorithm: resolved[0].algorithm,
-                        key: first_cu.map(|s| s.key).unwrap_or(KeyId(0)),
-                        tag_len: graph.tag_len,
-                        cipher: first_cu.map(|s| s.cipher).unwrap_or(CipherSel::Aes),
-                        pipeline: Some(Arc::new(ResolvedPipeline {
-                            stages: resolved,
-                            tag_len: graph.tag_len,
-                        })),
-                        fused_two_core: false,
-                        epoch: 0,
-                        ready_at: 0,
-                    },
-                );
-                Ok(ChannelId(id))
-            }
+            PipelineKind::Stages(stages) => stages,
+        };
+        let id = (0..=u8::MAX)
+            .find(|i| !self.channels.contains_key(i))
+            .ok_or(MccpError::NoChannelId)?;
+        let mut resolved: Vec<ResolvedStage> = Vec::with_capacity(stages.len());
+        for st in stages {
+            let algorithm = st.algorithm()?;
+            // Whirlpool stages hash key bytes directly; CU stages go
+            // through the write-protected Key Memory.
+            let (key, key_bytes) = if st.op == StageOp::WhirlpoolHmac {
+                (KeyId(0), Some(SessionKey::new(st.key.as_bytes())?))
+            } else {
+                let kid = self.alloc_key(st.key.as_bytes()).inspect_err(|_| {
+                    for s in resolved.iter().filter(|s| s.key_bytes.is_none()) {
+                        self.erase_key(s.key);
+                    }
+                })?;
+                (kid, None)
+            };
+            resolved.push(ResolvedStage {
+                op: st.op,
+                cipher: st.cipher,
+                personality: st.personality(),
+                key,
+                key_bytes,
+                algorithm,
+            });
         }
+        let first_cu = resolved.iter().find(|s| s.key_bytes.is_none());
+        self.channels.insert(
+            id,
+            Channel {
+                algorithm: resolved[0].algorithm,
+                key: first_cu.map(|s| s.key).unwrap_or(KeyId(0)),
+                tag_len: graph.tag_len,
+                cipher: first_cu.map(|s| s.cipher).unwrap_or(CipherSel::Aes),
+                pipeline: Some(Arc::new(ResolvedPipeline {
+                    stages: resolved,
+                    tag_len: graph.tag_len,
+                })),
+                fused_two_core: false,
+                epoch: 0,
+                ready_at: 0,
+            },
+        );
+        Ok(ChannelId(id))
     }
 
-    /// Stores key bytes into the first free Key Memory slot.
-    fn alloc_key(&mut self, bytes: &[u8]) -> Result<KeyId, MccpError> {
+    /// Stores key bytes into the first free Key Memory slot: the one
+    /// search for a free [`KeyId`].
+    pub(crate) fn alloc_key(&mut self, bytes: &[u8]) -> Result<KeyId, MccpError> {
         let id = (1..=u8::MAX)
             .map(KeyId)
             .find(|&k| !self.key_memory.contains(k))
@@ -206,15 +216,25 @@ impl Mccp {
         Ok(id)
     }
 
+    /// Checks `key` before touching any state, stores it under a fresh
+    /// [`KeyId`] and runs `open` on it, releasing the slot if that fails.
+    pub(crate) fn open_on_fresh_key(
+        &mut self,
+        algorithm: Algorithm,
+        key: &[u8],
+        open: impl FnOnce(&mut Self, KeyId) -> Result<ChannelId, MccpError>,
+    ) -> Result<ChannelId, MccpError> {
+        algorithm.check_key(key)?;
+        let kid = self.alloc_key(key)?;
+        open(self, kid).inspect_err(|_| self.erase_key(kid))
+    }
+
     /// Rebinds a live channel to a new session key (rekeying: the main
     /// controller has rotated keys; in-flight requests keep the old key,
     /// subsequent packets use the new one — stale per-core key caches miss
     /// on the new id and re-expand).
     pub fn rekey(&mut self, channel: ChannelId, new_key: KeyId) -> Result<(), MccpError> {
         let algorithm = self.channel(channel)?.algorithm;
-        if !self.key_memory.contains(new_key) {
-            return Err(MccpError::BadKey);
-        }
         if self.key_memory.key_size(new_key) != Some(algorithm.key_size()) {
             return Err(MccpError::BadKey);
         }
@@ -256,20 +276,23 @@ impl Mccp {
         let retiring = std::mem::take(&mut self.retiring_keys);
         let mut kept = Vec::new();
         for k in retiring {
-            let channel_ref = self.channels.values().any(|c| {
-                c.key == k
-                    || c.pipeline
-                        .as_ref()
-                        .is_some_and(|pl| pl.stages.iter().any(|s| s.key == k))
-            });
-            let request_ref = self.requests.values().any(|r| r.key == k);
-            if channel_ref || request_ref {
+            if self.key_in_use(k) {
                 kept.push(k);
                 continue;
             }
             self.erase_key(k);
         }
         self.retiring_keys = kept;
+    }
+
+    /// True while a channel binding (any pipeline stage's included) or an
+    /// undrained request names `k`.
+    pub(crate) fn key_in_use(&self, k: KeyId) -> bool {
+        let staged = |pl: &Arc<ResolvedPipeline>| pl.stages.iter().any(|s| s.key == k);
+        self.channels
+            .values()
+            .any(|c| c.key == k || c.pipeline.as_ref().is_some_and(staged))
+            || self.requests.values().any(|r| r.key == k)
     }
 
     /// Erases a session key: zeroizes its Key Memory slot and wipes every
@@ -681,7 +704,7 @@ impl Mccp {
         // attempt is an offered-load sample, rejections included.
         if self.policy.is_some() {
             for st in &pl.stages {
-                let p = st.personality();
+                let p = st.personality;
                 if let Some(pe) = &mut self.policy {
                     pe.record_offered(p);
                 }
@@ -696,7 +719,7 @@ impl Mccp {
             return Err(MccpError::TooLarge);
         }
         for st in &pl.stages {
-            let want = st.personality();
+            let want = st.personality;
             let present = self.cores.iter().enumerate().any(|(i, c)| {
                 !c.is_quarantined()
                     && if self.reconfigs[i].is_reconfiguring() {
@@ -711,7 +734,7 @@ impl Mccp {
             }
         }
         if self
-            .idle_for_stage(pl.stages[0].personality(), None)
+            .idle_for_stage(pl.stages[0].personality, None)
             .is_none()
         {
             self.refuse(pipeline_demand(pl));
@@ -779,7 +802,7 @@ impl Mccp {
         self.try_start_stage(id);
         if self.policy.is_some() {
             for st in &pl.stages {
-                let p = st.personality();
+                let p = st.personality;
                 if let Some(pe) = &mut self.policy {
                     pe.record_served(p);
                 }
@@ -792,7 +815,7 @@ impl Mccp {
     /// core of the right personality; parks it in `StageWait` otherwise
     /// (retried every active tick).
     pub(crate) fn try_start_stage(&mut self, id: RequestId) {
-        let (stage, idx, prev, body, iv, tag_len) = {
+        let (pipeline, idx, prev, body, iv) = {
             let Some(req) = self.requests.get(&id.0) else {
                 return;
             };
@@ -800,15 +823,15 @@ impl Mccp {
                 return;
             };
             (
-                plan.pipeline.stages[plan.current].clone(),
+                plan.pipeline.clone(),
                 plan.current,
                 plan.prev_core,
                 plan.body.clone(),
                 plan.iv.clone(),
-                plan.pipeline.tag_len,
             )
         };
-        let Some(core) = self.idle_for_stage(stage.personality(), prev) else {
+        let (stage, tag_len) = (&pipeline.stages[idx], pipeline.tag_len);
+        let Some(core) = self.idle_for_stage(stage.personality, prev) else {
             if let Some(r) = self.requests.get_mut(&id.0) {
                 r.state = ReqState::StageWait;
             }
@@ -820,7 +843,11 @@ impl Mccp {
             // functional engine uses; the Whirlpool core is held for the
             // modeled hash latency and the tag lands when it expires.
             self.cores[core].reserve();
-            let digest = whirlpool_hmac(&stage.key_bytes, &body);
+            let key = stage
+                .key_bytes
+                .as_ref()
+                .expect("Whirlpool stages keep their key");
+            let digest = whirlpool_hmac(key.as_bytes(), &body);
             let cycles = whirlpool_hmac_cycles(body.len());
             let deadline = self
                 .watchdog_margin
@@ -1089,7 +1116,7 @@ impl Mccp {
             }
             if let Some(plan) = &req.pipeline {
                 for st in &plan.pipeline.stages[plan.current..] {
-                    pinned.push(st.personality());
+                    pinned.push(st.personality);
                 }
             }
         }
@@ -1169,7 +1196,7 @@ impl Mccp {
 fn pipeline_demand(pl: &ResolvedPipeline) -> [u32; 3] {
     let mut demand = [0; 3];
     for st in &pl.stages {
-        demand[personality_index(st.personality())] += 1;
+        demand[personality_index(st.personality)] += 1;
     }
     demand
 }

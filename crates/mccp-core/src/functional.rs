@@ -13,7 +13,8 @@
 use crate::backend::{ChannelBackend, Completion, EngineHealth};
 use crate::fault::{FaultKind, FaultPlan, FaultTrigger};
 use crate::format::Direction;
-use crate::pipeline::{run_stages_functional, PipelineGraph, PipelineKind};
+use crate::key::SessionKey;
+use crate::pipeline::{run_stages_functional, PipelineGraph, PipelineKind, PipelineStage};
 use crate::protocol::{Algorithm, ChannelId, MccpError, Mode, RequestId};
 use mccp_aes::modes::{
     cbc_mac, ccm_open_detached, ccm_seal, ctr_xcrypt, CcmParams, GcmContext, ModeError,
@@ -36,9 +37,9 @@ enum KeyCtx {
     Gcm(GcmContext<Aes>),
     /// CCM, CTR and CBC-MAC: the expanded AES schedule.
     Aes(Aes),
-    /// A stage chain: the graph is the datapath and each stage carries
-    /// its own key (there are no cores to map stages onto).
-    Stages(PipelineGraph),
+    /// A stage chain: the stages are the datapath and each carries its
+    /// own key (there are no cores to map stages onto).
+    Stages(Vec<PipelineStage>),
 }
 
 impl KeyCtx {
@@ -183,17 +184,21 @@ impl FunctionalBackend {
     pub fn open_pipeline(&mut self, graph: &PipelineGraph) -> Result<ChannelId, MccpError> {
         graph.validate()?;
         match &graph.kind {
-            PipelineKind::FusedCcm2 { algorithm } => {
-                let key = graph.fused_key().ok_or(MccpError::BadKey)?;
-                self.insert(*algorithm, KeyCtx::new(*algorithm, key), graph.tag_len)
-            }
-            // The algorithm field is bookkeeping only for stage chains
-            // (telemetry labels); the graph drives the processing.
-            PipelineKind::Stages(_) => self.insert(
-                Algorithm::AesCtr128,
-                KeyCtx::Stages(graph.clone()),
+            PipelineKind::FusedCcm2 { algorithm, key } => self.insert(
+                *algorithm,
+                KeyCtx::new(*algorithm, key.as_bytes()),
                 graph.tag_len,
             ),
+            // The algorithm field is bookkeeping only for stage chains
+            // (telemetry labels); the stages drive the processing, each on
+            // the channel's own copy of its key.
+            PipelineKind::Stages(stages) => {
+                let copy = |st: &PipelineStage| {
+                    SessionKey::new(st.key.as_bytes()).map(|key| PipelineStage { key, ..*st })
+                };
+                let stages = stages.iter().map(copy).collect::<Result<_, _>>()?;
+                self.insert(Algorithm::AesCtr128, KeyCtx::Stages(stages), graph.tag_len)
+            }
         }
     }
 
@@ -237,9 +242,7 @@ impl ChannelBackend for FunctionalBackend {
         key: &[u8],
         tag_len: usize,
     ) -> Result<ChannelId, MccpError> {
-        if key.len() != algorithm.key_size().key_bytes() {
-            return Err(MccpError::BadKey);
-        }
+        algorithm.check_key(key)?;
         self.insert(algorithm, KeyCtx::new(algorithm, key), tag_len)
     }
 
@@ -266,9 +269,7 @@ impl ChannelBackend for FunctionalBackend {
             .channels
             .get_mut(&channel.0)
             .ok_or(MccpError::BadChannel)?;
-        if new_key.len() != ch.algorithm.key_size().key_bytes() {
-            return Err(MccpError::BadKey);
-        }
+        ch.algorithm.check_key(new_key)?;
         if !matches!(*ch.key, KeyCtx::Stages(_)) {
             *ch.key = KeyCtx::new(ch.algorithm, new_key);
         }
@@ -372,9 +373,8 @@ impl ChannelBackend for FunctionalBackend {
             return Ok(id);
         }
 
-        let (auth_ok, out_body, out_tag) = if let KeyCtx::Stages(graph) = &*ch.key {
-            let (out_body, out_tag) =
-                run_stages_functional(graph.stages(), iv, body, graph.tag_len)?;
+        let (auth_ok, out_body, out_tag) = if let KeyCtx::Stages(stages) = &*ch.key {
+            let (out_body, out_tag) = run_stages_functional(stages, iv, body, ch.tag_len)?;
             (true, out_body, out_tag.unwrap_or_default())
         } else {
             match run_mode(ch, direction, iv, aad, body, tag) {

@@ -9,15 +9,60 @@
 //! consumer of key material is the round-key expansion, and round keys are
 //! only consumable by the AES datapath.
 
-use crate::protocol::{CipherSel, KeyId};
+use crate::protocol::{Algorithm, CipherSel, KeyId, MccpError};
 use mccp_aes::key_schedule::{KeySize, RoundKeys};
 use mccp_aes::twofish::Twofish;
 use mccp_cryptounit::CipherEngine;
 use std::collections::HashMap;
+use std::fmt;
+
+/// Raw session-key bytes, 1 to 64 of them: the one type that holds them,
+/// from the service slab and the rekey marker to pipeline stages and the
+/// Key Memory. Dropping it zeroizes the bytes with volatile stores
+/// ([`mccp_gf128::wipe`]), `{:?}` prints only the length, and it has no
+/// `Clone`, so every copy of a key is spelled out in the code.
+pub struct SessionKey(Box<[u8]>);
+
+impl SessionKey {
+    /// Copies 1 to 64 key bytes (64 fills one HMAC-Whirlpool block). Any
+    /// other length is [`MccpError::BadKey`], refused before allocating.
+    #[inline]
+    pub fn new(bytes: &[u8]) -> Result<Self, MccpError> {
+        if !(1..=64).contains(&bytes.len()) {
+            return Err(MccpError::BadKey);
+        }
+        Ok(SessionKey(bytes.into()))
+    }
+
+    /// Copies `bytes` once [`Algorithm::check_key`] accepts them.
+    #[inline]
+    pub fn for_algorithm(algorithm: Algorithm, bytes: &[u8]) -> Result<Self, MccpError> {
+        algorithm.check_key(bytes)?;
+        Self::new(bytes)
+    }
+
+    /// The key bytes, for handing to a key schedule or an engine.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.0
+    }
+}
+
+impl Drop for SessionKey {
+    fn drop(&mut self) {
+        mccp_gf128::wipe(&mut self.0);
+    }
+}
+
+/// Prints the key's length, never its bytes.
+impl fmt::Debug for SessionKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "SessionKey {{ len: {} }}", self.0.len())
+    }
+}
 
 /// The write-protected session-key store.
 pub struct KeyMemory {
-    keys: HashMap<KeyId, Vec<u8>>,
+    keys: HashMap<KeyId, SessionKey>,
 }
 
 impl Default for KeyMemory {
@@ -45,14 +90,13 @@ impl KeyMemory {
             "invalid AES key length: {} bytes",
             key.len()
         );
-        self.keys.insert(id, key.to_vec());
+        self.keys
+            .insert(id, SessionKey::new(key).expect("AES key sizes fit"));
     }
 
-    /// Erases a session key (zeroizes the slot).
+    /// Erases a session key (the dropped [`SessionKey`] zeroizes itself).
     pub fn erase(&mut self, id: KeyId) {
-        if let Some(mut k) = self.keys.remove(&id) {
-            k.fill(0);
-        }
+        self.keys.remove(&id);
     }
 
     /// Whether a key is present — the only metadata the MCCP side may ask.
@@ -64,12 +108,12 @@ impl KeyMemory {
     pub fn key_size(&self, id: KeyId) -> Option<KeySize> {
         self.keys
             .get(&id)
-            .and_then(|k| KeySize::from_key_len(k.len()))
+            .and_then(|k| KeySize::from_key_len(k.as_bytes().len()))
     }
 
     /// Internal read path for the Key Scheduler only.
     pub(crate) fn raw(&self, id: KeyId) -> Option<&[u8]> {
-        self.keys.get(&id).map(|v| v.as_slice())
+        self.keys.get(&id).map(SessionKey::as_bytes)
     }
 }
 
@@ -260,6 +304,16 @@ mod tests {
         assert_eq!(KeyScheduler::expansion_cycles(KeySize::Aes128), 52);
         assert_eq!(KeyScheduler::expansion_cycles(KeySize::Aes192), 60);
         assert_eq!(KeyScheduler::expansion_cycles(KeySize::Aes256), 68);
+    }
+
+    #[test]
+    fn session_keys_hold_1_to_64_bytes_and_print_only_their_length() {
+        assert_eq!(SessionKey::new(&[]).unwrap_err(), MccpError::BadKey);
+        assert_eq!(SessionKey::new(&[7; 65]).unwrap_err(), MccpError::BadKey);
+        assert_eq!(SessionKey::new(&[7; 64]).unwrap().as_bytes().len(), 64);
+        let key = SessionKey::new(&[0xA5; 16]).unwrap();
+        assert_eq!(key.as_bytes(), &[0xA5u8; 16]);
+        assert_eq!(format!("{key:?}"), "SessionKey { len: 16 }");
     }
 
     #[test]

@@ -54,6 +54,7 @@ pub use backend::{submit_and_wait, ChannelBackend, Completion, CoreHealth, Engin
 pub use fault::{AdversaryKind, AdversaryPlan, FaultKind, FaultPlan, FaultTrigger};
 pub use format::{Direction, ProcessedPacket};
 pub use functional::FunctionalBackend;
+pub use key::SessionKey;
 pub use mccp::{DecryptedPacket, EncryptedPacket, Mccp, MccpConfig};
 pub use pipeline::{PipelineGraph, PipelineKind, PipelineStage, StageOp};
 pub use protocol::{Algorithm, ChannelId, KeyId, MccpError, Mode, RequestId};

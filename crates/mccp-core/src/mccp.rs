@@ -49,8 +49,6 @@ pub struct MccpConfig {
     /// (lower latency); otherwise CCM runs on a single core (higher
     /// aggregate throughput — the paper's 4×1 vs 2×2 trade-off, §VII.A).
     pub ccm_two_core: bool,
-    /// Default tag length in bytes for authenticated channels.
-    pub default_tag_len: usize,
 }
 
 impl Default for MccpConfig {
@@ -59,7 +57,6 @@ impl Default for MccpConfig {
             n_cores: 4,
             fifo_depth: 512,
             ccm_two_core: false,
-            default_tag_len: 16,
         }
     }
 }

@@ -26,12 +26,12 @@
 //!   counter stream to both stages.
 
 use crate::core_unit::Personality;
+use crate::key::SessionKey;
 use crate::protocol::{Algorithm, CipherSel, KeyId, MccpError};
 use mccp_aes::modes::{cbc_mac, ctr_xcrypt};
 use mccp_aes::twofish::Twofish;
 use mccp_aes::whirlpool::Whirlpool;
 use mccp_aes::Aes;
-use std::fmt;
 
 /// What one pipeline stage computes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -56,23 +56,12 @@ impl StageOp {
 
 /// One stage of a pipeline graph: the operation, the block cipher the
 /// stage's core must host, and the stage's own session key.
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Debug)]
 pub struct PipelineStage {
     pub op: StageOp,
     /// Ignored for `WhirlpoolHmac` (the hash core has no block cipher).
     pub cipher: CipherSel,
-    pub key: Vec<u8>,
-}
-
-/// Prints the key's length, never its bytes.
-impl fmt::Debug for PipelineStage {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("PipelineStage")
-            .field("op", &self.op)
-            .field("cipher", &self.cipher)
-            .field("key_len", &self.key.len())
-            .finish()
-    }
+    pub key: SessionKey,
 }
 
 impl PipelineStage {
@@ -91,7 +80,7 @@ impl PipelineStage {
     /// `Aes*` names select the *mode*; `cipher` selects the block cipher,
     /// exactly as in [`Mccp::open_with_cipher`](crate::Mccp::open_with_cipher)).
     pub fn algorithm(&self) -> Result<Algorithm, MccpError> {
-        let alg = match (self.op, self.key.len()) {
+        let alg = match (self.op, self.key.as_bytes().len()) {
             (StageOp::Ctr, 16) => Algorithm::AesCtr128,
             (StageOp::Ctr, 24) => Algorithm::AesCtr192,
             (StageOp::Ctr, 32) => Algorithm::AesCtr256,
@@ -109,41 +98,30 @@ impl PipelineStage {
 }
 
 /// The shape of a pipeline graph.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Debug)]
 pub enum PipelineKind {
-    /// An ordered chain of 1–3 stages.
+    /// An ordered chain of 1–3 stages, each carrying its own key.
     Stages(Vec<PipelineStage>),
     /// The paper's two-core CCM schedule re-expressed as a 2-stage graph
     /// (CBC-MAC left core → CTR right core over the inter-core port).
     /// Lowered to the existing concurrent two-core schedule, so it is
     /// byte- and cycle-identical to `MccpConfig::ccm_two_core`.
-    FusedCcm2 { algorithm: Algorithm },
+    FusedCcm2 {
+        algorithm: Algorithm,
+        key: SessionKey,
+    },
 }
 
 /// A per-channel pipeline graph. Keys are carried as bytes; each engine
 /// maps them into its own key store when the channel opens (the
 /// cycle-accurate engine allocates [`KeyId`]s in the write-protected Key
 /// Memory, the functional engine keeps the bytes).
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Debug)]
 pub struct PipelineGraph {
     pub kind: PipelineKind,
     /// Tag length in bytes for the final MAC stage (≤ 16 for CBC-MAC,
     /// ≤ 64 for HMAC-Whirlpool); the CCM tag length for `FusedCcm2`.
     pub tag_len: usize,
-    /// Session key for the `FusedCcm2` form (stage chains carry keys per
-    /// stage instead).
-    fused_key: Option<Vec<u8>>,
-}
-
-/// Prints the fused key's length, never its bytes.
-impl fmt::Debug for PipelineGraph {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("PipelineGraph")
-            .field("kind", &self.kind)
-            .field("tag_len", &self.tag_len)
-            .field("fused_key_len", &self.fused_key.as_ref().map(Vec::len))
-            .finish()
-    }
 }
 
 impl PipelineGraph {
@@ -152,32 +130,27 @@ impl PipelineGraph {
         PipelineGraph {
             kind: PipelineKind::Stages(stages),
             tag_len,
-            fused_key: None,
         }
     }
 
     /// The two-core CCM schedule as a pipeline graph.
-    pub fn two_core_ccm(algorithm: Algorithm, key: Vec<u8>, tag_len: usize) -> Self {
+    pub fn two_core_ccm(algorithm: Algorithm, key: SessionKey, tag_len: usize) -> Self {
         PipelineGraph {
-            kind: PipelineKind::FusedCcm2 { algorithm },
+            kind: PipelineKind::FusedCcm2 { algorithm, key },
             tag_len,
-            fused_key: Some(key),
         }
     }
 
     /// Validates the graph: 1–3 stages, MAC stages final-only, legal key
-    /// sizes (Twofish stages are fixed at 128-bit keys), tag length in
-    /// range for the final stage.
+    /// sizes (Twofish stages are fixed at 128-bit keys; HMAC-Whirlpool
+    /// takes any [`SessionKey`]), tag length in range for the final stage.
     pub fn validate(&self) -> Result<(), MccpError> {
         match &self.kind {
-            PipelineKind::FusedCcm2 { algorithm } => {
+            PipelineKind::FusedCcm2 { algorithm, key } => {
                 if algorithm.mode() != crate::protocol::Mode::Ccm {
                     return Err(MccpError::BadInstruction);
                 }
-                let key = self.fused_key.as_ref().ok_or(MccpError::BadKey)?;
-                if key.len() != algorithm.key_size().key_bytes() {
-                    return Err(MccpError::BadKey);
-                }
+                algorithm.check_key(key.as_bytes())?;
                 if self.tag_len == 0 || self.tag_len > 16 {
                     return Err(MccpError::BadInstruction);
                 }
@@ -192,16 +165,13 @@ impl PipelineGraph {
                     }
                     match st.op {
                         StageOp::WhirlpoolHmac => {
-                            if st.key.is_empty() || st.key.len() > 64 {
-                                return Err(MccpError::BadKey);
-                            }
                             if self.tag_len == 0 || self.tag_len > 64 {
                                 return Err(MccpError::BadInstruction);
                             }
                         }
                         _ => {
                             st.algorithm()?;
-                            if st.cipher == CipherSel::Twofish && st.key.len() != 16 {
+                            if st.cipher == CipherSel::Twofish && st.key.as_bytes().len() != 16 {
                                 return Err(MccpError::BadKey);
                             }
                             if st.op == StageOp::CbcMac && (self.tag_len == 0 || self.tag_len > 16)
@@ -235,11 +205,6 @@ impl PipelineGraph {
         let mut ps: Vec<Personality> = self.stages().iter().map(|s| s.personality()).collect();
         ps.dedup();
         ps
-    }
-
-    /// Key bytes for the fused two-core CCM form.
-    pub fn fused_key(&self) -> Option<&[u8]> {
-        self.fused_key.as_deref()
     }
 }
 
@@ -317,22 +282,24 @@ pub fn run_stages_functional(
                     return Err(MccpError::BadInstruction);
                 }
                 let ctr = stage_counter(iv, i);
+                let key = st.key.as_bytes();
                 let r = match st.cipher {
-                    CipherSel::Aes => ctr_xcrypt(&Aes::new(&st.key), &ctr, &mut cur),
-                    CipherSel::Twofish => ctr_xcrypt(&Twofish::new(&st.key), &ctr, &mut cur),
+                    CipherSel::Aes => ctr_xcrypt(&Aes::new(key), &ctr, &mut cur),
+                    CipherSel::Twofish => ctr_xcrypt(&Twofish::new(key), &ctr, &mut cur),
                 };
                 r.map_err(|_| MccpError::BadInstruction)?;
                 out_body = cur.clone();
             }
             StageOp::CbcMac => {
+                let key = st.key.as_bytes();
                 let mac = match st.cipher {
-                    CipherSel::Aes => cbc_mac(&Aes::new(&st.key), &cur, tag_len),
-                    CipherSel::Twofish => cbc_mac(&Twofish::new(&st.key), &cur, tag_len),
+                    CipherSel::Aes => cbc_mac(&Aes::new(key), &cur, tag_len),
+                    CipherSel::Twofish => cbc_mac(&Twofish::new(key), &cur, tag_len),
                 };
                 tag = Some(mac.map_err(|_| MccpError::BadInstruction)?);
             }
             StageOp::WhirlpoolHmac => {
-                tag = Some(whirlpool_hmac(&st.key, &cur)[..tag_len].to_vec());
+                tag = Some(whirlpool_hmac(st.key.as_bytes(), &cur)[..tag_len].to_vec());
             }
         }
     }
@@ -340,44 +307,22 @@ pub fn run_stages_functional(
 }
 
 /// A stage resolved against the cycle-accurate engine's key stores.
-#[derive(Clone)]
+#[derive(Debug)]
 pub(crate) struct ResolvedStage {
     pub(crate) op: StageOp,
     pub(crate) cipher: CipherSel,
+    /// The core personality the stage dispatches to.
+    pub(crate) personality: Personality,
     /// Key Memory slot for CU stages; unused (0) for Whirlpool stages.
     pub(crate) key: KeyId,
-    /// Raw key bytes, needed at hash time by Whirlpool stages.
-    pub(crate) key_bytes: Vec<u8>,
+    /// Whirlpool stages only: the key bytes they hash at run time (CU
+    /// stages read theirs from the Key Memory).
+    pub(crate) key_bytes: Option<SessionKey>,
     pub(crate) algorithm: Algorithm,
 }
 
-/// Prints the key's length, never its bytes.
-impl fmt::Debug for ResolvedStage {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ResolvedStage")
-            .field("op", &self.op)
-            .field("cipher", &self.cipher)
-            .field("key", &self.key)
-            .field("key_len", &self.key_bytes.len())
-            .field("algorithm", &self.algorithm)
-            .finish()
-    }
-}
-
-impl ResolvedStage {
-    pub(crate) fn personality(&self) -> Personality {
-        match self.op {
-            StageOp::WhirlpoolHmac => Personality::WhirlpoolUnit,
-            _ => match self.cipher {
-                CipherSel::Aes => Personality::AesUnit,
-                CipherSel::Twofish => Personality::TwofishUnit,
-            },
-        }
-    }
-}
-
 /// A pipeline channel's resolved graph, shared by its requests.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub(crate) struct ResolvedPipeline {
     pub(crate) stages: Vec<ResolvedStage>,
     pub(crate) tag_len: usize,
@@ -408,11 +353,15 @@ pub(crate) struct PipelinePlan {
 mod tests {
     use super::*;
 
+    fn key(byte: u8, len: usize) -> SessionKey {
+        SessionKey::new(&vec![byte; len]).unwrap()
+    }
+
     fn ctr(cipher: CipherSel) -> PipelineStage {
         PipelineStage {
             op: StageOp::Ctr,
             cipher,
-            key: vec![0x11; 16],
+            key: key(0x11, 16),
         }
     }
 
@@ -424,7 +373,7 @@ mod tests {
                 PipelineStage {
                     op: StageOp::CbcMac,
                     cipher: CipherSel::Aes,
-                    key: vec![1; 16],
+                    key: key(1, 16),
                 },
                 ctr(CipherSel::Aes),
             ],
@@ -449,7 +398,7 @@ mod tests {
             vec![PipelineStage {
                 op: StageOp::Ctr,
                 cipher: CipherSel::Twofish,
-                key: vec![1; 24],
+                key: key(1, 24),
             }],
             0,
         );
@@ -461,7 +410,7 @@ mod tests {
                 PipelineStage {
                     op: StageOp::WhirlpoolHmac,
                     cipher: CipherSel::Aes,
-                    key: vec![7; 32],
+                    key: key(7, 32),
                 },
             ],
             32,
@@ -476,12 +425,17 @@ mod tests {
 
     #[test]
     fn fused_ccm_carries_its_key() {
-        let g = PipelineGraph::two_core_ccm(Algorithm::AesCcm128, vec![0x42; 16], 8);
+        let g = PipelineGraph::two_core_ccm(Algorithm::AesCcm128, key(0x42, 16), 8);
         assert!(g.validate().is_ok());
-        assert_eq!(g.fused_key(), Some(&[0x42u8; 16][..]));
+        let PipelineKind::FusedCcm2 { key: fused, .. } = &g.kind else {
+            panic!("fused form");
+        };
+        assert_eq!(fused.as_bytes(), &[0x42u8; 16]);
         assert!(g.stages().is_empty());
-        let bad = PipelineGraph::two_core_ccm(Algorithm::AesGcm128, vec![0x42; 16], 8);
+        let bad = PipelineGraph::two_core_ccm(Algorithm::AesGcm128, key(0x42, 16), 8);
         assert!(bad.validate().is_err());
+        let short = PipelineGraph::two_core_ccm(Algorithm::AesCcm256, key(0x42, 16), 8);
+        assert_eq!(short.validate(), Err(MccpError::BadKey));
     }
 
     #[test]
@@ -524,7 +478,7 @@ mod tests {
             PipelineStage {
                 op: StageOp::CbcMac,
                 cipher: CipherSel::Twofish,
-                key: vec![9; 16],
+                key: key(9, 16),
             },
         ];
         let (body, tag) = run_stages_functional(&stages, &[3; 16], &[0x5A; 40], 12).unwrap();
@@ -535,7 +489,7 @@ mod tests {
         let mac_only = vec![PipelineStage {
             op: StageOp::WhirlpoolHmac,
             cipher: CipherSel::Aes,
-            key: vec![4; 20],
+            key: key(4, 20),
         }];
         let (body, tag) = run_stages_functional(&mac_only, &[], &[1, 2, 3], 64).unwrap();
         assert!(body.is_empty());

@@ -103,6 +103,14 @@ impl Algorithm {
         }
     }
 
+    /// The one check of raw key bytes against the algorithm's key size
+    /// ([`MccpError::BadKey`] otherwise). It allocates nothing, so every
+    /// open and rekey runs it before touching any state.
+    pub fn check_key(self, key: &[u8]) -> Result<(), MccpError> {
+        let fits = key.len() == self.key_size().key_bytes();
+        fits.then_some(()).ok_or(MccpError::BadKey)
+    }
+
     /// Wire ID for the OPEN instruction.
     pub fn id(self) -> u8 {
         Self::ALL.iter().position(|&a| a == self).expect("in table") as u8
@@ -387,6 +395,11 @@ mod tests {
         assert!(Algorithm::AesCcm128.is_authenticated());
         assert!(!Algorithm::AesCtr128.is_authenticated());
         assert_eq!(Algorithm::AesGcm192.to_string(), "AES-192-GCM");
+        assert_eq!(Algorithm::AesCcm256.check_key(&[1; 32]), Ok(()));
+        assert_eq!(
+            Algorithm::AesCcm256.check_key(&[1; 16]),
+            Err(MccpError::BadKey)
+        );
     }
 
     #[test]

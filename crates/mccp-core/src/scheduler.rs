@@ -181,7 +181,7 @@ impl Mccp {
             return false;
         };
         let stage = &plan.pipeline.stages[plan.current];
-        self.idle_for_stage(stage.personality(), plan.prev_core)
+        self.idle_for_stage(stage.personality, plan.prev_core)
             .is_some()
     }
 

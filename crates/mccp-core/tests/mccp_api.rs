@@ -66,6 +66,50 @@ fn reopened_key_id_seals_under_the_new_key() {
     }
 }
 
+/// A trait open with a wrong-size key is refused with `BadKey` on both
+/// engines before it takes a Key Memory slot, and an open refused after
+/// taking one (`NoChannelId`) gives it back: 300 refusals leave the Key
+/// Memory empty, and a valid open still succeeds.
+#[test]
+fn refused_trait_opens_leave_no_key_resident() {
+    use mccp_core::{ChannelBackend, FunctionalBackend};
+    fn refuse_300(b: &mut dyn ChannelBackend) {
+        for _ in 0..300 {
+            let gcm = b.open_channel(Algorithm::AesGcm128, &[1; 20], 16);
+            let ccm = b.open_channel(Algorithm::AesCcm256, &[1; 16], 8);
+            let hs = b.open_channel_handshake(Algorithm::AesCcm256, &[1; 16], 8, 1_000);
+            assert_eq!(
+                [gcm, ccm, hs],
+                [Err(MccpError::BadKey); 3],
+                "{}",
+                b.backend_name()
+            );
+        }
+    }
+    let resident = |m: &mut Mccp| (0..=u8::MAX).any(|k| m.key_memory_mut().contains(KeyId(k)));
+    let mut f = FunctionalBackend::new();
+    refuse_300(&mut f);
+    assert!(f.open_channel(Algorithm::AesGcm128, &[1; 16], 16).is_ok());
+    let mut m = Mccp::new(MccpConfig::default());
+    refuse_300(&mut m);
+    assert!(
+        !resident(&mut m),
+        "refused opens left keys in the Key Memory"
+    );
+    assert!(m.open_channel(Algorithm::AesGcm128, &[1; 16], 16).is_ok());
+
+    // Every channel id taken on one caller-stored key: the trait open
+    // stores its key, fails `NoChannelId`, and must release the slot.
+    let (mut m, kid) = mccp_with_key(&[2; 16]);
+    while m.open(Algorithm::AesGcm128, kid).is_ok() {}
+    let full = m.open_channel(Algorithm::AesGcm128, &[3; 16], 16);
+    assert_eq!(full, Err(MccpError::NoChannelId));
+    assert!(
+        !m.key_memory_mut().contains(KeyId(2)),
+        "refused open kept its key"
+    );
+}
+
 #[test]
 fn gcm_decrypt_roundtrip_and_tamper() {
     let key = [0x24u8; 16];

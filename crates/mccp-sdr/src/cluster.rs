@@ -360,7 +360,7 @@ pub struct MccpCluster<B: ChannelBackend> {
     backends: Vec<B>,
     /// The single, central channel table — the only IV source.
     channels: Vec<SecureChannel>,
-    keys: Vec<Vec<u8>>,
+    keys: Vec<mccp_core::SessionKey>,
     /// Channel handles, identical on every shard (asserted at build).
     handles: Vec<ChannelId>,
     /// Fault-plane shard kills: `(shard, dies after serving N packets)`.
@@ -432,6 +432,7 @@ impl<B: ChannelBackend> MccpCluster<B> {
             let key: Vec<u8> = (0..key_len)
                 .map(|j| (key_seed as u8) ^ ((i as u8) * 31) ^ ((j as u8).wrapping_mul(7)))
                 .collect();
+            let key = mccp_core::SessionKey::new(&key).expect("AES key sizes fit");
             let tag_len = if profile.tag_len == 0 {
                 16
             } else {
@@ -440,7 +441,7 @@ impl<B: ChannelBackend> MccpCluster<B> {
             let mut handle = None;
             for (s, b) in backends.iter_mut().enumerate() {
                 let h = b
-                    .open_channel(profile.algorithm, &key, tag_len)
+                    .open_channel(profile.algorithm, key.as_bytes(), tag_len)
                     .expect("channel opens");
                 match handle {
                     None => handle = Some(h),
@@ -821,7 +822,7 @@ impl<B: ChannelBackend> MccpCluster<B> {
             let pkt = &workload.packets[rec.packet_idx];
             let ch = &self.channels[rec.channel];
             let aes = aes_by_ch[rec.channel]
-                .get_or_insert_with(|| mccp_aes::Aes::new(&self.keys[rec.channel]));
+                .get_or_insert_with(|| mccp_aes::Aes::new(self.keys[rec.channel].as_bytes()));
             let (expect_ct, expect_tag): (Vec<u8>, Vec<u8>) = match ch.profile.algorithm.mode() {
                 Mode::Gcm => {
                     let ctx =

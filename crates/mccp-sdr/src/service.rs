@@ -46,7 +46,7 @@ use crate::slab::{ChannelSlab, ChannelStats, LiveChannel, ServiceChannelId, Slab
 use crate::standards::Standard;
 use mccp_core::format::Direction;
 use mccp_core::protocol::{ChannelId, MccpError, RequestId};
-use mccp_core::ChannelBackend;
+use mccp_core::{ChannelBackend, SessionKey};
 use mccp_telemetry::service::ServiceCounters;
 use mccp_telemetry::slo::{ChannelAttainment, SloEngine};
 use mccp_telemetry::Snapshot;
@@ -180,12 +180,12 @@ struct QueuedPacket {
 enum QueueItem {
     Packet(QueuedPacket),
     /// Key-rotation marker: when it drains, the channel's epoch bumps,
-    /// the old key is zeroized, and a warm engine binding is rekeyed in
-    /// place (in-flight engine work finishes on the old key — the cycle
-    /// engine binds keys at submit).
+    /// the old key is dropped (and so zeroized), and a warm engine binding
+    /// is rekeyed in place (in-flight engine work finishes on the old key
+    /// — the cycle engine binds keys at submit).
     Rekey {
         id: ServiceChannelId,
-        new_key: Vec<u8>,
+        new_key: SessionKey,
     },
     /// Establishment marker: when it drains, the engine starts the
     /// modeled ECC handshake for the channel; packets reaching the engine
@@ -266,13 +266,15 @@ impl<B: ChannelBackend> ServiceShard<B> {
         let handle = match (live.established, handshake_cycles) {
             (false, Some(hs)) => self.backend.open_channel_handshake(
                 profile.algorithm,
-                &live.key,
+                live.key.as_bytes(),
                 profile.tag_len,
                 hs,
             )?,
-            _ => self
-                .backend
-                .open_channel(profile.algorithm, &live.key, profile.tag_len)?,
+            _ => self.backend.open_channel(
+                profile.algorithm,
+                live.key.as_bytes(),
+                profile.tag_len,
+            )?,
         };
         self.slab.get_mut(id).expect("live").chan.handle = Some(handle);
         self.binding_stats.misses += 1;
@@ -288,14 +290,14 @@ impl<B: ChannelBackend> ServiceShard<B> {
         self.warm -= 1;
     }
 
-    /// Frees a fully drained channel: unbinds the engine handle, frees the
-    /// slot (bumping its generation), and zeroizes the session key.
+    /// Frees a fully drained channel: unbinds the engine handle and frees
+    /// the slot (bumping its generation), which drops and so zeroizes the
+    /// session key.
     fn finish_close(&mut self, id: ServiceChannelId, counters: &mut ServiceCounters) {
-        let mut dead = self.slab.free(id).expect("caller validated id");
+        let dead = self.slab.free(id).expect("caller validated id");
         if let Some(handle) = dead.chan.handle {
             self.unbind(handle);
         }
-        dead.key.iter_mut().for_each(|b| *b = 0);
         counters.closed += 1;
     }
 
@@ -398,27 +400,20 @@ impl<B: ChannelBackend> ServiceShard<B> {
             .min(self.queue.len());
         for _ in 0..budget {
             let pkt = match self.queue.pop_front().expect("budget <= len") {
-                QueueItem::Rekey { id, mut new_key } => {
+                QueueItem::Rekey { id, new_key } => {
                     // FIFO position *is* the epoch boundary: every packet
                     // ahead of this marker has already reached the engine
-                    // under the old key.
-                    match self.slab.get_mut(id) {
-                        Err(_) => {
-                            // Channel drained away first; the key never
-                            // got installed anywhere, scrub our copy.
-                            new_key.iter_mut().for_each(|b| *b = 0);
-                        }
-                        Ok(live) => {
-                            live.key.iter_mut().for_each(|b| *b = 0);
-                            live.key = new_key;
-                            live.epoch += 1;
-                            counters.rekeys += 1;
-                            if let Some(handle) = live.chan.handle {
-                                // In-flight engine work still finishes on
-                                // the old key (the engines bind keys at
-                                // submit); only new submissions see this.
-                                let _ = self.backend.rekey_channel(handle, &live.key);
-                            }
+                    // under the old key. If the channel drained away first,
+                    // the new key drops (and is wiped) here unused.
+                    if let Ok(live) = self.slab.get_mut(id) {
+                        live.key = new_key;
+                        live.epoch += 1;
+                        counters.rekeys += 1;
+                        if let Some(handle) = live.chan.handle {
+                            // In-flight engine work still finishes on the
+                            // old key (the engines bind keys at submit);
+                            // only new submissions see this.
+                            let _ = self.backend.rekey_channel(handle, live.key.as_bytes());
                         }
                     }
                     continue;
@@ -624,12 +619,17 @@ impl<B: ChannelBackend> MccpService<B> {
     /// OPEN: creates a session running `standard` under `key`, placed
     /// round-robin across shards. The returned id is generation-exact:
     /// after [`close`](Self::close) drains it, every operation on it
-    /// fails [`ServiceError::Stale`].
+    /// fails [`ServiceError::Stale`]. A key of the wrong size for the
+    /// standard's algorithm is refused with [`MccpError::BadKey`] before
+    /// admission, so it is neither counted nor placed.
     pub fn open(
         &mut self,
         standard: Standard,
         key: &[u8],
     ) -> Result<ServiceChannelId, ServiceError> {
+        let profile = standard.profile();
+        let key =
+            SessionKey::for_algorithm(profile.algorithm, key).map_err(ServiceError::Backend)?;
         let shard = (self.placed % self.shards.len() as u64) as usize;
         let class = qos_class(standard);
         if self.config.handshake_cycles.is_some() {
@@ -650,11 +650,10 @@ impl<B: ChannelBackend> MccpService<B> {
             }
         }
         self.salt_seq = self.salt_seq.wrapping_add(1);
-        let profile = standard.profile();
         let live = LiveChannel {
             standard,
             chan: SecureChannel::new(profile, self.salt_seq),
-            key: key.to_vec(),
+            key,
             class,
             epoch: 0,
             established: self.config.handshake_cycles.is_none(),
@@ -699,14 +698,10 @@ impl<B: ChannelBackend> MccpService<B> {
         if live.draining {
             return Err(ServiceError::Draining);
         }
-        let wanted = live.standard.profile().algorithm.key_size().key_bytes();
-        if new_key.len() != wanted {
-            return Err(ServiceError::Backend(MccpError::BadKey));
-        }
-        shard.queue.push_back(QueueItem::Rekey {
-            id,
-            new_key: new_key.to_vec(),
-        });
+        let algorithm = live.standard.profile().algorithm;
+        let new_key =
+            SessionKey::for_algorithm(algorithm, new_key).map_err(ServiceError::Backend)?;
+        shard.queue.push_back(QueueItem::Rekey { id, new_key });
         Ok(())
     }
 
@@ -1149,6 +1144,24 @@ mod tests {
         f.close(fid).unwrap();
         f.quiesce(64);
         assert_eq!(f.rekey(fid, &k1), Err(ServiceError::Stale));
+    }
+
+    /// A key of the wrong size for the standard is refused at open on both
+    /// engines, before admission counts or places the channel, rather than
+    /// surfacing later as an abandoned packet or an engine panic.
+    #[test]
+    fn open_refuses_a_wrong_size_key_before_admission() {
+        fn check<B: ChannelBackend>(mut svc: MccpService<B>) {
+            let bad_key = Err(ServiceError::Backend(MccpError::BadKey));
+            assert_eq!(svc.open(Standard::Wimax, &[1u8; 20]), bad_key);
+            assert_eq!((svc.counters().opened, svc.occupancy()), (0, 0));
+            let id = svc.open(Standard::Wimax, &[1u8; 16]).unwrap();
+            svc.submit(id, b"hdr", b"payload", 1).unwrap();
+            assert_eq!(svc.quiesce(1 << 20).len(), 1);
+            assert_eq!(svc.counters().abandoned, 0);
+        }
+        check(functional_service(ServiceConfig::default()));
+        check(cycle_service(ServiceConfig::default()));
     }
 
     #[test]

@@ -21,7 +21,7 @@
 use crate::channel::SecureChannel;
 use crate::qos::QosClass;
 use crate::standards::Standard;
-use std::fmt;
+use mccp_core::SessionKey;
 
 /// A service-layer channel handle: `[generation:32][shard:8][slot:24]`.
 ///
@@ -90,7 +90,7 @@ pub struct ChannelStats {
 }
 
 /// The live state of one open service channel.
-#[derive(Clone)]
+#[derive(Debug)]
 pub struct LiveChannel {
     /// Radio standard the channel runs (profile + QoS class derive from
     /// it).
@@ -99,9 +99,10 @@ pub struct LiveChannel {
     /// so a recycled slot can never re-issue an IV even under the same
     /// key — and, while the channel is warm, its engine `handle`.
     pub chan: SecureChannel,
-    /// Session key bytes (the slab is the key's resident home; the engine
-    /// holds the expanded schedule only while the channel is bound).
-    pub key: Vec<u8>,
+    /// Session key (the slab is the key's resident home; the engine holds
+    /// the expanded schedule only while the channel is bound). Freeing
+    /// the slot drops, and so wipes, it.
+    pub key: SessionKey,
     /// Admission class.
     pub class: QosClass,
     /// Key epoch: bumps once per completed rekey. Deliveries are tagged
@@ -122,24 +123,6 @@ pub struct LiveChannel {
     pub draining: bool,
     /// Lifetime accounting.
     pub stats: ChannelStats,
-}
-
-/// Prints the key's length, never its bytes.
-impl fmt::Debug for LiveChannel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("LiveChannel")
-            .field("standard", &self.standard)
-            .field("chan", &self.chan)
-            .field("key_len", &self.key.len())
-            .field("class", &self.class)
-            .field("epoch", &self.epoch)
-            .field("established", &self.established)
-            .field("in_flight", &self.in_flight)
-            .field("queued", &self.queued)
-            .field("draining", &self.draining)
-            .field("stats", &self.stats)
-            .finish()
-    }
 }
 
 impl LiveChannel {
@@ -299,7 +282,7 @@ mod tests {
         LiveChannel {
             standard,
             chan: SecureChannel::new(standard.profile(), 7),
-            key: vec![0u8; 16],
+            key: SessionKey::new(&[0u8; 16]).unwrap(),
             class: crate::qos::qos_class(standard),
             epoch: 0,
             established: true,

@@ -35,10 +35,12 @@ PAPER_ARTIFACTS=(
   ablation_key_cache ablation_cipher_swap
 )
 
-# The paper artifacts, the soaks and the multi-channel example are
-# deterministic, so any byte of difference from golden/ is a real
-# behaviour change. To accept an intended change, rerun the command into
-# its golden file.
+# The paper artifacts, the soaks, the firmware listings (the inventory
+# and Listing 1's GcmEnc loop), the telemetry report (its event log names
+# Key Cache misses by KeyId, so it pins the cycle engine's key-slot
+# allocation) and the multi-channel example are deterministic, so any
+# byte of difference from golden/ is a real behaviour change. To accept an
+# intended change, rerun the command into its golden file.
 stage_golden() {
   local bin=(cargo run -q --release -p mccp-bench --bin)
   local artifact
@@ -47,6 +49,9 @@ stage_golden() {
   done
   golden_diff soak_100 "${bin[@]}" soak -- 100
   golden_diff soak_100_functional "${bin[@]}" soak -- 100 --engine functional
+  golden_diff firmware_listing "${bin[@]}" firmware_listing
+  golden_diff firmware_listing_GcmEnc "${bin[@]}" firmware_listing -- GcmEnc
+  golden_diff telemetry_report "${bin[@]}" telemetry_report
   golden_diff multichannel_radio cargo run -q --release --example multichannel_radio
 }
 

@@ -8,7 +8,7 @@
 
 use mccp::core::protocol::{Algorithm, CipherSel, MccpError};
 use mccp::core::{
-    ChannelBackend, Direction, Mccp, MccpConfig, PipelineGraph, PipelineStage, StageOp,
+    ChannelBackend, Direction, Mccp, MccpConfig, PipelineGraph, PipelineStage, SessionKey, StageOp,
 };
 use mccp::sdr::slab::ChannelStats;
 use mccp::sdr::{qos_class, LiveChannel, SecureChannel, Standard};
@@ -146,12 +146,18 @@ fn no_exporter_output_contains_key_bytes() {
     }
 }
 
+/// A `SessionKey` holding `KEY_EPOCH0`. It has no `Clone`, so every
+/// holder below gets its own.
+fn epoch0_key() -> SessionKey {
+    SessionKey::new(&KEY_EPOCH0).unwrap()
+}
+
 #[test]
 fn debug_formatting_of_key_holders_prints_no_key_bytes() {
     let live = LiveChannel {
         standard: Standard::Wifi,
         chan: SecureChannel::new(Standard::Wifi.profile(), 7),
-        key: KEY_EPOCH0.to_vec(),
+        key: epoch0_key(),
         class: qos_class(Standard::Wifi),
         epoch: 0,
         established: true,
@@ -160,13 +166,15 @@ fn debug_formatting_of_key_holders_prints_no_key_bytes() {
         draining: false,
         stats: ChannelStats::default(),
     };
-    let stage = PipelineStage {
+    let ctr_stage = || PipelineStage {
         op: StageOp::Ctr,
         cipher: CipherSel::Aes,
-        key: KEY_EPOCH0.to_vec(),
+        key: epoch0_key(),
     };
-    let chain = PipelineGraph::new(vec![stage.clone()], 16);
-    let fused = PipelineGraph::two_core_ccm(Algorithm::AesCcm128, KEY_EPOCH0.to_vec(), 16);
+    let stage = ctr_stage();
+    let chain = PipelineGraph::new(vec![ctr_stage()], 16);
+    let fused = PipelineGraph::two_core_ccm(Algorithm::AesCcm128, epoch0_key(), 16);
+    scan("SessionKey", &format!("{:?}", epoch0_key()));
     scan("LiveChannel", &format!("{live:?}"));
     scan("PipelineStage", &format!("{stage:?}"));
     scan("PipelineGraph (stages)", &format!("{chain:?}"));

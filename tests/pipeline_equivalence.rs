@@ -8,7 +8,7 @@ use mccp::core::core_unit::Personality;
 use mccp::core::protocol::{Algorithm, CipherSel, KeyId};
 use mccp::core::{
     ChannelBackend, Direction, FunctionalBackend, Mccp, MccpConfig, PipelineGraph, PipelineStage,
-    StageOp,
+    SessionKey, StageOp,
 };
 use proptest::prelude::*;
 
@@ -29,8 +29,8 @@ fn mix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-fn key_bytes(seed: &mut u64, len: usize) -> Vec<u8> {
-    (0..len).map(|_| mix(seed) as u8).collect()
+fn random_key(seed: &mut u64, len: usize) -> SessionKey {
+    SessionKey::new(&(0..len).map(|_| mix(seed) as u8).collect::<Vec<u8>>()).unwrap()
 }
 
 /// Derives a random legal 1–3 stage pipeline graph from two seeds:
@@ -59,9 +59,9 @@ fn derive_graph(shape_seed: u64, key_seed: u64) -> PipelineGraph {
             CipherSel::Twofish
         };
         let key = match (op, cipher) {
-            (StageOp::WhirlpoolHmac, _) => key_bytes(&mut k, 1 + (mix(&mut s) % 64) as usize),
-            (_, CipherSel::Twofish) => key_bytes(&mut k, 16),
-            (_, CipherSel::Aes) => key_bytes(&mut k, [16, 24, 32][(mix(&mut s) % 3) as usize]),
+            (StageOp::WhirlpoolHmac, _) => random_key(&mut k, 1 + (mix(&mut s) % 64) as usize),
+            (_, CipherSel::Twofish) => random_key(&mut k, 16),
+            (_, CipherSel::Aes) => random_key(&mut k, [16, 24, 32][(mix(&mut s) % 3) as usize]),
         };
         if last {
             tag_len = match op {
@@ -154,7 +154,7 @@ proptest! {
         let fch = fused
             .open_pipeline(&PipelineGraph::two_core_ccm(
                 Algorithm::AesCcm128,
-                key.to_vec(),
+                SessionKey::new(&key).unwrap(),
                 tag_len,
             ))
             .unwrap();
@@ -171,7 +171,7 @@ proptest! {
         let ffch = f
             .open_pipeline(&PipelineGraph::two_core_ccm(
                 Algorithm::AesCcm128,
-                key.to_vec(),
+                SessionKey::new(&key).unwrap(),
                 tag_len,
             ))
             .unwrap();
@@ -195,12 +195,12 @@ fn ctr_then_whirlpool_hmac_two_packets() {
             PipelineStage {
                 op: StageOp::Ctr,
                 cipher: CipherSel::Aes,
-                key: vec![0xA5; 16],
+                key: SessionKey::new(&[0xA5; 16]).unwrap(),
             },
             PipelineStage {
                 op: StageOp::WhirlpoolHmac,
                 cipher: CipherSel::Aes,
-                key: vec![0x5A; 32],
+                key: SessionKey::new(&[0x5A; 32]).unwrap(),
             },
         ],
         32,
@@ -238,7 +238,7 @@ fn mac_only_chain_delivers_empty_body() {
         vec![PipelineStage {
             op: StageOp::CbcMac,
             cipher: CipherSel::Twofish,
-            key: vec![0x11; 16],
+            key: SessionKey::new(&[0x11; 16]).unwrap(),
         }],
         12,
     );
@@ -264,4 +264,38 @@ fn mac_only_chain_delivers_empty_body() {
     assert!(comp.body.is_empty());
     assert_eq!(pkt.tag.unwrap(), comp.tag);
     assert_eq!(comp.tag.len(), 12);
+}
+
+/// Closing a pipeline channel through the trait releases the Key Memory
+/// slot of every CU stage, not only the first: a CTR → CBC-MAC chain holds
+/// two, so 300 open/close rounds would exhaust the 255 slots otherwise.
+#[test]
+fn pipeline_open_close_churn_releases_every_stage_key() {
+    let mut m = personalized_mccp();
+    for round in 0..300u32 {
+        let [a, b] = [round.to_le_bytes()[0], !round.to_le_bytes()[0]];
+        let graph = PipelineGraph::new(
+            vec![
+                PipelineStage {
+                    op: StageOp::Ctr,
+                    cipher: CipherSel::Aes,
+                    key: SessionKey::new(&[a; 16]).unwrap(),
+                },
+                PipelineStage {
+                    op: StageOp::CbcMac,
+                    cipher: CipherSel::Aes,
+                    key: SessionKey::new(&[b; 16]).unwrap(),
+                },
+            ],
+            16,
+        );
+        let ch = m
+            .open_pipeline(&graph)
+            .unwrap_or_else(|e| panic!("open {round}: {e}"));
+        m.close_channel(ch).unwrap();
+    }
+    let resident: Vec<u8> = (0..=u8::MAX)
+        .filter(|&k| m.key_memory_mut().contains(KeyId(k)))
+        .collect();
+    assert!(resident.is_empty(), "key ids left resident: {resident:?}");
 }

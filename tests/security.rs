@@ -5,7 +5,7 @@ use mccp::core::core_unit::Personality;
 use mccp::core::protocol::{Algorithm, CipherSel, KeyId, MccpError};
 use mccp::core::{
     ChannelBackend, Direction, FunctionalBackend, Mccp, MccpConfig, PipelineGraph, PipelineStage,
-    StageOp,
+    SessionKey, StageOp,
 };
 use proptest::prelude::*;
 
@@ -249,6 +249,7 @@ proptest! {
                     StageOp::Ctr => 16,
                 };
             }
+            let key = SessionKey::new(&key).unwrap();
             stages.push(PipelineStage { op, cipher, key });
         }
         let graph = PipelineGraph::new(stages, tag_len);

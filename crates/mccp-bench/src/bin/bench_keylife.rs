@@ -35,7 +35,8 @@ use mccp_bench::{Args, BenchFile};
 use mccp_core::model::ECC_SCALAR_MULT_CYCLES;
 use mccp_core::protocol::Algorithm;
 use mccp_core::{
-    submit_and_wait, AdversaryPlan, ChannelBackend, Direction, FunctionalBackend, Mccp, MccpConfig,
+    submit_and_wait, AdversaryPlan, ChannelBackend, Direction, FunctionalBackend, Iv, Mccp,
+    MccpConfig,
 };
 use mccp_sdr::{
     run_adversary_suite, AdversaryReport, MccpService, QosClass, ServiceConfig, ServiceError,
@@ -89,7 +90,7 @@ fn rekey_under_load<B: ChannelBackend>(
         .map(|i| svc.open(Standard::Wimax, &session_key(i, 0)).expect("open"))
         .collect();
 
-    let mut seen_ivs: HashSet<(u64, Vec<u8>)> = HashSet::new();
+    let mut seen_ivs: HashSet<(u64, Iv)> = HashSet::new();
     let mut r = RekeyResult {
         submitted: 0,
         delivered: 0,
@@ -98,7 +99,7 @@ fn rekey_under_load<B: ChannelBackend>(
         oracle_failures: 0,
     };
     let settle =
-        |out: Vec<mccp_sdr::Delivery>, seen: &mut HashSet<(u64, Vec<u8>)>, r: &mut RekeyResult| {
+        |out: Vec<mccp_sdr::Delivery>, seen: &mut HashSet<(u64, Iv)>, r: &mut RekeyResult| {
             for d in out {
                 assert!(d.auth_ok, "service traffic never forges");
                 let chan = (d.user_tag >> 32) as usize;
@@ -108,7 +109,7 @@ fn rekey_under_load<B: ChannelBackend>(
                     d.epoch as usize, round,
                     "FIFO rekey boundary is epoch-exact"
                 );
-                if !seen.insert((d.channel.0, d.iv.clone())) {
+                if !seen.insert((d.channel.0, d.iv)) {
                     r.nonce_reuse += 1;
                 }
                 // The ciphertext must match the software oracle under the

@@ -9,7 +9,7 @@
 //! ```
 
 use mccp_bench::Args;
-use mccp_core::{ChannelBackend, FunctionalBackend, Mccp, MccpConfig};
+use mccp_core::{ChannelBackend, FunctionalBackend, Iv, Mccp, MccpConfig};
 use mccp_sdr::qos::DispatchPolicy;
 use mccp_sdr::workload::{Workload, WorkloadSpec};
 use mccp_sdr::{
@@ -317,7 +317,7 @@ fn service_rekey_churn_scenario<B: ChannelBackend>(mk: impl Fn() -> B, engine_na
         })
         .collect();
 
-    let mut seen_ivs: HashSet<(ServiceChannelId, Vec<u8>)> = HashSet::new();
+    let mut seen_ivs: HashSet<(ServiceChannelId, Iv)> = HashSet::new();
     let mut delivered = 0u64;
     let mut submitted = 0u64;
     let drain = |svc: &mut MccpService<B>, seen: &mut HashSet<_>, delivered: &mut u64| {
@@ -327,7 +327,7 @@ fn service_rekey_churn_scenario<B: ChannelBackend>(mk: impl Fn() -> B, engine_na
             // under (packed into user_tag at submit time below).
             assert_eq!(d.epoch as u64, d.user_tag & 0xFFFF, "epoch-exact delivery");
             assert!(
-                seen.insert((d.channel, d.iv.clone())),
+                seen.insert((d.channel, d.iv)),
                 "IV reuse across a rekey on {:?}",
                 d.channel
             );
@@ -357,7 +357,7 @@ fn service_rekey_churn_scenario<B: ChannelBackend>(mk: impl Fn() -> B, engine_na
     for d in svc.quiesce(10_000) {
         assert!(d.auth_ok);
         assert_eq!(d.epoch as u64, d.user_tag & 0xFFFF);
-        assert!(seen_ivs.insert((d.channel, d.iv.clone())));
+        assert!(seen_ivs.insert((d.channel, d.iv)));
         delivered += 1;
     }
     assert_eq!(

@@ -11,6 +11,7 @@
 //! submission-order virtual clock for the functional engine; both are
 //! deterministic for a given call sequence.
 
+use crate::bytes::Tag;
 use crate::format::Direction;
 use crate::protocol::{Algorithm, ChannelId, MccpError, RequestId};
 use mccp_telemetry::{Snapshot, Telemetry};
@@ -25,8 +26,9 @@ pub struct Completion {
     /// Ciphertext (encrypt) or plaintext (decrypt); empty for MAC-only
     /// modes.
     pub body: Vec<u8>,
-    /// Authentication tag (encrypt on authenticated modes, MAC modes).
-    pub tag: Vec<u8>,
+    /// Authentication tag (encrypt on authenticated modes, MAC modes),
+    /// held inline.
+    pub tag: Tag,
     /// Submission → Data Available, in the engine's clock. The functional
     /// engine does not model service time and reports 0.
     pub latency_cycles: u64,
@@ -372,12 +374,10 @@ impl ChannelBackend for Mccp {
     /// Stores the new key under a fresh [`KeyId`], rotates the channel and
     /// retires the old id: its Key Memory slot (and any per-core cache
     /// expansion) is zeroized the moment the last request submitted under
-    /// the old epoch drains.
+    /// the old epoch drains. A stage-chain pipeline is refused with
+    /// [`MccpError::BadInstruction`] before any key slot is taken.
     fn rekey_channel(&mut self, channel: ChannelId, new_key: &[u8]) -> Result<u32, MccpError> {
-        let (algorithm, old_key) = {
-            let ch = self.channel(channel)?;
-            (ch.algorithm, ch.key)
-        };
+        let (algorithm, old_key) = self.rekeyable(channel)?;
         algorithm.check_key(new_key)?;
         let kid = self.alloc_key(new_key)?;
         if let Err(e) = self.rekey(channel, kid) {
@@ -419,12 +419,15 @@ impl ChannelBackend for Mccp {
         let latency_cycles = self.request_cycles(id).unwrap_or(0);
         let epoch = self.requests.get(&id.0).map(|r| r.epoch).unwrap_or(0);
         let (auth_ok, body, tag, fault) = match self.retrieve(id) {
-            Ok(out) => (true, out.body, out.tag.unwrap_or_default(), None),
-            Err(MccpError::AuthFail) => (false, Vec::new(), Vec::new(), None),
+            Ok(out) => {
+                let tag = out.tag.as_deref().map_or(Tag::EMPTY, Tag::from_slice);
+                (true, out.body, tag, None)
+            }
+            Err(MccpError::AuthFail) => (false, Vec::new(), Tag::EMPTY, None),
             // Fault-plane terminations surface as typed faults; anything
             // else on a Data Available request is unexpected but must not
             // panic the serving loop — report it as the completion's fault.
-            Err(e) => (false, Vec::new(), Vec::new(), Some(e)),
+            Err(e) => (false, Vec::new(), Tag::EMPTY, Some(e)),
         };
         // TRANSFER_DONE releases the cores; a request already released (or
         // racing a reset) is not an error worth crashing over.

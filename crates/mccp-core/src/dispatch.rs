@@ -229,12 +229,25 @@ impl Mccp {
         open(self, kid).inspect_err(|_| self.erase_key(kid))
     }
 
+    /// The key a channel REKEY may rotate, with its algorithm. A stage
+    /// chain is refused with [`MccpError::BadInstruction`]: its stages run
+    /// on keys fixed when the graph opened, so moving the channel key alone
+    /// would report a new epoch over the old keystream.
+    pub(crate) fn rekeyable(&self, channel: ChannelId) -> Result<(Algorithm, KeyId), MccpError> {
+        let ch = self.channel(channel)?;
+        if ch.pipeline.is_some() {
+            return Err(MccpError::BadInstruction);
+        }
+        Ok((ch.algorithm, ch.key))
+    }
+
     /// Rebinds a live channel to a new session key (rekeying: the main
     /// controller has rotated keys; in-flight requests keep the old key,
     /// subsequent packets use the new one — stale per-core key caches miss
-    /// on the new id and re-expand).
+    /// on the new id and re-expand). A stage-chain pipeline is refused (see
+    /// [`rekeyable`](Self::rekeyable)).
     pub fn rekey(&mut self, channel: ChannelId, new_key: KeyId) -> Result<(), MccpError> {
-        let algorithm = self.channel(channel)?.algorithm;
+        let (algorithm, _) = self.rekeyable(channel)?;
         if self.key_memory.key_size(new_key) != Some(algorithm.key_size()) {
             return Err(MccpError::BadKey);
         }

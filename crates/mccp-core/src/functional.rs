@@ -11,13 +11,14 @@
 //! `mccp-sdr` cluster.
 
 use crate::backend::{ChannelBackend, Completion, EngineHealth};
+use crate::bytes::Tag;
 use crate::fault::{FaultKind, FaultPlan, FaultTrigger};
 use crate::format::Direction;
 use crate::key::SessionKey;
 use crate::pipeline::{run_stages_functional, PipelineGraph, PipelineKind, PipelineStage};
 use crate::protocol::{Algorithm, ChannelId, MccpError, Mode, RequestId};
 use mccp_aes::modes::{
-    cbc_mac, ccm_open_detached, ccm_seal, ctr_xcrypt, CcmParams, GcmContext, ModeError,
+    cbc_mac, ccm_open_detached_into, ccm_seal_into, ctr_xcrypt, CcmParams, GcmContext, ModeError,
 };
 use mccp_aes::Aes;
 use mccp_telemetry::{Event, Snapshot, Telemetry};
@@ -53,7 +54,10 @@ impl KeyCtx {
 }
 
 /// [`FunctionalBackend`]'s mode dispatch: one packet through the
-/// reference implementation of its mode, on the channel's key context.
+/// reference implementation of its mode, on the channel's key context,
+/// returned as the output body and tag. A seal writes `ciphertext ‖ tag`
+/// into the one output buffer, then the tag moves inline and the buffer
+/// is truncated, so a packet allocates once: the body the caller keeps.
 fn run_mode(
     ch: &FunctionalChannel,
     direction: Direction,
@@ -61,47 +65,59 @@ fn run_mode(
     aad: &[u8],
     body: &[u8],
     tag: Option<&[u8]>,
-) -> Result<Vec<u8>, ModeError> {
+) -> Result<(Vec<u8>, Tag), ModeError> {
     let (tag, tag_len) = (tag.unwrap_or(&[]), ch.tag_len);
-    let aes = match &*ch.key {
-        KeyCtx::Gcm(gcm) => {
-            return match direction {
-                Direction::Encrypt => gcm.seal(iv, aad, body, tag_len),
-                Direction::Decrypt => gcm.open_detached(iv, aad, body, tag),
-            }
+    let mut out = Vec::new();
+    let sealed = match (&*ch.key, ch.algorithm.mode(), direction) {
+        (KeyCtx::Gcm(gcm), _, Direction::Encrypt) => {
+            gcm.seal_into(iv, aad, body, tag_len, &mut out)?;
+            true
         }
-        KeyCtx::Aes(aes) => aes,
-        KeyCtx::Stages(_) => unreachable!("stage chains run through their graph"),
-    };
-    match (ch.algorithm.mode(), direction) {
-        (Mode::Ccm, dir) => {
+        (KeyCtx::Gcm(gcm), _, Direction::Decrypt) => {
+            gcm.open_detached_into(iv, aad, body, tag, &mut out)?;
+            false
+        }
+        (KeyCtx::Aes(aes), Mode::Ccm, dir) => {
             let params = CcmParams {
                 nonce_len: iv.len(),
                 tag_len,
             };
             match dir {
-                Direction::Encrypt => ccm_seal(aes, &params, iv, aad, body),
-                Direction::Decrypt => ccm_open_detached(aes, &params, iv, aad, body, tag),
+                Direction::Encrypt => ccm_seal_into(aes, &params, iv, aad, body, &mut out)?,
+                Direction::Decrypt => {
+                    ccm_open_detached_into(aes, &params, iv, aad, body, tag, &mut out)?
+                }
             }
+            dir == Direction::Encrypt
         }
-        (Mode::Ctr, _) => {
-            let mut body = body.to_vec();
-            let ctr0: [u8; 16] = iv
+        (KeyCtx::Aes(aes), Mode::Ctr, _) => {
+            let ctr0: &[u8; 16] = iv
                 .try_into()
                 .map_err(|_| ModeError::InvalidParams("CTR needs a 16-byte counter"))?;
-            ctr_xcrypt(aes, &ctr0, &mut body)?;
-            Ok(body)
+            out.extend_from_slice(body);
+            ctr_xcrypt(aes, ctr0, &mut out)?;
+            false
         }
-        (Mode::CbcMac, _) => cbc_mac(aes, body, tag_len),
-        (Mode::Gcm, _) => unreachable!("GCM channels hold a GCM context"),
+        (KeyCtx::Aes(aes), Mode::CbcMac, _) => {
+            return Ok((out, Tag::from_slice(&cbc_mac(aes, body, tag_len)?)));
+        }
+        (KeyCtx::Aes(_), Mode::Gcm, _) => unreachable!("GCM channels hold a GCM context"),
+        (KeyCtx::Stages(_), ..) => unreachable!("stage chains run through their graph"),
+    };
+    if !sealed {
+        return Ok((out, Tag::EMPTY));
     }
+    let n = out.len() - tag_len;
+    let tag = Tag::from_slice(&out[n..]);
+    out.truncate(n);
+    Ok((out, tag))
 }
 
 /// A live channel on the functional engine.
 struct FunctionalChannel {
     algorithm: Algorithm,
-    /// Boxed: a GCM context is ~400 bytes, and the channel table moves
-    /// entries on every open and close.
+    /// Boxed: a GCM context is ~400 bytes, and the channel table holds
+    /// one slot per handle ever opened.
     key: Box<KeyCtx>,
     tag_len: usize,
     /// Key epoch, bumped by every rekey (mirrors the cycle engine's
@@ -123,7 +139,11 @@ struct FunctionalChannel {
 /// cycle fidelity for). Every channel owns its [`KeyCtx`]; no key state
 /// is shared between channels, even under identical key bytes.
 pub struct FunctionalBackend {
-    channels: BTreeMap<u8, FunctionalChannel>,
+    /// Open channels indexed by handle, grown on demand.
+    channels: Vec<Option<FunctionalChannel>>,
+    /// Occupied handles, one bit each: the lowest free handle is the first
+    /// zero bit.
+    occupied: [u64; 4],
     /// Finished packets in submission order, tagged with their channel so
     /// CLOSE can refuse while results are undrained.
     completions: VecDeque<(u8, Completion)>,
@@ -136,22 +156,35 @@ pub struct FunctionalBackend {
     faults: BTreeMap<u64, MccpError>,
     /// Accepted submissions, 1-based (drives the packet triggers).
     packets_submitted: u64,
-    /// Per-channel packet ordinals (1-based), for failure attribution.
-    channel_seq: BTreeMap<u8, u64>,
+    /// Per-handle packet ordinals (1-based), for failure attribution:
+    /// indexed by handle, grown on demand, and kept across close, so a
+    /// reopened handle counts on.
+    channel_seq: Vec<u64>,
 }
 
 impl FunctionalBackend {
     pub fn new() -> Self {
         FunctionalBackend {
-            channels: BTreeMap::new(),
+            channels: Vec::new(),
+            occupied: [0; 4],
             completions: VecDeque::new(),
             next_request: 1,
             now: 0,
             telemetry: Telemetry::disabled(),
             faults: BTreeMap::new(),
             packets_submitted: 0,
-            channel_seq: BTreeMap::new(),
+            channel_seq: Vec::new(),
         }
+    }
+
+    fn channel(&self, channel: ChannelId) -> Result<&FunctionalChannel, MccpError> {
+        let slot = self.channels.get(usize::from(channel.0));
+        slot.and_then(Option::as_ref).ok_or(MccpError::BadChannel)
+    }
+
+    fn channel_mut(&mut self, channel: ChannelId) -> Result<&mut FunctionalChannel, MccpError> {
+        let slot = self.channels.get_mut(usize::from(channel.0));
+        slot.and_then(Option::as_mut).ok_or(MccpError::BadChannel)
     }
 
     /// Inserts a channel under the lowest free id.
@@ -161,20 +194,25 @@ impl FunctionalBackend {
         key: KeyCtx,
         tag_len: usize,
     ) -> Result<ChannelId, MccpError> {
-        let id = (0..=u8::MAX)
-            .find(|i| !self.channels.contains_key(i))
+        let word = self
+            .occupied
+            .iter()
+            .position(|w| *w != u64::MAX)
             .ok_or(MccpError::NoChannelId)?;
-        self.channels.insert(
-            id,
-            FunctionalChannel {
-                algorithm,
-                key: Box::new(key),
-                tag_len,
-                epoch: 0,
-                ready_at: 0,
-            },
-        );
-        Ok(ChannelId(id))
+        let bit = self.occupied[word].trailing_ones();
+        self.occupied[word] |= 1 << bit;
+        let id = word * 64 + bit as usize;
+        if self.channels.len() <= id {
+            self.channels.resize_with(id + 1, || None);
+        }
+        self.channels[id] = Some(FunctionalChannel {
+            algorithm,
+            key: Box::new(key),
+            tag_len,
+            epoch: 0,
+            ready_at: 0,
+        });
+        Ok(ChannelId(id as u8))
     }
 
     /// OPEN a pipeline channel — the functional mirror of
@@ -254,34 +292,30 @@ impl ChannelBackend for FunctionalBackend {
         handshake_cycles: u64,
     ) -> Result<ChannelId, MccpError> {
         let id = self.open_channel(algorithm, key, tag_len)?;
-        if let Some(ch) = self.channels.get_mut(&id.0) {
-            ch.ready_at = self.now + handshake_cycles;
-        }
+        let ready_at = self.now + handshake_cycles;
+        self.channel_mut(id)?.ready_at = ready_at;
         Ok(id)
     }
 
     /// Rotates the channel onto `new_key` in place: the replaced key
     /// context is dropped, and so wiped, immediately (processing is
-    /// synchronous here, so nothing can still be in flight on it). A
-    /// stage chain keeps its graph and only bumps its epoch.
+    /// synchronous here, so nothing can still be in flight on it). A stage
+    /// chain is refused with [`MccpError::BadInstruction`], epoch
+    /// untouched: its stages run on keys fixed when the graph opened, as on
+    /// the cycle engine.
     fn rekey_channel(&mut self, channel: ChannelId, new_key: &[u8]) -> Result<u32, MccpError> {
-        let ch = self
-            .channels
-            .get_mut(&channel.0)
-            .ok_or(MccpError::BadChannel)?;
-        ch.algorithm.check_key(new_key)?;
-        if !matches!(*ch.key, KeyCtx::Stages(_)) {
-            *ch.key = KeyCtx::new(ch.algorithm, new_key);
+        let ch = self.channel_mut(channel)?;
+        if matches!(*ch.key, KeyCtx::Stages(_)) {
+            return Err(MccpError::BadInstruction);
         }
+        ch.algorithm.check_key(new_key)?;
+        *ch.key = KeyCtx::new(ch.algorithm, new_key);
         ch.epoch += 1;
         Ok(ch.epoch)
     }
 
     fn channel_epoch(&self, channel: ChannelId) -> Result<u32, MccpError> {
-        self.channels
-            .get(&channel.0)
-            .map(|c| c.epoch)
-            .ok_or(MccpError::BadChannel)
+        self.channel(channel).map(|c| c.epoch)
     }
 
     /// Frees the channel id; dropping the channel wipes its key context.
@@ -289,9 +323,10 @@ impl ChannelBackend for FunctionalBackend {
         if self.completions.iter().any(|(ch, _)| *ch == channel.0) {
             return Err(MccpError::Busy);
         }
-        self.channels
-            .remove(&channel.0)
-            .ok_or(MccpError::BadChannel)?;
+        let id = usize::from(channel.0);
+        let slot = self.channels.get_mut(id).ok_or(MccpError::BadChannel)?;
+        slot.take().ok_or(MccpError::BadChannel)?;
+        self.occupied[id / 64] &= !(1 << (id % 64));
         Ok(())
     }
 
@@ -307,7 +342,8 @@ impl ChannelBackend for FunctionalBackend {
         // Disjoint field borrows: the channel (and its key context) is
         // read in place while the telemetry and completion queue mutate,
         // so nothing is cloned or looked up by key bytes per packet.
-        let ch = self.channels.get(&channel.0).ok_or(MccpError::BadChannel)?;
+        let ch = self.channels.get(usize::from(channel.0));
+        let ch = ch.and_then(Option::as_ref).ok_or(MccpError::BadChannel)?;
         if ch.ready_at > self.now {
             return Err(MccpError::HandshakePending);
         }
@@ -325,9 +361,12 @@ impl ChannelBackend for FunctionalBackend {
         self.next_request = self.next_request.wrapping_add(1).max(1);
         self.packets_submitted += 1;
         let sequence = {
-            let seq = self.channel_seq.entry(channel.0).or_insert(0);
-            *seq += 1;
-            *seq
+            let handle = usize::from(channel.0);
+            if self.channel_seq.len() <= handle {
+                self.channel_seq.resize(handle + 1, 0);
+            }
+            self.channel_seq[handle] += 1;
+            self.channel_seq[handle]
         };
         self.telemetry
             .emit_with(self.now, || Event::RequestSubmitted {
@@ -364,7 +403,7 @@ impl ChannelBackend for FunctionalBackend {
                     request: id,
                     auth_ok: false,
                     body: Vec::new(),
-                    tag: Vec::new(),
+                    tag: Tag::EMPTY,
                     latency_cycles: 0,
                     fault: Some(error),
                     epoch,
@@ -375,20 +414,11 @@ impl ChannelBackend for FunctionalBackend {
 
         let (auth_ok, out_body, out_tag) = if let KeyCtx::Stages(stages) = &*ch.key {
             let (out_body, out_tag) = run_stages_functional(stages, iv, body, ch.tag_len)?;
-            (true, out_body, out_tag.unwrap_or_default())
+            let out_tag = out_tag.as_deref().map_or(Tag::EMPTY, Tag::from_slice);
+            (true, out_body, out_tag)
         } else {
             match run_mode(ch, direction, iv, aad, body, tag) {
-                Ok(out) => match (ch.algorithm.mode(), direction) {
-                    (Mode::Gcm | Mode::Ccm, Direction::Encrypt) => {
-                        let split = out.len() - ch.tag_len;
-                        let mut out = out;
-                        let tag = out.split_off(split);
-                        (true, out, tag)
-                    }
-                    (Mode::Gcm | Mode::Ccm, Direction::Decrypt) => (true, out, Vec::new()),
-                    (Mode::Ctr, _) => (true, out, Vec::new()),
-                    (Mode::CbcMac, _) => (true, Vec::new(), out),
-                },
+                Ok((out_body, out_tag)) => (true, out_body, out_tag),
                 Err(ModeError::AuthFail) => {
                     let (request, channel) = (id.0, channel.0);
                     self.telemetry.emit_with(self.now, || Event::AuthFailWipe {
@@ -396,7 +426,7 @@ impl ChannelBackend for FunctionalBackend {
                         channel,
                         sequence,
                     });
-                    (false, Vec::new(), Vec::new())
+                    (false, Vec::new(), Tag::EMPTY)
                 }
                 Err(_) => return Err(MccpError::BadInstruction),
             }
@@ -495,7 +525,7 @@ impl ChannelBackend for FunctionalBackend {
 mod tests {
     use super::*;
     use crate::backend::submit_and_wait;
-    use mccp_aes::modes::gcm_seal;
+    use mccp_aes::modes::{ccm_seal, gcm_seal};
 
     const KEY: [u8; 16] = [7u8; 16];
 
@@ -593,7 +623,7 @@ mod tests {
                 let done =
                     submit_and_wait(b, ch, Direction::Encrypt, &iv, b"hdr", b"payload", None)
                         .expect("accepted");
-                assert_eq!([done.body, done.tag].concat(), want, "{alg:?}");
+                assert_eq!([&done.body[..], &done.tag].concat(), want, "{alg:?}");
             };
             let a = b.open_channel(alg, &KEY, tag_len).unwrap();
             let c = b.open_channel(alg, &KEY, tag_len).unwrap();

@@ -9,7 +9,7 @@
 //! consumer of key material is the round-key expansion, and round keys are
 //! only consumable by the AES datapath.
 
-use crate::protocol::{Algorithm, CipherSel, KeyId, MccpError};
+use crate::protocol::{CipherSel, KeyId, MccpError};
 use mccp_aes::key_schedule::{KeySize, RoundKeys};
 use mccp_aes::twofish::Twofish;
 use mccp_cryptounit::CipherEngine;
@@ -34,22 +34,29 @@ impl SessionKey {
         Ok(SessionKey(bytes.into()))
     }
 
-    /// Copies `bytes` once [`Algorithm::check_key`] accepts them.
-    #[inline]
-    pub fn for_algorithm(algorithm: Algorithm, bytes: &[u8]) -> Result<Self, MccpError> {
-        algorithm.check_key(bytes)?;
-        Self::new(bytes)
-    }
-
     /// The key bytes, for handing to a key schedule or an engine.
     pub fn as_bytes(&self) -> &[u8] {
         &self.0
+    }
+
+    /// Replaces the key bytes in place, reusing the key's storage.
+    ///
+    /// # Panics
+    /// Panics if `bytes` is not as long as the key.
+    pub fn overwrite(&mut self, bytes: &[u8]) {
+        self.0.copy_from_slice(bytes);
+    }
+
+    /// Zeroizes the bytes with volatile stores, as dropping the key does;
+    /// the key keeps its length and storage.
+    pub fn wipe(&mut self) {
+        mccp_gf128::wipe(&mut self.0);
     }
 }
 
 impl Drop for SessionKey {
     fn drop(&mut self) {
-        mccp_gf128::wipe(&mut self.0);
+        self.wipe();
     }
 }
 
@@ -289,6 +296,25 @@ mod tests {
         }
         assert!(!ks.is_busy());
         assert_eq!(ks.expansions(), 1);
+    }
+
+    #[test]
+    fn wipe_and_overwrite_reuse_the_storage() {
+        let mut key = SessionKey::new(&[7u8; 16]).unwrap();
+        let storage = key.as_bytes().as_ptr();
+        key.wipe();
+        assert_eq!(key.as_bytes(), [0u8; 16]);
+        key.overwrite(&[9u8; 16]);
+        assert_eq!(
+            (key.as_bytes(), key.as_bytes().as_ptr()),
+            (&[9u8; 16][..], storage)
+        );
+    }
+
+    #[test]
+    #[should_panic]
+    fn overwrite_refuses_another_length() {
+        SessionKey::new(&[7u8; 16]).unwrap().overwrite(&[9u8; 32]);
     }
 
     #[test]

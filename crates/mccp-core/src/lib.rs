@@ -34,6 +34,7 @@
 //! ```
 
 pub mod backend;
+pub mod bytes;
 pub mod core_unit;
 pub mod crossbar;
 mod dispatch;
@@ -51,6 +52,7 @@ pub mod reconfig;
 mod scheduler;
 
 pub use backend::{submit_and_wait, ChannelBackend, Completion, CoreHealth, EngineHealth};
+pub use bytes::{InlineBytes, Iv, Tag};
 pub use fault::{AdversaryKind, AdversaryPlan, FaultKind, FaultPlan, FaultTrigger};
 pub use format::{Direction, ProcessedPacket};
 pub use functional::FunctionalBackend;

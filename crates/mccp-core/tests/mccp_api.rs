@@ -61,7 +61,12 @@ fn reopened_key_id_seals_under_the_new_key() {
         let ch = m.open_channel(Algorithm::AesGcm128, &key, 16).unwrap();
         let c = submit_and_wait(&mut m, ch, Direction::Encrypt, &iv, aad, &payload, None).unwrap();
         let reference = gcm_seal(&Aes::new_128(&key), &iv, aad, &payload, 16).unwrap();
-        assert_eq!([c.body, c.tag].concat(), reference, "key {:#04x}", key[0]);
+        assert_eq!(
+            [&c.body[..], &c.tag].concat(),
+            reference,
+            "key {:#04x}",
+            key[0]
+        );
         m.close_channel(ch).unwrap();
     }
 }

@@ -79,7 +79,7 @@ fn encrypt_frame<B: ChannelBackend>(
         iv: iv.to_vec(),
         aad: aad.to_vec(),
         ct: c.body,
-        tag: c.tag,
+        tag: c.tag.to_vec(),
     }
 }
 
@@ -99,7 +99,7 @@ fn probe_matches_oracle<B: ChannelBackend>(
     };
     let sealed = gcm_seal(&Aes::new(key), iv, b"probe", payload, 16).expect("oracle");
     let (oct, otag) = sealed.split_at(sealed.len() - 16);
-    c.auth_ok && c.body == oct && c.tag == otag
+    c.auth_ok && c.body == oct && c.tag[..] == *otag
 }
 
 /// Drives a seeded [`AdversaryPlan`] against a fresh GCM channel on

@@ -5,13 +5,17 @@
 //! packet counter, so no (key, nonce) pair ever repeats — the one rule
 //! CTR-based modes cannot survive breaking.
 
-use crate::standards::StandardProfile;
+use crate::standards::{Standard, StandardProfile};
 use mccp_core::protocol::{ChannelId, Mode};
+use mccp_core::Iv;
 
 /// One secure channel.
 #[derive(Clone, Debug)]
 pub struct SecureChannel {
-    pub profile: StandardProfile,
+    /// The channel's standard; [`profile`](Self::profile) derives the rest
+    /// rather than every channel (100k+ of them in a service) carrying a
+    /// copy.
+    pub standard: Standard,
     /// The MCCP channel handle, once opened.
     pub handle: Option<ChannelId>,
     /// Per-channel salt (distinguishes channels sharing a key size).
@@ -22,13 +26,18 @@ pub struct SecureChannel {
 
 impl SecureChannel {
     /// Creates a channel with a fixed salt (deterministic workloads).
-    pub fn new(profile: StandardProfile, salt: u32) -> Self {
+    pub fn new(standard: Standard, salt: u32) -> Self {
         SecureChannel {
-            profile,
+            standard,
             handle: None,
             salt,
             counter: 0,
         }
+    }
+
+    /// The channel's standard profile.
+    pub fn profile(&self) -> StandardProfile {
+        self.standard.profile()
     }
 
     /// Packets sent so far.
@@ -37,7 +46,7 @@ impl SecureChannel {
     }
 
     /// Generates the next IV/nonce for this channel's mode and advances
-    /// the counter.
+    /// the counter. The IV is held inline: issuing one allocates nothing.
     ///
     /// * GCM: 12 bytes = salt (4) ‖ counter (8) — the deterministic
     ///   construction of SP 800-38D §8.2.1.
@@ -46,35 +55,32 @@ impl SecureChannel {
     ///   zero, leaving the hardware INC core headroom for any packet that
     ///   fits the FIFO.
     /// * CBC-MAC: empty.
-    pub fn next_iv(&mut self) -> Vec<u8> {
-        let c = self.counter;
+    pub fn next_iv(&mut self) -> Iv {
+        let c = self.counter.to_be_bytes();
         self.counter += 1;
-        match self.profile.algorithm.mode() {
+        let mut iv = [0u8; 16];
+        iv[..4].copy_from_slice(&self.salt.to_be_bytes());
+        let profile = self.profile();
+        let len = match profile.algorithm.mode() {
             Mode::Gcm => {
-                let mut iv = Vec::with_capacity(12);
-                iv.extend_from_slice(&self.salt.to_be_bytes());
-                iv.extend_from_slice(&c.to_be_bytes());
-                iv
+                iv[4..12].copy_from_slice(&c);
+                12
             }
             Mode::Ccm => {
-                let n = self.profile.nonce_len;
-                let mut iv = vec![0u8; n];
-                iv[..4].copy_from_slice(&self.salt.to_be_bytes());
-                let cb = c.to_be_bytes();
+                let n = profile.nonce_len;
                 let take = (n - 4).min(8);
-                iv[n - take..].copy_from_slice(&cb[8 - take..]);
-                iv
+                iv[n - take..n].copy_from_slice(&c[8 - take..]);
+                n
             }
             Mode::Ctr => {
-                let mut iv = [0u8; 16];
-                iv[..4].copy_from_slice(&self.salt.to_be_bytes());
-                iv[4..12].copy_from_slice(&c.to_be_bytes());
                 // Low 16 bits stay zero: the CU's 16-bit INC core never
                 // wraps within a FIFO-sized packet.
-                iv.to_vec()
+                iv[4..12].copy_from_slice(&c);
+                16
             }
-            Mode::CbcMac => Vec::new(),
-        }
+            Mode::CbcMac => 0,
+        };
+        Iv::from_slice(&iv[..len])
     }
 }
 
@@ -85,7 +91,7 @@ mod tests {
 
     #[test]
     fn nonces_never_repeat() {
-        let mut ch = SecureChannel::new(Standard::Wifi.profile(), 0xA1B2C3D4);
+        let mut ch = SecureChannel::new(Standard::Wifi, 0xA1B2C3D4);
         let mut seen = std::collections::HashSet::new();
         for _ in 0..1000 {
             assert!(seen.insert(ch.next_iv()), "nonce repeated");
@@ -103,14 +109,14 @@ mod tests {
                 Mode::Ctr => 16,
                 Mode::CbcMac => 0,
             };
-            let mut ch = SecureChannel::new(p, 1);
+            let mut ch = SecureChannel::new(s, 1);
             assert_eq!(ch.next_iv().len(), expect, "{s:?}");
         }
     }
 
     #[test]
     fn ctr_low_bits_are_zero() {
-        let mut ch = SecureChannel::new(Standard::Umts.profile(), 9);
+        let mut ch = SecureChannel::new(Standard::Umts, 9);
         for _ in 0..10 {
             let iv = ch.next_iv();
             assert_eq!(&iv[14..], &[0, 0], "INC headroom violated");
@@ -119,8 +125,8 @@ mod tests {
 
     #[test]
     fn different_salts_differ() {
-        let mut a = SecureChannel::new(Standard::Wimax.profile(), 1);
-        let mut b = SecureChannel::new(Standard::Wimax.profile(), 2);
+        let mut a = SecureChannel::new(Standard::Wimax, 1);
+        let mut b = SecureChannel::new(Standard::Wimax, 2);
         assert_ne!(a.next_iv(), b.next_iv());
     }
 }

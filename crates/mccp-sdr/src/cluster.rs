@@ -43,7 +43,9 @@ use crate::qos::{channel_slo, DispatchPolicy};
 use crate::standards::Standard;
 use crate::workload::Workload;
 use mccp_core::protocol::{ChannelId, MccpError, Mode};
-use mccp_core::{submit_and_wait, ChannelBackend, Direction, FunctionalBackend, Mccp, MccpConfig};
+use mccp_core::{
+    submit_and_wait, ChannelBackend, Direction, FunctionalBackend, Iv, Mccp, MccpConfig, Tag,
+};
 use mccp_sim::throughput_mbps;
 use mccp_telemetry::slo::{ChannelAttainment, HealthScore, SloEngine};
 use mccp_telemetry::trace::{Attempt, AttemptOutcome, PacketJourney};
@@ -55,9 +57,9 @@ use std::collections::VecDeque;
 pub struct PacketRecord {
     pub packet_idx: usize,
     pub channel: usize,
-    pub iv: Vec<u8>,
+    pub iv: Iv,
     pub ciphertext: Vec<u8>,
-    pub tag: Vec<u8>,
+    pub tag: Tag,
     /// Cycles from submission to Data Available (service time).
     pub latency: u64,
     /// Cycles from the start of the run to Data Available — includes
@@ -350,7 +352,7 @@ impl ClusterReport {
 #[derive(Clone)]
 struct Job {
     pkt_idx: usize,
-    iv: Vec<u8>,
+    iv: Iv,
     stolen: bool,
 }
 
@@ -448,7 +450,7 @@ impl<B: ChannelBackend> MccpCluster<B> {
                     Some(h0) => assert_eq!(h0, h, "shard {s} diverged on channel {i} handle"),
                 }
             }
-            let mut ch = SecureChannel::new(profile, 0x1000_0000 + i as u32);
+            let mut ch = SecureChannel::new(std_, 0x1000_0000 + i as u32);
             ch.handle = handle;
             channels.push(ch);
             keys.push(key);
@@ -692,7 +694,7 @@ impl<B: ChannelBackend> MccpCluster<B> {
                 self.channels
                     .iter()
                     .enumerate()
-                    .map(|(i, ch)| channel_slo(i as u8, &ch.profile)),
+                    .map(|(i, ch)| channel_slo(i as u8, &ch.profile())),
             );
             for r in &records {
                 engine.record_completion(r.channel as u8, r.completed_at, r.latency);
@@ -823,7 +825,8 @@ impl<B: ChannelBackend> MccpCluster<B> {
             let ch = &self.channels[rec.channel];
             let aes = aes_by_ch[rec.channel]
                 .get_or_insert_with(|| mccp_aes::Aes::new(self.keys[rec.channel].as_bytes()));
-            let (expect_ct, expect_tag): (Vec<u8>, Vec<u8>) = match ch.profile.algorithm.mode() {
+            let profile = ch.profile();
+            let (expect_ct, expect_tag): (Vec<u8>, Vec<u8>) = match profile.algorithm.mode() {
                 Mode::Gcm => {
                     let ctx =
                         gcm_by_ch[rec.channel].get_or_insert_with(|| GcmContext::new(aes.clone()));
@@ -836,7 +839,7 @@ impl<B: ChannelBackend> MccpCluster<B> {
                 Mode::Ccm => {
                     let params = CcmParams {
                         nonce_len: rec.iv.len(),
-                        tag_len: ch.profile.tag_len,
+                        tag_len: profile.tag_len,
                     };
                     let out = ccm_seal(&*aes, &params, &rec.iv, &pkt.aad, &pkt.payload)
                         .map_err(|e| reference(e.to_string()))?;
@@ -845,7 +848,7 @@ impl<B: ChannelBackend> MccpCluster<B> {
                 }
                 Mode::Ctr => {
                     let mut body = pkt.payload.clone();
-                    let ctr0: [u8; 16] = rec.iv.as_slice().try_into().map_err(|_| {
+                    let ctr0: [u8; 16] = rec.iv[..].try_into().map_err(|_| {
                         reference(format!("CTR IV must be 16 bytes, got {}", rec.iv.len()))
                     })?;
                     ctr_xcrypt(&*aes, &ctr0, &mut body).map_err(|e| reference(e.to_string()))?;
@@ -881,7 +884,7 @@ impl<B: ChannelBackend> MccpCluster<B> {
         for rec in &sent.records {
             let pkt = &workload.packets[rec.packet_idx];
             let handle = self.handles[rec.channel];
-            let mode = self.channels[rec.channel].profile.algorithm.mode();
+            let mode = self.channels[rec.channel].profile().algorithm.mode();
             let done = match mode {
                 Mode::Gcm | Mode::Ccm => submit_and_wait(
                     backend,
@@ -1297,7 +1300,7 @@ fn run_shard<B: ChannelBackend>(
             records.push(PacketRecord {
                 packet_idx: job.pkt_idx,
                 channel: pkt.channel,
-                iv: job.iv.clone(),
+                iv: job.iv,
                 ciphertext: done.body,
                 tag: done.tag,
                 latency: done.latency_cycles,
@@ -1644,9 +1647,9 @@ mod tests {
                 .map(|(i, &l)| PacketRecord {
                     packet_idx: i,
                     channel: 0,
-                    iv: Vec::new(),
+                    iv: Iv::EMPTY,
                     ciphertext: Vec::new(),
-                    tag: Vec::new(),
+                    tag: Tag::EMPTY,
                     latency: l,
                     completed_at: l,
                 })

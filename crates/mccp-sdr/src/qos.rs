@@ -318,9 +318,9 @@ mod tests {
             .map(|i| PacketRecord {
                 packet_idx: i,
                 channel: 0,
-                iv: vec![],
+                iv: Default::default(),
                 ciphertext: vec![],
-                tag: vec![],
+                tag: Default::default(),
                 latency: (i as u64 + 1) * 100,
                 completed_at: (i as u64 + 1) * 100,
             })

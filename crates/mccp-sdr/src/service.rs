@@ -38,17 +38,17 @@
 //! frees its slot (bumping the generation and zeroizing the key) once the
 //! last queued and in-flight packet has completed.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::channel::SecureChannel;
 use crate::qos::{class_slo, qos_class, AdmissionConfig, AdmitError, QosClass};
 use crate::slab::{ChannelSlab, ChannelStats, LiveChannel, ServiceChannelId, SlabError};
 use crate::standards::Standard;
 use mccp_core::format::Direction;
-use mccp_core::protocol::{ChannelId, MccpError, RequestId};
-use mccp_core::{ChannelBackend, SessionKey};
+use mccp_core::protocol::{Algorithm, ChannelId, MccpError, RequestId};
+use mccp_core::{ChannelBackend, Iv, SessionKey, Tag};
 use mccp_telemetry::service::ServiceCounters;
-use mccp_telemetry::slo::{ChannelAttainment, SloEngine};
+use mccp_telemetry::slo::{ChannelAttainment, SloTotals};
 use mccp_telemetry::Snapshot;
 
 /// Service-plane tuning knobs.
@@ -121,16 +121,16 @@ pub struct Delivery {
     pub user_tag: u64,
     /// The IV the packet was encrypted under (callers verifying against a
     /// software oracle need it; it is not secret).
-    pub iv: Vec<u8>,
+    pub iv: Iv,
     pub auth_ok: bool,
     /// The channel key epoch the ciphertext was produced under — callers
     /// verifying against a software oracle pick the matching key of a
     /// rotation history with it.
     pub epoch: u32,
-    /// Ciphertext.
+    /// Ciphertext: the engine's output buffer, handed over without a copy.
     pub body: Vec<u8>,
     /// Authentication tag (empty for unauthenticated modes).
-    pub tag: Vec<u8>,
+    pub tag: Tag,
     /// Engine-clock latency (0 on the functional engine).
     pub latency_cycles: u64,
 }
@@ -165,9 +165,11 @@ pub struct BindingStats {
 /// A packet admitted past the front door, waiting for engine capacity.
 struct QueuedPacket {
     id: ServiceChannelId,
-    iv: Vec<u8>,
-    aad: Vec<u8>,
-    body: Vec<u8>,
+    iv: Iv,
+    /// `aad ‖ payload` in one buffer from the shard's pool; it goes back
+    /// to the pool once the engine has taken the packet.
+    buf: Vec<u8>,
+    aad_len: usize,
     user_tag: u64,
 }
 
@@ -202,8 +204,151 @@ struct InFlight {
     /// Channel key epoch at engine-accept time (the key the ciphertext is
     /// actually produced under).
     epoch: u32,
-    iv: Vec<u8>,
+    iv: Iv,
     user_tag: u64,
+}
+
+/// In-flight packets by engine request id, each in slot `id & (len - 1)`
+/// of a power-of-two table that doubles whenever two live requests would
+/// share a slot: no hashing, no probing, and no allocation once the table
+/// covers the in-flight window. Engines number requests sequentially, so
+/// that window is about the in-flight count. The table starts empty.
+#[derive(Default)]
+struct PendingTable {
+    slots: Vec<Option<(RequestId, InFlight)>>,
+    len: usize,
+}
+
+impl PendingTable {
+    /// Slots the table takes on its first insert.
+    const FIRST_SIZE: usize = 64;
+
+    fn index(&self, req: RequestId) -> usize {
+        usize::from(req.0) & (self.slots.len() - 1)
+    }
+
+    fn insert(&mut self, req: RequestId, inflight: InFlight) {
+        // At full size every id has its own slot, so only an id the engine
+        // reused (ids wrap at 65535) can still collide: it replaces the
+        // entry, as a map insert would.
+        while self.slots.len() <= usize::from(u16::MAX)
+            && (self.slots.is_empty() || self.slots[self.index(req)].is_some())
+        {
+            let size = (self.slots.len() * 2).max(Self::FIRST_SIZE);
+            let mut slots = Vec::with_capacity(size);
+            slots.resize_with(size, || None);
+            for (r, f) in self.slots.drain(..).flatten() {
+                slots[usize::from(r.0) & (size - 1)] = Some((r, f));
+            }
+            self.slots = slots;
+        }
+        let i = self.index(req);
+        if self.slots[i].replace((req, inflight)).is_none() {
+            self.len += 1;
+        }
+    }
+
+    fn remove(&mut self, req: RequestId) -> Option<InFlight> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let i = self.index(req);
+        match self.slots[i] {
+            Some((r, _)) if r == req => {
+                self.len -= 1;
+                self.slots[i].take().map(|(_, f)| f)
+            }
+            _ => None,
+        }
+    }
+}
+
+/// The end of the warm set's recency list.
+const NIL: u16 = u16::MAX;
+
+/// A bound engine handle's entry in the warm set: the service channel
+/// bound to it and its neighbours in recency order.
+#[derive(Clone, Copy)]
+struct WarmLink {
+    id: ServiceChannelId,
+    prev: u16,
+    next: u16,
+}
+
+/// A shard's warm set: its bound engine handles in recency order, as an
+/// intrusive doubly-linked list threaded through a table indexed by
+/// handle. Binding, touching and unbinding are O(1), and eviction walks
+/// from the least-recently-used end. The binding itself lives in the
+/// channel's slab entry (`chan.handle`).
+struct WarmSet {
+    /// Indexed by engine handle, grown on first use; meaningful only for
+    /// bound handles.
+    links: Vec<WarmLink>,
+    /// Least and most recently used bound handles (`NIL` when empty).
+    lru: u16,
+    mru: u16,
+    len: usize,
+}
+
+impl WarmSet {
+    fn new() -> Self {
+        WarmSet {
+            links: Vec::new(),
+            lru: NIL,
+            mru: NIL,
+            len: 0,
+        }
+    }
+
+    /// Links a newly bound handle at the most-recently-used end.
+    fn push(&mut self, handle: ChannelId, id: ServiceChannelId) {
+        let h = usize::from(handle.0);
+        let link = WarmLink {
+            id,
+            prev: self.mru,
+            next: NIL,
+        };
+        if self.links.len() <= h {
+            self.links.resize(h + 1, link);
+        }
+        self.links[h] = link;
+        match self.mru {
+            NIL => self.lru = h as u16,
+            m => self.links[usize::from(m)].next = h as u16,
+        }
+        self.mru = h as u16;
+        self.len += 1;
+    }
+
+    /// Unlinks a bound handle; returns the channel it was bound to.
+    fn remove(&mut self, handle: ChannelId) -> ServiceChannelId {
+        let WarmLink { id, prev, next } = self.links[usize::from(handle.0)];
+        match prev {
+            NIL => self.lru = next,
+            p => self.links[usize::from(p)].next = next,
+        }
+        match next {
+            NIL => self.mru = prev,
+            n => self.links[usize::from(n)].prev = prev,
+        }
+        self.len -= 1;
+        id
+    }
+
+    /// Marks a bound handle most recently used.
+    fn touch(&mut self, handle: ChannelId) {
+        if self.mru != u16::from(handle.0) {
+            let id = self.remove(handle);
+            self.push(handle, id);
+        }
+    }
+
+    /// Bound handles with their channels, least recently used first.
+    fn lru_first(&self) -> impl Iterator<Item = (ChannelId, ServiceChannelId)> + '_ {
+        let next = |&h: &u16| Some(self.links[usize::from(h)].next).filter(|&n| n != NIL);
+        std::iter::successors(Some(self.lru).filter(|&h| h != NIL), next)
+            .map(|h| (ChannelId(h as u8), self.links[usize::from(h)].id))
+    }
 }
 
 /// Engine cycles a packet refused with `NoResource` may wait for a core —
@@ -219,27 +364,48 @@ const BACKPRESSURE_BUDGET_CYCLES: u64 = 200_000_000;
 const ENGINE_HANDLES: usize = 256;
 /// Every bound handle's channel is live: closing unbinds it.
 const BOUND: &str = "bound channels are live";
+/// Wiped session keys a shard keeps for reuse.
+const SPARE_KEYS: usize = 8;
 
 struct ServiceShard<B> {
     backend: B,
     slab: ChannelSlab,
     queue: VecDeque<QueueItem>,
-    /// The warm set's recency table, indexed by engine handle: the service
-    /// channel bound to it and that binding's last-use stamp. The binding
-    /// itself lives in the channel's slab entry (`chan.handle`).
-    recency: Vec<Option<(ServiceChannelId, u64)>>,
-    /// Bound handles (the `Some` entries of `recency`).
-    warm: usize,
+    /// Packet buffers the engine has finished with, reused by the next
+    /// admissions: at most as many as the queue has ever held at once.
+    spare: Vec<Vec<u8>>,
+    /// Wiped keys of finished rotations and closed channels, whose storage
+    /// the next rekey or open of the same key length reuses.
+    spare_keys: Vec<SessionKey>,
+    warm: WarmSet,
     binding_stats: BindingStats,
-    pending: HashMap<RequestId, InFlight>,
+    pending: PendingTable,
 }
 
 impl<B: ChannelBackend> ServiceShard<B> {
-    /// Stamps `handle` as bound to `id` by the bind just counted: the
-    /// bind count is the LRU clock, so stamps are unique.
-    fn touch(&mut self, handle: ChannelId, id: ServiceChannelId) {
-        let stamp = self.binding_stats.hits + self.binding_stats.misses;
-        self.recency[usize::from(handle.0)] = Some((id, stamp));
+    /// A session key holding `bytes`, once `algorithm` accepts their
+    /// length, written into a spare key's storage when one fits: key churn
+    /// does not wait on the allocator.
+    fn new_key(&mut self, algorithm: Algorithm, bytes: &[u8]) -> Result<SessionKey, MccpError> {
+        algorithm.check_key(bytes)?;
+        let fits = |k: &SessionKey| k.as_bytes().len() == bytes.len();
+        match self.spare_keys.iter().position(fits) {
+            Some(i) => {
+                let mut key = self.spare_keys.swap_remove(i);
+                key.overwrite(bytes);
+                Ok(key)
+            }
+            None => SessionKey::new(bytes),
+        }
+    }
+
+    /// Zeroizes a key nothing uses any more, keeping its storage as a spare
+    /// (or dropping it when the shard already keeps `SPARE_KEYS`).
+    fn retire_key(&mut self, mut key: SessionKey) {
+        if self.spare_keys.len() < SPARE_KEYS {
+            key.wipe();
+            self.spare_keys.push(key);
+        }
     }
 
     /// Returns the warm engine handle for `id`, opening (and, at
@@ -254,7 +420,7 @@ impl<B: ChannelBackend> ServiceShard<B> {
     ) -> Result<ChannelId, MccpError> {
         if let Some(handle) = self.slab.get(id).expect("caller validated id").chan.handle {
             self.binding_stats.hits += 1;
-            self.touch(handle, id);
+            self.warm.touch(handle);
             return Ok(handle);
         }
         self.evict_idle_bindings(warm_capacity - 1, counters);
@@ -278,26 +444,24 @@ impl<B: ChannelBackend> ServiceShard<B> {
         };
         self.slab.get_mut(id).expect("live").chan.handle = Some(handle);
         self.binding_stats.misses += 1;
-        self.warm += 1;
-        self.touch(handle, id);
+        self.warm.push(handle, id);
         Ok(handle)
     }
 
     /// Closes `handle` on the engine and drops it from the warm set.
     fn unbind(&mut self, handle: ChannelId) {
         let _ = self.backend.close_channel(handle);
-        self.recency[usize::from(handle.0)] = None;
-        self.warm -= 1;
+        self.warm.remove(handle);
     }
 
-    /// Frees a fully drained channel: unbinds the engine handle and frees
-    /// the slot (bumping its generation), which drops and so zeroizes the
-    /// session key.
+    /// Frees a fully drained channel: unbinds the engine handle, frees the
+    /// slot (bumping its generation) and zeroizes the session key.
     fn finish_close(&mut self, id: ServiceChannelId, counters: &mut ServiceCounters) {
         let dead = self.slab.free(id).expect("caller validated id");
         if let Some(handle) = dead.chan.handle {
             self.unbind(handle);
         }
+        self.retire_key(dead.key);
         counters.closed += 1;
     }
 
@@ -318,11 +482,11 @@ impl<B: ChannelBackend> ServiceShard<B> {
     fn collect(
         &mut self,
         counters: &mut ServiceCounters,
-        slo: &mut SloEngine,
+        slo: &mut SloTotals,
         out: &mut Vec<Delivery>,
     ) {
         while let Some(c) = self.backend.poll_completion() {
-            let Some(inf) = self.pending.remove(&c.request) else {
+            let Some(inf) = self.pending.remove(c.request) else {
                 continue;
             };
             let now = self.backend.now();
@@ -344,11 +508,8 @@ impl<B: ChannelBackend> ServiceShard<B> {
                         live.stats.delivered += 1;
                         live.stats.bytes += c.body.len() as u64;
                         counters.classes[class_idx].delivered += 1;
-                        slo.record_completion(class_idx as u8, now, c.latency_cycles);
-                        if let Some(s) = slo.slo(class_idx as u8) {
-                            if c.latency_cycles > s.deadline_cycles {
-                                counters.classes[class_idx].deadline_violations += 1;
-                            }
+                        if slo.record_completion(class_idx as u8, now, c.latency_cycles) {
+                            counters.classes[class_idx].deadline_violations += 1;
                         }
                         out.push(Delivery {
                             channel: inf.id,
@@ -392,7 +553,7 @@ impl<B: ChannelBackend> ServiceShard<B> {
         &mut self,
         cfg: &ServiceConfig,
         counters: &mut ServiceCounters,
-        slo: &mut SloEngine,
+        slo: &mut SloTotals,
         out: &mut Vec<Delivery>,
     ) {
         let budget = self
@@ -403,19 +564,25 @@ impl<B: ChannelBackend> ServiceShard<B> {
                 QueueItem::Rekey { id, new_key } => {
                     // FIFO position *is* the epoch boundary: every packet
                     // ahead of this marker has already reached the engine
-                    // under the old key. If the channel drained away first,
-                    // the new key drops (and is wiped) here unused.
-                    if let Ok(live) = self.slab.get_mut(id) {
-                        live.key = new_key;
-                        live.epoch += 1;
-                        counters.rekeys += 1;
-                        if let Some(handle) = live.chan.handle {
-                            // In-flight engine work still finishes on the
-                            // old key (the engines bind keys at submit);
-                            // only new submissions see this.
-                            let _ = self.backend.rekey_channel(handle, live.key.as_bytes());
+                    // under the old key, which is wiped here. If the
+                    // channel drained away first, the new key is wiped
+                    // unused instead.
+                    let retired = match self.slab.get_mut(id) {
+                        Ok(live) => {
+                            let old = std::mem::replace(&mut live.key, new_key);
+                            live.epoch += 1;
+                            counters.rekeys += 1;
+                            if let Some(handle) = live.chan.handle {
+                                // In-flight engine work still finishes on
+                                // the old key (the engines bind keys at
+                                // submit); only new submissions see this.
+                                let _ = self.backend.rekey_channel(handle, live.key.as_bytes());
+                            }
+                            old
                         }
-                    }
+                        Err(_) => new_key,
+                    };
+                    self.retire_key(retired);
                     continue;
                 }
                 QueueItem::Handshake { id } => {
@@ -441,6 +608,7 @@ impl<B: ChannelBackend> ServiceShard<B> {
             let class = match self.slab.get(pid) {
                 Err(_) => {
                     counters.stale_drops += 1;
+                    self.spare.push(pkt.buf);
                     continue;
                 }
                 Ok(live) => live.class,
@@ -452,6 +620,7 @@ impl<B: ChannelBackend> ServiceShard<B> {
                     counters.abandoned += 1;
                     slo.record_abandonment(class.index() as u8, self.backend.now());
                     self.settle_unplaced(pid, counters);
+                    self.spare.push(pkt.buf);
                     continue;
                 }
             };
@@ -464,12 +633,13 @@ impl<B: ChannelBackend> ServiceShard<B> {
             let mut requeued = false;
             let mut waited = 0u64;
             while waited <= BACKPRESSURE_BUDGET_CYCLES {
+                let (aad, body) = pkt.buf.split_at(pkt.aad_len);
                 match self.backend.submit_packet(
                     handle,
                     Direction::Encrypt,
                     &pkt.iv,
-                    &pkt.aad,
-                    &pkt.body,
+                    aad,
+                    body,
                     None,
                 ) {
                     Ok(req) => {
@@ -483,7 +653,7 @@ impl<B: ChannelBackend> ServiceShard<B> {
                                 id: pid,
                                 class,
                                 epoch: live.epoch,
-                                iv: pkt.iv.clone(),
+                                iv: pkt.iv,
                                 user_tag: pkt.user_tag,
                             },
                         );
@@ -506,7 +676,6 @@ impl<B: ChannelBackend> ServiceShard<B> {
                         // overlapped, never a head-of-line stall.
                         self.collect(counters, slo, out);
                         self.backend.step(cfg.step_bound);
-                        self.queue.push_back(QueueItem::Packet(pkt));
                         requeued = true;
                         break;
                     }
@@ -514,8 +683,12 @@ impl<B: ChannelBackend> ServiceShard<B> {
                 }
             }
             if requeued {
+                self.queue.push_back(QueueItem::Packet(pkt));
                 continue;
             }
+            // The engine copied what it took; the buffer serves the next
+            // admission.
+            self.spare.push(pkt.buf);
             if !accepted {
                 counters.abandoned += 1;
                 slo.record_abandonment(class.index() as u8, self.backend.now());
@@ -535,20 +708,18 @@ impl<B: ChannelBackend> ServiceShard<B> {
     /// overshoots rather than deadlocks, and the next round's trim
     /// restores the bound once completions drain.
     fn evict_idle_bindings(&mut self, keep: usize, counters: &mut ServiceCounters) {
-        while self.warm > keep {
-            // Min-scan of the recency table over the idle bindings: no
-            // allocation, no sort.
+        while self.warm.len > keep {
+            // Busy bindings were touched recently, so the walk from the
+            // least-recently-used end usually stops at its first step.
+            let slab = &self.slab;
             let victim = self
-                .recency
-                .iter()
-                .enumerate()
-                .filter_map(|(handle, entry)| entry.map(|(vid, stamp)| (handle, vid, stamp)))
-                .filter(|&(_, vid, _)| self.slab.get(vid).expect(BOUND).in_flight == 0)
-                .min_by_key(|&(_, _, stamp)| stamp);
-            let Some((handle, vid, _)) = victim else {
+                .warm
+                .lru_first()
+                .find(|&(_, vid)| slab.get(vid).expect(BOUND).in_flight == 0);
+            let Some((handle, vid)) = victim else {
                 break;
             };
-            self.unbind(ChannelId(handle as u8));
+            self.unbind(handle);
             self.slab.get_mut(vid).expect(BOUND).chan.handle = None;
             counters.binding_evictions += 1;
         }
@@ -566,7 +737,7 @@ pub struct MccpService<B: ChannelBackend> {
     /// Round-robin shard placement cursor.
     placed: u64,
     counters: ServiceCounters,
-    slo: SloEngine,
+    slo: SloTotals,
 }
 
 impl<B: ChannelBackend> MccpService<B> {
@@ -589,13 +760,14 @@ impl<B: ChannelBackend> MccpService<B> {
                 backend,
                 slab: ChannelSlab::new(i),
                 queue: VecDeque::with_capacity(config.queue_capacity),
-                recency: vec![None; ENGINE_HANDLES],
-                warm: 0,
+                spare: Vec::new(),
+                spare_keys: Vec::new(),
+                warm: WarmSet::new(),
                 binding_stats: BindingStats::default(),
-                pending: HashMap::new(),
+                pending: PendingTable::default(),
             })
             .collect();
-        let slo = SloEngine::new(QosClass::ALL.map(class_slo));
+        let slo = SloTotals::new(QosClass::ALL.map(class_slo));
         MccpService {
             shards,
             config,
@@ -628,9 +800,10 @@ impl<B: ChannelBackend> MccpService<B> {
         key: &[u8],
     ) -> Result<ServiceChannelId, ServiceError> {
         let profile = standard.profile();
-        let key =
-            SessionKey::for_algorithm(profile.algorithm, key).map_err(ServiceError::Backend)?;
         let shard = (self.placed % self.shards.len() as u64) as usize;
+        let key = self.shards[shard]
+            .new_key(profile.algorithm, key)
+            .map_err(ServiceError::Backend)?;
         let class = qos_class(standard);
         if self.config.handshake_cycles.is_some() {
             // An establishment costs a modeled ECC scalar multiplication,
@@ -652,7 +825,7 @@ impl<B: ChannelBackend> MccpService<B> {
         self.salt_seq = self.salt_seq.wrapping_add(1);
         let live = LiveChannel {
             standard,
-            chan: SecureChannel::new(profile, self.salt_seq),
+            chan: SecureChannel::new(standard, self.salt_seq),
             key,
             class,
             epoch: 0,
@@ -699,8 +872,9 @@ impl<B: ChannelBackend> MccpService<B> {
             return Err(ServiceError::Draining);
         }
         let algorithm = live.standard.profile().algorithm;
-        let new_key =
-            SessionKey::for_algorithm(algorithm, new_key).map_err(ServiceError::Backend)?;
+        let new_key = shard
+            .new_key(algorithm, new_key)
+            .map_err(ServiceError::Backend)?;
         shard.queue.push_back(QueueItem::Rekey { id, new_key });
         Ok(())
     }
@@ -760,11 +934,15 @@ impl<B: ChannelBackend> MccpService<B> {
         live.queued += 1;
         live.stats.admitted += 1;
         self.counters.classes[class.index()].admitted += 1;
+        let mut buf = shard.spare.pop().unwrap_or_default();
+        buf.clear();
+        buf.extend_from_slice(aad);
+        buf.extend_from_slice(payload);
         shard.queue.push_back(QueueItem::Packet(QueuedPacket {
             id,
             iv,
-            aad: aad.to_vec(),
-            body: payload.to_vec(),
+            buf,
+            aad_len: aad.len(),
             user_tag,
         }));
         Ok(())
@@ -774,7 +952,15 @@ impl<B: ChannelBackend> MccpService<B> {
     /// packets to its engine, advances the engine clock, and collects
     /// completions. Returns the round's deliveries.
     pub fn pump(&mut self) -> Vec<Delivery> {
-        let mut out = Vec::new();
+        // Room for every delivery the round can make (what was in flight
+        // plus what it feeds the engines), so the one allocation is this.
+        let budget = self.config.drain_budget;
+        let room = self
+            .shards
+            .iter()
+            .map(|s| s.pending.len + s.queue.len().min(budget))
+            .sum();
+        let mut out = Vec::with_capacity(room);
         for shard in &mut self.shards {
             shard.pump(&self.config, &mut self.counters, &mut self.slo, &mut out);
         }
@@ -790,7 +976,7 @@ impl<B: ChannelBackend> MccpService<B> {
             let busy = self
                 .shards
                 .iter()
-                .any(|s| !s.queue.is_empty() || !s.pending.is_empty());
+                .any(|s| !s.queue.is_empty() || s.pending.len > 0);
             if !busy {
                 break;
             }
@@ -806,21 +992,15 @@ impl<B: ChannelBackend> MccpService<B> {
             binding_stats.hits += s.binding_stats.hits;
             binding_stats.misses += s.binding_stats.misses;
         }
-        let now = self
-            .shards
-            .iter()
-            .map(|s| s.backend.now())
-            .max()
-            .unwrap_or(0);
         ServiceReport {
             backend: self.shards[0].backend.backend_name(),
             counters: self.counters,
             occupancy: self.occupancy(),
             slab_capacity: self.shards.iter().map(|s| s.slab.capacity()).sum(),
-            warm_bindings: self.shards.iter().map(|s| s.warm).sum(),
+            warm_bindings: self.shards.iter().map(|s| s.warm.len).sum(),
             binding_stats,
             queue_depths: self.shards.iter().map(|s| s.queue.len()).collect(),
-            attainment: self.slo.attainment(now, now.max(1)),
+            attainment: self.slo.attainment(),
         }
     }
 
@@ -859,7 +1039,13 @@ impl<B: ChannelBackend> MccpService<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mccp_core::{FunctionalBackend, Mccp, MccpConfig};
+    use mccp_core::{
+        Completion, EngineHealth, FaultKind, FaultPlan, FaultTrigger, FunctionalBackend, Mccp,
+        MccpConfig,
+    };
+    use mccp_telemetry::slo::SloEngine;
+    use mccp_telemetry::Telemetry;
+    use proptest::prelude::*;
 
     fn functional_service(cfg: ServiceConfig) -> MccpService<FunctionalBackend> {
         MccpService::new(cfg, |_| FunctionalBackend::new())
@@ -945,13 +1131,13 @@ mod tests {
         let key = [9u8; 16];
         let a = svc.open(Standard::Wimax, &key).unwrap();
         svc.submit(a, b"", &[1u8; 64], 0).unwrap();
-        let iv_a = svc.quiesce(64)[0].iv.clone();
+        let iv_a = svc.quiesce(64)[0].iv;
         svc.close(a).unwrap();
         let b = svc.open(Standard::Wimax, &key).unwrap();
         assert_eq!(a.slot(), b.slot(), "slot recycled");
         assert_ne!(a.generation(), b.generation());
         svc.submit(b, b"", &[1u8; 64], 0).unwrap();
-        let iv_b = svc.quiesce(64)[0].iv.clone();
+        let iv_b = svc.quiesce(64)[0].iv;
         assert_ne!(iv_a, iv_b, "recycled slot must never reuse an IV");
     }
 
@@ -1049,6 +1235,256 @@ mod tests {
         assert_eq!(scripted_evictions(), scripted_evictions());
     }
 
+    /// The eviction rule the recency list replaced, kept as the referee:
+    /// a min-scan of a handle-indexed `(channel, last-use stamp)` table
+    /// for the idle binding with the oldest stamp.
+    fn min_scan_victim(
+        table: &[Option<(ServiceChannelId, u64)>],
+        busy: impl Fn(ServiceChannelId) -> bool,
+    ) -> Option<usize> {
+        table
+            .iter()
+            .enumerate()
+            .filter_map(|(handle, entry)| entry.map(|(id, stamp)| (handle, id, stamp)))
+            .filter(|&(_, id, _)| !busy(id))
+            .min_by_key(|&(_, _, stamp)| stamp)
+            .map(|(handle, _, _)| handle)
+    }
+
+    proptest! {
+        /// Random binds (hits and misses), in-flight flips and pump-end
+        /// trims on one shard: the recency list evicts exactly the
+        /// bindings the min-scan referee picks, every time.
+        #[test]
+        fn recency_list_evicts_what_the_min_scan_picks(
+            capacity in 1usize..=8,
+            ops in proptest::collection::vec((0u8..4, 0usize..12), 1..160),
+        ) {
+            let mut svc = functional_service(ServiceConfig {
+                shards: 1,
+                warm_set_capacity: capacity,
+                ..ServiceConfig::default()
+            });
+            let ids: Vec<_> = (0..12u8)
+                .map(|i| svc.open(Standard::Wifi, &[i; 16]).unwrap())
+                .collect();
+            let shard = &mut svc.shards[0];
+            let mut counters = ServiceCounters::default();
+            let mut table: Vec<Option<(ServiceChannelId, u64)>> = vec![None; ENGINE_HANDLES];
+            let mut clock = 0u64;
+            for (op, ch) in ops {
+                let id = ids[ch];
+                let handle = shard.slab.get(id).unwrap().chan.handle;
+                let bound_before: Vec<ServiceChannelId> = table.iter().flatten().map(|e| e.0).collect();
+                // The referee evicts down to `keep` on its own table.
+                let mut expect = Vec::new();
+                let mut referee_trim = |table: &mut Vec<Option<(ServiceChannelId, u64)>>, keep: usize| {
+                    while table.iter().flatten().count() > keep {
+                        let busy = |vid| shard.slab.get(vid).unwrap().in_flight > 0;
+                        let Some(h) = min_scan_victim(table, busy) else { break };
+                        expect.push(table[h].take().unwrap().0);
+                    }
+                };
+                match op {
+                    // Flip a bound channel between idle and in flight.
+                    0 => {
+                        if handle.is_some() {
+                            let live = shard.slab.get_mut(id).unwrap();
+                            live.in_flight = 1 - live.in_flight;
+                        }
+                        continue;
+                    }
+                    // The pump-end trim back to capacity.
+                    1 => {
+                        referee_trim(&mut table, capacity);
+                        shard.evict_idle_bindings(capacity, &mut counters);
+                    }
+                    // A packet binds: a hit refreshes, a miss evicts first.
+                    _ => {
+                        if handle.is_none() {
+                            referee_trim(&mut table, capacity - 1);
+                        }
+                        shard.bind(id, capacity, None, &mut counters).unwrap();
+                        let h = shard.slab.get(id).unwrap().chan.handle.unwrap();
+                        clock += 1;
+                        table[usize::from(h.0)] = Some((id, clock));
+                    }
+                }
+                let mut evicted: Vec<ServiceChannelId> = bound_before
+                    .into_iter()
+                    .filter(|&vid| shard.slab.get(vid).unwrap().chan.handle.is_none())
+                    .collect();
+                evicted.sort();
+                expect.sort();
+                prop_assert_eq!(evicted, expect);
+                prop_assert_eq!(shard.warm.len, table.iter().flatten().count());
+                for (h, entry) in table.iter().enumerate() {
+                    if let Some((vid, _)) = entry {
+                        prop_assert_eq!(shard.slab.get(*vid).unwrap().chan.handle, Some(ChannelId(h as u8)));
+                    }
+                }
+            }
+        }
+    }
+
+    /// The recency links live in the per-shard handle table, and the
+    /// channel's profile is derived from its standard, not copied into the
+    /// slab entry every one of 100k+ idle channels pays for.
+    #[test]
+    fn live_channel_stays_small() {
+        assert!(std::mem::size_of::<LiveChannel>() <= 72);
+    }
+
+    /// Passes every call through to `inner` and logs each completion with
+    /// the engine clock the service polled it at: the records the
+    /// service's SLO state is fed.
+    struct Recorder<B> {
+        inner: B,
+        polled: Vec<(u64, Completion)>,
+    }
+
+    impl<B: ChannelBackend> ChannelBackend for Recorder<B> {
+        fn backend_name(&self) -> &'static str {
+            self.inner.backend_name()
+        }
+        fn open_channel(
+            &mut self,
+            algorithm: mccp_core::Algorithm,
+            key: &[u8],
+            tag_len: usize,
+        ) -> Result<ChannelId, MccpError> {
+            self.inner.open_channel(algorithm, key, tag_len)
+        }
+        fn close_channel(&mut self, channel: ChannelId) -> Result<(), MccpError> {
+            self.inner.close_channel(channel)
+        }
+        fn open_channel_handshake(
+            &mut self,
+            algorithm: mccp_core::Algorithm,
+            key: &[u8],
+            tag_len: usize,
+            handshake_cycles: u64,
+        ) -> Result<ChannelId, MccpError> {
+            self.inner
+                .open_channel_handshake(algorithm, key, tag_len, handshake_cycles)
+        }
+        fn rekey_channel(&mut self, channel: ChannelId, key: &[u8]) -> Result<u32, MccpError> {
+            self.inner.rekey_channel(channel, key)
+        }
+        fn channel_epoch(&self, channel: ChannelId) -> Result<u32, MccpError> {
+            self.inner.channel_epoch(channel)
+        }
+        fn submit_packet(
+            &mut self,
+            channel: ChannelId,
+            direction: Direction,
+            iv: &[u8],
+            aad: &[u8],
+            body: &[u8],
+            tag: Option<&[u8]>,
+        ) -> Result<RequestId, MccpError> {
+            self.inner
+                .submit_packet(channel, direction, iv, aad, body, tag)
+        }
+        fn step(&mut self, bound: u64) -> u64 {
+            self.inner.step(bound)
+        }
+        fn poll_completion(&mut self) -> Option<Completion> {
+            let c = self.inner.poll_completion()?;
+            self.polled.push((self.inner.now(), c.clone()));
+            Some(c)
+        }
+        fn in_flight(&self) -> usize {
+            self.inner.in_flight()
+        }
+        fn now(&self) -> u64 {
+            self.inner.now()
+        }
+        fn enable_telemetry(&mut self, capacity: usize) {
+            self.inner.enable_telemetry(capacity)
+        }
+        fn telemetry_enabled(&self) -> bool {
+            self.inner.telemetry_enabled()
+        }
+        fn telemetry_counter_add(&mut self, key: &str, delta: u64) {
+            self.inner.telemetry_counter_add(key, delta)
+        }
+        fn telemetry_snapshot(&mut self) -> Snapshot {
+            self.inner.telemetry_snapshot()
+        }
+        fn telemetry(&self) -> &Telemetry {
+            self.inner.telemetry()
+        }
+        fn telemetry_mut(&mut self) -> &mut Telemetry {
+            self.inner.telemetry_mut()
+        }
+        fn drain(&mut self, max_cycles: u64) -> u64 {
+            self.inner.drain(max_cycles)
+        }
+        fn health(&self) -> EngineHealth {
+            self.inner.health()
+        }
+        fn reset_core(&mut self, core: usize) -> Result<(), MccpError> {
+            self.inner.reset_core(core)
+        }
+    }
+
+    /// A scripted run with deliveries in all three classes and one
+    /// abandonment (a wedged core under the first packet, which is secure
+    /// voice): the service's O(1) SLO state reports the rows an
+    /// observation-list `SloEngine` computes from the same records, on
+    /// both engines.
+    #[test]
+    fn slo_report_matches_an_observation_list_engine() {
+        fn check<B: ChannelBackend>(mut engine: B, arm: impl FnOnce(&mut B, &FaultPlan)) {
+            let plan =
+                FaultPlan::new().with(FaultTrigger::AtPacket(1), FaultKind::WedgeCore { core: 0 });
+            arm(&mut engine, &plan);
+            let mut engine = Some(engine);
+            let cfg = ServiceConfig {
+                shards: 1,
+                ..ServiceConfig::default()
+            };
+            let mut svc = MccpService::new(cfg, |_| Recorder {
+                inner: engine.take().unwrap(),
+                polled: Vec::new(),
+            });
+            let chans = [
+                (Standard::SecureVoice, 32),
+                (Standard::Wifi, 16),
+                (Standard::Umts, 16),
+            ]
+            .map(|(standard, key_len)| svc.open(standard, &vec![0x5C; key_len]).unwrap());
+            for tag in 0..12u64 {
+                let id = chans[tag as usize % 3];
+                svc.submit(id, b"hd", &[tag as u8; 96], tag).unwrap();
+            }
+            let out = svc.quiesce(1 << 20);
+            assert_eq!(out.len(), 11);
+            assert_eq!(svc.counters().abandoned, 1);
+
+            let shard = &svc.shards[0];
+            let mut referee = SloEngine::new(QosClass::ALL.map(class_slo));
+            let mut deliveries = out.iter();
+            for (now, c) in &shard.backend.polled {
+                if c.fault.is_some() {
+                    referee.record_abandonment(QosClass::Critical.index() as u8, *now);
+                    continue;
+                }
+                let d = deliveries.next().unwrap();
+                assert_eq!((&d.body, d.latency_cycles), (&c.body, c.latency_cycles));
+                referee.record_completion(d.class.index() as u8, *now, c.latency_cycles);
+            }
+            let now = shard.backend.now();
+            let rows = svc.report().attainment;
+            assert_eq!(rows, referee.attainment(now, now.max(1)));
+            let critical = &rows[QosClass::Critical.index()];
+            assert_eq!((critical.packets, critical.violations), (4, 1));
+        }
+        check(FunctionalBackend::new(), FunctionalBackend::arm_faults);
+        check(Mccp::new(MccpConfig::default()), Mccp::arm_faults);
+    }
+
     #[test]
     #[should_panic(expected = "warm_set_capacity must be 1 to 254")]
     fn warm_set_capacity_zero_is_rejected() {
@@ -1133,7 +1569,7 @@ mod tests {
             assert_eq!(a.tag, b.tag);
         }
         // IVs never repeat across the rotation (the counter runs on).
-        let ivs: std::collections::HashSet<_> = fo.iter().map(|d| d.iv.clone()).collect();
+        let ivs: std::collections::HashSet<_> = fo.iter().map(|d| d.iv).collect();
         assert_eq!(ivs.len(), 6, "zero nonce reuse");
         assert_eq!(f.counters().rekeys, 1);
         // Rekey validation: wrong key size and dead channels are refused.
@@ -1233,7 +1669,6 @@ mod tests {
     #[test]
     fn backpressure_budget_abandons_a_packet_on_a_stalled_engine() {
         use mccp_core::reconfig::{BitstreamSource, WHIRLPOOL_BITSTREAM};
-        use mccp_core::{FaultKind, FaultPlan, FaultTrigger};
         // The budget clears the longest legitimate wait for a core.
         let slowest_swap = WHIRLPOOL_BITSTREAM.load_time_cycles(BitstreamSource::CompactFlash);
         assert!(BACKPRESSURE_BUDGET_CYCLES > slowest_swap);

@@ -281,7 +281,7 @@ mod tests {
     fn live(standard: Standard) -> LiveChannel {
         LiveChannel {
             standard,
-            chan: SecureChannel::new(standard.profile(), 7),
+            chan: SecureChannel::new(standard, 7),
             key: SessionKey::new(&[0u8; 16]).unwrap(),
             class: crate::qos::qos_class(standard),
             epoch: 0,

@@ -16,7 +16,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use mccp_core::{ChannelBackend, FunctionalBackend, Mccp, MccpConfig};
+use mccp_core::{ChannelBackend, FunctionalBackend, Iv, Mccp, MccpConfig};
 use mccp_sdr::{MccpService, ServiceChannelId, ServiceConfig, ServiceError, Standard};
 use proptest::prelude::*;
 
@@ -56,7 +56,7 @@ fn run_churn<B: ChannelBackend>(mut svc: MccpService<B>, ops: &[u8]) {
     let mut regs: Vec<Option<ServiceChannelId>> = vec![None; REGS];
     let mut retired: Vec<ServiceChannelId> = Vec::new();
     // Invariant 1: every delivered IV, across every session ever opened.
-    let mut seen_ivs: HashSet<Vec<u8>> = HashSet::new();
+    let mut seen_ivs: HashSet<Iv> = HashSet::new();
     // Invariant 2: tags admitted per generation-exact id, awaiting
     // delivery to exactly that id.
     let mut outstanding: HashMap<ServiceChannelId, HashSet<u64>> = HashMap::new();
@@ -65,13 +65,13 @@ fn run_churn<B: ChannelBackend>(mut svc: MccpService<B>, ops: &[u8]) {
     let mut delivered_total = 0u64;
 
     let settle = |deliveries: Vec<mccp_sdr::Delivery>,
-                  seen_ivs: &mut HashSet<Vec<u8>>,
+                  seen_ivs: &mut HashSet<Iv>,
                   outstanding: &mut HashMap<ServiceChannelId, HashSet<u64>>,
                   delivered_total: &mut u64| {
         for d in deliveries {
             if !d.iv.is_empty() {
                 assert!(
-                    seen_ivs.insert(d.iv.clone()),
+                    seen_ivs.insert(d.iv),
                     "IV reused across sessions: {:02x?}",
                     d.iv
                 );
@@ -225,7 +225,7 @@ fn single_slot_recycles_hundreds_of_times_without_iv_reuse() {
 }
 
 fn recycle_one_slot<B: ChannelBackend>(mut svc: MccpService<B>) {
-    let mut seen_ivs: HashSet<Vec<u8>> = HashSet::new();
+    let mut seen_ivs: HashSet<Iv> = HashSet::new();
     let mut prior: Option<ServiceChannelId> = None;
     for round in 0..300u32 {
         let id = svc.open(Standard::Wimax, &[9u8; 16]).unwrap();
@@ -242,7 +242,7 @@ fn recycle_one_slot<B: ChannelBackend>(mut svc: MccpService<B>) {
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].channel, id);
         assert!(
-            seen_ivs.insert(out[0].iv.clone()),
+            seen_ivs.insert(out[0].iv),
             "round {round}: IV reused on recycled slot"
         );
         svc.close(id).unwrap();
@@ -275,7 +275,7 @@ fn rebinds_seal_under_their_own_key<B: ChannelBackend>(mut svc: MccpService<B>) 
             assert_eq!(d.channel, ids[ch]);
             let reference = gcm_seal(&Aes::new_128(&keys[ch]), &d.iv, aad, &body, 16).unwrap();
             assert_eq!(
-                [d.body, d.tag].concat(),
+                [&d.body[..], &d.tag].concat(),
                 reference,
                 "round {round}: channel {ch} sealed under another key"
             );

@@ -56,7 +56,7 @@ pub use event::{Event, FifoPort, TimedEvent};
 pub use metrics::{Histogram, Registry, Snapshot};
 pub use profile::WallProfile;
 pub use service::{ClassCounters, ServiceCounters};
-pub use slo::{ChannelAttainment, ChannelSlo, HealthScore, SloEngine};
+pub use slo::{ChannelAttainment, ChannelSlo, HealthScore, SloEngine, SloTotals};
 pub use span::{RequestSpan, SpanTracker};
 pub use trace::{Attempt, AttemptOutcome, PacketJourney};
 

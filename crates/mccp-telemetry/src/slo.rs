@@ -8,6 +8,11 @@
 //! and burn rate are pure functions of those samples, so the numbers are
 //! identical across the cycle-accurate and functional engines.
 //!
+//! [`SloEngine`] keeps every observation, so any trailing window can be
+//! asked for after the run. A long-running caller that only ever asks for
+//! the whole run uses [`SloTotals`] instead: O(1) state per channel and
+//! the same rows.
+//!
 //! *Burn rate* follows the SRE convention: the ratio of the observed error
 //! rate in a window to the error budget implied by the SLO target. Burn
 //! rate 1.0 means the budget is being consumed exactly at the sustainable
@@ -43,13 +48,74 @@ struct Observation {
     violated: bool,
 }
 
-/// Rolling attainment/burn-rate state for one channel.
-#[derive(Clone, Debug, Default)]
-struct ChannelTrack {
-    observations: Vec<Observation>,
+/// Counts over a set of observations.
+#[derive(Clone, Copy, Debug, Default)]
+struct Tally {
+    packets: u64,
     violations: u64,
     worst_latency: u64,
     latency_sum: u64,
+}
+
+impl Tally {
+    /// Counts one observation (an abandonment is a violated one).
+    fn observe(&mut self, violated: bool) {
+        self.packets += 1;
+        self.violations += u64::from(violated);
+    }
+
+    fn completion(&mut self, violated: bool, latency: u64) {
+        self.observe(violated);
+        self.worst_latency = self.worst_latency.max(latency);
+        self.latency_sum += latency;
+    }
+
+    /// The attainment row for `slo`, with `window` the tally of the
+    /// trailing burn-rate window: the one home of the attainment and burn
+    /// arithmetic.
+    fn row(&self, slo: &ChannelSlo, window: &Tally) -> ChannelAttainment {
+        let budget = slo.error_budget();
+        let rate = |t: &Tally| {
+            if t.packets == 0 {
+                0.0
+            } else {
+                t.violations as f64 / t.packets as f64
+            }
+        };
+        let attained_permille = ((self.packets - self.violations) * 1000)
+            .checked_div(self.packets)
+            .unwrap_or(1000) as u32;
+        ChannelAttainment {
+            channel: slo.channel,
+            deadline_cycles: slo.deadline_cycles,
+            target_permille: slo.target_permille,
+            packets: self.packets,
+            violations: self.violations,
+            attained_permille,
+            worst_latency: self.worst_latency,
+            mean_latency: self.latency_sum.checked_div(self.packets).unwrap_or(0),
+            burn_rate: burn(rate(self), budget),
+            window_burn_rate: burn(rate(window), budget),
+            met: attained_permille >= slo.target_permille,
+        }
+    }
+}
+
+fn burn(rate: f64, budget: f64) -> f64 {
+    if rate == 0.0 {
+        0.0
+    } else if budget == 0.0 {
+        f64::INFINITY
+    } else {
+        rate / budget
+    }
+}
+
+/// Rolling attainment/burn-rate state for one channel.
+#[derive(Clone, Debug, Default)]
+struct ChannelTrack {
+    all: Tally,
+    observations: Vec<Observation>,
 }
 
 /// Per-channel attainment summary, produced by [`SloEngine::attainment`].
@@ -103,9 +169,7 @@ impl SloEngine {
             completed_at,
             violated,
         });
-        track.violations += u64::from(violated);
-        track.worst_latency = track.worst_latency.max(latency);
-        track.latency_sum += latency;
+        track.all.completion(violated, latency);
     }
 
     /// Records an abandoned packet — always a violation (the packet never
@@ -119,17 +183,7 @@ impl SloEngine {
             completed_at: at_cycle,
             violated: true,
         });
-        track.violations += 1;
-    }
-
-    fn burn(rate: f64, budget: f64) -> f64 {
-        if rate == 0.0 {
-            0.0
-        } else if budget == 0.0 {
-            f64::INFINITY
-        } else {
-            rate / budget
-        }
+        track.all.observe(true);
     }
 
     /// Computes per-channel attainment. `now` is the end of the run in
@@ -142,39 +196,15 @@ impl SloEngine {
             .map(|slo| {
                 let empty = ChannelTrack::default();
                 let track = self.tracks.get(&slo.channel).unwrap_or(&empty);
-                let packets = track.observations.len() as u64;
-                let budget = slo.error_budget();
-                let total_rate = if packets == 0 {
-                    0.0
-                } else {
-                    track.violations as f64 / packets as f64
-                };
-                let (win_total, win_bad) = track
+                let mut window = Tally::default();
+                for o in track
                     .observations
                     .iter()
                     .filter(|o| o.completed_at > horizon)
-                    .fold((0u64, 0u64), |(t, b), o| (t + 1, b + u64::from(o.violated)));
-                let window_rate = if win_total == 0 {
-                    0.0
-                } else {
-                    win_bad as f64 / win_total as f64
-                };
-                let attained_permille = ((packets - track.violations) * 1000)
-                    .checked_div(packets)
-                    .unwrap_or(1000) as u32;
-                ChannelAttainment {
-                    channel: slo.channel,
-                    deadline_cycles: slo.deadline_cycles,
-                    target_permille: slo.target_permille,
-                    packets,
-                    violations: track.violations,
-                    attained_permille,
-                    worst_latency: track.worst_latency,
-                    mean_latency: track.latency_sum.checked_div(packets).unwrap_or(0),
-                    burn_rate: Self::burn(total_rate, budget),
-                    window_burn_rate: Self::burn(window_rate, budget),
-                    met: attained_permille >= slo.target_permille,
+                {
+                    window.observe(o.violated);
                 }
+                track.all.row(slo, &window)
             })
             .collect()
     }
@@ -227,6 +257,66 @@ impl SloEngine {
                 burn_permille(r.burn_rate),
             );
         }
+    }
+}
+
+/// Whole-run SLO state in O(1) per channel: the rows of
+/// [`SloEngine::attainment`]`(now, now.max(1))` at any `now`, whose burn
+/// window is every observation completed after cycle 0.
+#[derive(Clone, Debug, Default)]
+pub struct SloTotals {
+    /// Each registered SLO with its whole-run tally and the tally of the
+    /// observations completed after cycle 0.
+    tracks: Vec<(ChannelSlo, Tally, Tally)>,
+}
+
+impl SloTotals {
+    pub fn new(slos: impl IntoIterator<Item = ChannelSlo>) -> Self {
+        let mut tracks: Vec<_> = slos
+            .into_iter()
+            .map(|s| (s, Tally::default(), Tally::default()))
+            .collect();
+        // Channel order, and one entry per channel, as `SloEngine` keys
+        // them.
+        tracks.sort_by_key(|t| t.0.channel);
+        tracks.dedup_by_key(|t| t.0.channel);
+        SloTotals { tracks }
+    }
+
+    fn track(&mut self, channel: u8) -> Option<&mut (ChannelSlo, Tally, Tally)> {
+        self.tracks.iter_mut().find(|t| t.0.channel == channel)
+    }
+
+    /// Records a delivered packet; returns whether it missed its deadline
+    /// (false for a channel without a registered SLO, which is ignored).
+    pub fn record_completion(&mut self, channel: u8, completed_at: u64, latency: u64) -> bool {
+        let Some((slo, all, window)) = self.track(channel) else {
+            return false;
+        };
+        let violated = latency > slo.deadline_cycles;
+        all.completion(violated, latency);
+        if completed_at > 0 {
+            window.observe(violated);
+        }
+        violated
+    }
+
+    /// Records an abandoned packet — always a violation.
+    pub fn record_abandonment(&mut self, channel: u8, at_cycle: u64) {
+        if let Some((_, all, window)) = self.track(channel) {
+            all.observe(true);
+            if at_cycle > 0 {
+                window.observe(true);
+            }
+        }
+    }
+
+    /// Per-channel attainment over the whole run.
+    pub fn attainment(&self) -> Vec<ChannelAttainment> {
+        self.tracks
+            .iter()
+            .map(|(slo, all, window)| all.row(slo, window))
+            .collect()
     }
 }
 
@@ -360,6 +450,37 @@ mod tests {
         // Whole-run: 1/3 violations. Window (cycles 800..1000): 0/2.
         assert!(r0.burn_rate > 0.0);
         assert_eq!(r0.window_burn_rate, 0.0);
+    }
+
+    /// `SloTotals` gives the rows an observation-list engine gives for the
+    /// whole-run window, on the same records, including records at cycle
+    /// 0 (outside that window) and channels without an SLO.
+    #[test]
+    fn totals_match_the_engine_over_the_whole_run() {
+        let mut e = engine();
+        let mut t = SloTotals::new(e.slos.values().copied());
+        let mut seed = 0x2545_f491_4f6c_dd1du64;
+        for i in 0..500u64 {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            let (channel, at, latency) =
+                ((seed % 3) as u8, (seed >> 8) % 4 * i, (seed >> 16) % 150);
+            if seed.is_multiple_of(7) {
+                e.record_abandonment(channel, at);
+                t.record_abandonment(channel, at);
+            } else {
+                e.record_completion(channel, at, latency);
+                let violated = t.record_completion(channel, at, latency);
+                assert_eq!(
+                    violated,
+                    channel < 2 && latency > [100, 50][channel as usize]
+                );
+            }
+            let now = at + seed % 2;
+            assert_eq!(t.attainment(), e.attainment(now, now.max(1)), "after {i}");
+        }
+        assert!(e.attainment(1, 1).iter().all(|r| r.packets > 0));
     }
 
     #[test]

@@ -104,13 +104,24 @@ PY
 # obs_report asserts both contracts and exits non-zero on breach: the
 # median on/off wall ratio of 101 interleaved pairs within the 5% budget,
 # and records/cycles/retries byte-identical between observe-on and
-# observe-off runs.
-stage_obs_overhead() { cargo run --release -p mccp-bench --bin obs_report -- --packets 50 --pairs 101; }
+# observe-off runs. It rewrites BENCH_obs.json and
+# BENCH_obs_profile.collapsed in the working directory; the committed
+# files are put back afterwards, whatever the verdict.
+stage_obs_overhead() {
+  local saved status=0
+  saved="$(mktemp -d)"
+  cp BENCH_obs.json BENCH_obs_profile.collapsed "$saved/"
+  cargo run --release -p mccp-bench --bin obs_report -- --packets 50 --pairs 101 || status=$?
+  cp "$saved/BENCH_obs.json" "$saved/BENCH_obs_profile.collapsed" .
+  rm -rf "$saved"
+  return "$status"
+}
 
 stage_kernel_equivalence() {
   cargo test -p mccp-aes --test kernel_equivalence -q
   cargo test -p mccp-aes --test zero_alloc -q
   cargo test -p mccp-core --test alloc_bound -q
+  cargo test -p mccp-sdr --test alloc_bound -q
 }
 
 # bench_cluster --quick asserts the modeled 4-shard scaling and the

@@ -156,7 +156,7 @@ fn epoch0_key() -> SessionKey {
 fn debug_formatting_of_key_holders_prints_no_key_bytes() {
     let live = LiveChannel {
         standard: Standard::Wifi,
-        chan: SecureChannel::new(Standard::Wifi.profile(), 7),
+        chan: SecureChannel::new(Standard::Wifi, 7),
         key: epoch0_key(),
         class: qos_class(Standard::Wifi),
         epoch: 0,

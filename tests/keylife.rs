@@ -6,11 +6,13 @@
 use mccp::aes::modes::gcm_seal;
 use mccp::aes::Aes;
 use mccp::core::protocol::{ret, Algorithm, KeyId, MccpError};
-use mccp::core::{submit_and_wait, ChannelBackend, Direction, FunctionalBackend, Mccp, MccpConfig};
+use mccp::core::{
+    submit_and_wait, ChannelBackend, Direction, FunctionalBackend, Mccp, MccpConfig, Tag,
+};
 use proptest::prelude::*;
 
 /// One delivery: (epoch, ciphertext, tag).
-type EpochOut = (u32, Vec<u8>, Vec<u8>);
+type EpochOut = (u32, Vec<u8>, Tag);
 
 fn cfg(cases: u32) -> ProptestConfig {
     ProptestConfig {

@@ -5,10 +5,10 @@
 //! configuration byte-for-byte AND cycle-for-cycle.
 
 use mccp::core::core_unit::Personality;
-use mccp::core::protocol::{Algorithm, CipherSel, KeyId};
+use mccp::core::protocol::{Algorithm, ChannelId, CipherSel, KeyId, MccpError};
 use mccp::core::{
-    ChannelBackend, Direction, FunctionalBackend, Mccp, MccpConfig, PipelineGraph, PipelineStage,
-    SessionKey, StageOp,
+    submit_and_wait, ChannelBackend, Direction, FunctionalBackend, Mccp, MccpConfig, PipelineGraph,
+    PipelineStage, SessionKey, StageOp,
 };
 use proptest::prelude::*;
 
@@ -298,4 +298,47 @@ fn pipeline_open_close_churn_releases_every_stage_key() {
         .filter(|&k| m.key_memory_mut().contains(KeyId(k)))
         .collect();
     assert!(resident.is_empty(), "key ids left resident: {resident:?}");
+}
+
+/// Rekeying a stage chain is refused with a typed error on both engines
+/// before a key slot or the epoch moves: its stages run on keys fixed when
+/// the graph opened, so rotating the channel key alone would report epoch
+/// 1 over the old keystream. The channel keeps its original key.
+#[test]
+fn pipeline_rekey_is_refused_on_both_engines() {
+    let graph = PipelineGraph::new(
+        vec![PipelineStage {
+            op: StageOp::Ctr,
+            cipher: CipherSel::Aes,
+            key: SessionKey::new(&[0x11; 16]).unwrap(),
+        }],
+        16,
+    );
+    let (iv, body) = ([0u8; 16], [0u8; 32]);
+    let mut m = personalized_mccp();
+    let mut f = FunctionalBackend::new();
+    let (mch, fch) = (
+        m.open_pipeline(&graph).unwrap(),
+        f.open_pipeline(&graph).unwrap(),
+    );
+    let engines: [(&mut dyn ChannelBackend, ChannelId); 2] = [(&mut m, mch), (&mut f, fch)];
+    for (b, ch) in engines {
+        let name = b.backend_name();
+        let encrypt = |b: &mut dyn ChannelBackend| {
+            submit_and_wait(b, ch, Direction::Encrypt, &iv, &[], &body, None).unwrap()
+        };
+        let before = encrypt(b);
+        assert_eq!(
+            b.rekey_channel(ch, &[0x22; 16]),
+            Err(MccpError::BadInstruction),
+            "{name}"
+        );
+        assert_eq!(b.channel_epoch(ch), Ok(0), "{name}");
+        let after = encrypt(b);
+        assert_eq!((after.epoch, &after.body), (0, &before.body), "{name}");
+    }
+    let resident = (0..=u8::MAX)
+        .filter(|&k| m.key_memory_mut().contains(KeyId(k)))
+        .count();
+    assert_eq!(resident, 1, "the refused rekey took a Key Memory slot");
 }

@@ -1,7 +1,7 @@
 //! Hardware AES (x86-64 AES-NI): every encryption [`crate::Aes`] runs on a
 //! host with an AES unit.
 //!
-//! - [`encrypt_block`] takes one block, for the serial chains: CBC, ECB,
+//! - [`encrypt_block`] takes one block, for the serial chains: CBC-MAC,
 //!   GCM's hash subkey `H = E(K, 0)`, and the per-block `*_scalar` mode
 //!   arms, which keep their serial shape but no longer run the software
 //!   cipher.

@@ -5,7 +5,7 @@
 //! specification's input mapping.
 
 use crate::key_schedule::RoundKeys;
-use crate::sbox::{gf256_mul, inv_sub_byte, sub_byte};
+use crate::sbox::{gf256_mul, sub_byte};
 
 #[inline]
 fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
@@ -21,13 +21,6 @@ fn sub_bytes(state: &mut [u8; 16]) {
     }
 }
 
-#[inline]
-fn inv_sub_bytes(state: &mut [u8; 16]) {
-    for b in state.iter_mut() {
-        *b = inv_sub_byte(*b);
-    }
-}
-
 /// ShiftRows: row `r` (bytes `r, r+4, r+8, r+12`) rotates left by `r`.
 #[inline]
 fn shift_rows(state: &mut [u8; 16]) {
@@ -35,16 +28,6 @@ fn shift_rows(state: &mut [u8; 16]) {
     for r in 1..4 {
         for c in 0..4 {
             state[r + 4 * c] = s[r + 4 * ((c + r) % 4)];
-        }
-    }
-}
-
-#[inline]
-fn inv_shift_rows(state: &mut [u8; 16]) {
-    let s = *state;
-    for r in 1..4 {
-        for c in 0..4 {
-            state[r + 4 * ((c + r) % 4)] = s[r + 4 * c];
         }
     }
 }
@@ -60,15 +43,6 @@ pub(crate) fn mix_column(col: &mut [u8; 4]) {
 }
 
 #[inline]
-fn inv_mix_column(col: &mut [u8; 4]) {
-    let [a0, a1, a2, a3] = *col;
-    col[0] = gf256_mul(a0, 0x0e) ^ gf256_mul(a1, 0x0b) ^ gf256_mul(a2, 0x0d) ^ gf256_mul(a3, 0x09);
-    col[1] = gf256_mul(a0, 0x09) ^ gf256_mul(a1, 0x0e) ^ gf256_mul(a2, 0x0b) ^ gf256_mul(a3, 0x0d);
-    col[2] = gf256_mul(a0, 0x0d) ^ gf256_mul(a1, 0x09) ^ gf256_mul(a2, 0x0e) ^ gf256_mul(a3, 0x0b);
-    col[3] = gf256_mul(a0, 0x0b) ^ gf256_mul(a1, 0x0d) ^ gf256_mul(a2, 0x09) ^ gf256_mul(a3, 0x0e);
-}
-
-#[inline]
 fn mix_columns(state: &mut [u8; 16]) {
     for c in 0..4 {
         let mut col = [
@@ -78,20 +52,6 @@ fn mix_columns(state: &mut [u8; 16]) {
             state[4 * c + 3],
         ];
         mix_column(&mut col);
-        state[4 * c..4 * c + 4].copy_from_slice(&col);
-    }
-}
-
-#[inline]
-fn inv_mix_columns(state: &mut [u8; 16]) {
-    for c in 0..4 {
-        let mut col = [
-            state[4 * c],
-            state[4 * c + 1],
-            state[4 * c + 2],
-            state[4 * c + 3],
-        ];
-        inv_mix_column(&mut col);
         state[4 * c..4 * c + 4].copy_from_slice(&col);
     }
 }
@@ -109,25 +69,6 @@ pub fn encrypt_with_round_keys(rk: &RoundKeys, block: &mut [u8; 16]) {
     sub_bytes(block);
     shift_rows(block);
     add_round_key(block, rk.round_key(nr));
-}
-
-/// Decrypts one block in place with a pre-expanded key schedule.
-///
-/// The paper's Cryptographic Unit deliberately omits the AES decryption
-/// datapath (CCM and GCM only ever use the forward cipher); it is provided
-/// here for reference-mode completeness (e.g. CBC decryption).
-pub fn decrypt_with_round_keys(rk: &RoundKeys, block: &mut [u8; 16]) {
-    let nr = rk.rounds();
-    add_round_key(block, rk.round_key(nr));
-    for round in (1..nr).rev() {
-        inv_shift_rows(block);
-        inv_sub_bytes(block);
-        add_round_key(block, rk.round_key(round));
-        inv_mix_columns(block);
-    }
-    inv_shift_rows(block);
-    inv_sub_bytes(block);
-    add_round_key(block, rk.round_key(0));
 }
 
 #[cfg(test)]
@@ -157,8 +98,6 @@ mod tests {
         let mut block = hex16("00112233445566778899aabbccddeeff");
         encrypt_with_round_keys(&rk, &mut block);
         assert_eq!(block, hex16("69c4e0d86a7b0430d8cdb78070b4c55a"));
-        decrypt_with_round_keys(&rk, &mut block);
-        assert_eq!(block, hex16("00112233445566778899aabbccddeeff"));
     }
 
     #[test]
@@ -171,8 +110,6 @@ mod tests {
         let mut block = hex16("00112233445566778899aabbccddeeff");
         encrypt_with_round_keys(&rk, &mut block);
         assert_eq!(block, hex16("dda97ca4864cdfe06eaf70a0ec0d7191"));
-        decrypt_with_round_keys(&rk, &mut block);
-        assert_eq!(block, hex16("00112233445566778899aabbccddeeff"));
     }
 
     #[test]
@@ -185,27 +122,6 @@ mod tests {
         let mut block = hex16("00112233445566778899aabbccddeeff");
         encrypt_with_round_keys(&rk, &mut block);
         assert_eq!(block, hex16("8ea2b7ca516745bfeafc49904b496089"));
-        decrypt_with_round_keys(&rk, &mut block);
-        assert_eq!(block, hex16("00112233445566778899aabbccddeeff"));
-    }
-
-    #[test]
-    fn shift_rows_roundtrip() {
-        let mut s: [u8; 16] = core::array::from_fn(|i| i as u8);
-        let orig = s;
-        shift_rows(&mut s);
-        assert_ne!(s, orig);
-        inv_shift_rows(&mut s);
-        assert_eq!(s, orig);
-    }
-
-    #[test]
-    fn mix_columns_roundtrip() {
-        let mut s: [u8; 16] = core::array::from_fn(|i| (i as u8).wrapping_mul(17).wrapping_add(3));
-        let orig = s;
-        mix_columns(&mut s);
-        inv_mix_columns(&mut s);
-        assert_eq!(s, orig);
     }
 
     #[test]

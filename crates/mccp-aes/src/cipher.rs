@@ -11,7 +11,9 @@ use crate::modes::ccm::{ccm_pass_serial, CcmPacket};
 
 /// A block cipher with a 128-bit block.
 ///
-/// An implementor supplies [`encrypt_block`], [`decrypt_block`] and
+/// Every MCCP mode (CTR, CBC-MAC, CCM, GCM) runs its cipher forward in
+/// both directions, like the paper's encryption-only AES core, so there
+/// is no inverse cipher. An implementor supplies [`encrypt_block`] and
 /// [`name`]. The two kernel seams default to loops over
 /// [`encrypt_block`]: [`encrypt_blocks4`] for independent blocks and
 /// [`ccm_pass`] for a whole CCM packet. [`crate::Aes`] overrides all
@@ -20,16 +22,12 @@ use crate::modes::ccm::{ccm_pass_serial, CcmPacket};
 /// the defaults.
 ///
 /// [`encrypt_block`]: BlockCipher128::encrypt_block
-/// [`decrypt_block`]: BlockCipher128::decrypt_block
 /// [`name`]: BlockCipher128::name
 /// [`encrypt_blocks4`]: BlockCipher128::encrypt_blocks4
 /// [`ccm_pass`]: BlockCipher128::ccm_pass
 pub trait BlockCipher128 {
     /// Encrypts one 16-byte block in place.
     fn encrypt_block(&self, block: &mut [u8; 16]);
-
-    /// Decrypts one 16-byte block in place.
-    fn decrypt_block(&self, block: &mut [u8; 16]);
 
     /// Human-readable algorithm name (for reports and traces).
     fn name(&self) -> &'static str;
@@ -38,13 +36,6 @@ pub trait BlockCipher128 {
     fn encrypt_copy(&self, block: &[u8; 16]) -> [u8; 16] {
         let mut out = *block;
         self.encrypt_block(&mut out);
-        out
-    }
-
-    /// Convenience: decrypt a copy of `block` and return it.
-    fn decrypt_copy(&self, block: &[u8; 16]) -> [u8; 16] {
-        let mut out = *block;
-        self.decrypt_block(&mut out);
         out
     }
 
@@ -87,9 +78,6 @@ impl<T: BlockCipher128 + ?Sized> BlockCipher128 for &T {
     fn encrypt_block(&self, block: &mut [u8; 16]) {
         (**self).encrypt_block(block)
     }
-    fn decrypt_block(&self, block: &mut [u8; 16]) {
-        (**self).decrypt_block(block)
-    }
     fn name(&self) -> &'static str {
         (**self).name()
     }
@@ -114,7 +102,6 @@ mod tests {
         let mut inplace = pt;
         aes.encrypt_block(&mut inplace);
         assert_eq!(ct, inplace);
-        assert_eq!(aes.decrypt_copy(&ct), pt);
     }
 
     #[test]
@@ -124,7 +111,6 @@ mod tests {
         let mut b = [0u8; 16];
         dyn_cipher.encrypt_block(&mut b);
         assert_eq!(dyn_cipher.name(), "AES-128");
-        dyn_cipher.decrypt_block(&mut b);
-        assert_eq!(b, [0u8; 16]);
+        assert_eq!(b, aes.encrypt_copy(&[0u8; 16]));
     }
 }

@@ -1,6 +1,9 @@
 //! Functional model of the Chodowiec–Gaj 32-bit column-serial AES datapath
-//! (CHES 2003), the compact iterative core the MCCP's Cryptographic Unit
-//! instantiates (paper §V.A).
+//! (CHES 2003), the compact iterative core the paper's Cryptographic Unit
+//! is built around (§V.A). The simulated CU does not run this model: it
+//! runs the byte-wise datapath ([`crate::block`]) and charges
+//! [`KeySize::aes_core_cycles`](crate::KeySize::aes_core_cycles) per block.
+//! This model is the structural check of that constant.
 //!
 //! The hardware processes **one 32-bit state column per clock cycle**:
 //! 4 cycles for the initial AddRoundKey, then 4 cycles per round, giving

@@ -2,16 +2,19 @@
 //!
 //! This crate is the cryptographic substrate of the MCCP reproduction:
 //!
-//! * [`Aes`] — AES-128/192/256 (FIPS-197): key schedule, encryption and
-//!   decryption, validated against the FIPS-197 appendix vectors.
+//! * [`Aes`] — AES-128/192/256 (FIPS-197): key schedule and encryption,
+//!   validated against the FIPS-197 appendix vectors. Like the paper's
+//!   encryption-only AES core, it has no inverse cipher: every mode below
+//!   runs the cipher forward in both directions.
 //! * [`column_serial`] — a functional model of the 32-bit column-serial
 //!   iterative AES datapath of Chodowiec & Gaj (CHES 2003, reference \[19\]
-//!   of the paper), which the MCCP's Cryptographic Unit instantiates. It
-//!   reports the hardware cycle count: **44 / 52 / 60 cycles** per block for
-//!   128 / 192 / 256-bit keys.
+//!   of the paper), the structure the MCCP's Cryptographic Unit follows. It
+//!   is the structural check of the hardware cycle count the simulator
+//!   charges ([`KeySize::aes_core_cycles`]): **44 / 52 / 60 cycles** per
+//!   block for 128 / 192 / 256-bit keys.
 //! * [`modes`] — the block-cipher modes of operation the MCCP supports:
-//!   ECB, CBC, CTR (SP 800-38A), CBC-MAC, CCM (SP 800-38C) and GCM
-//!   (SP 800-38D), all generic over any [`BlockCipher128`].
+//!   CTR (SP 800-38A), CBC-MAC, CCM (SP 800-38C) and GCM (SP 800-38D), all
+//!   generic over any [`BlockCipher128`].
 //! * [`whirlpool`] — the Whirlpool hash (ISO/IEC 10118-3), the alternative
 //!   algorithm the paper loads into the reconfigurable Cryptographic Unit
 //!   region (Table IV).
@@ -36,8 +39,14 @@
 //! let aes = Aes::new_128(&key);
 //! let mut block = [0u8; 16];
 //! aes.encrypt_block(&mut block);
-//! aes.decrypt_block(&mut block);
-//! assert_eq!(block, [0u8; 16]);
+//! // AES-128 of the zero block under the zero key.
+//! assert_eq!(
+//!     block,
+//!     [
+//!         0x66, 0xe9, 0x4b, 0xd4, 0xef, 0x8a, 0x2c, 0x3b,
+//!         0x88, 0x4c, 0xfa, 0x59, 0xca, 0x34, 0x2b, 0x2e,
+//!     ]
+//! );
 //! ```
 
 pub mod aesni;
@@ -54,7 +63,6 @@ pub mod whirlpool;
 pub use cipher::BlockCipher128;
 pub use key_schedule::{KeySize, RoundKeys};
 
-use block::decrypt_with_round_keys;
 use modes::CcmPacket;
 
 /// An AES cipher instance with a pre-expanded key schedule.
@@ -76,11 +84,6 @@ impl Aes {
 
     /// AES-128 constructor with a compile-time-checked key length.
     pub fn new_128(key: &[u8; 16]) -> Self {
-        Self::new(key)
-    }
-
-    /// AES-192 constructor with a compile-time-checked key length.
-    pub fn new_192(key: &[u8; 24]) -> Self {
         Self::new(key)
     }
 
@@ -111,10 +114,6 @@ impl BlockCipher128 for Aes {
         // Software fast path (T-tables); equivalence with the byte-wise
         // datapath formulation is property-tested.
         crate::tables::encrypt_block_ttable(&self.round_keys, block);
-    }
-
-    fn decrypt_block(&self, block: &mut [u8; 16]) {
-        decrypt_with_round_keys(&self.round_keys, block);
     }
 
     fn encrypt_blocks4(&self, blocks: &mut [u8; 64]) {

@@ -124,17 +124,33 @@ impl Default for CbcMacState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::modes::cbc::cbc_encrypt;
+    use crate::modes::testutil::hex;
     use crate::Aes;
 
+    /// The raw MAC of the first `k` blocks is CBC's `k`-th ciphertext
+    /// block, once the CBC IV is folded into the first block. Referee:
+    /// the SP 800-38A CBC-AES vectors (F.2.1 and the first block of F.2.5).
     #[test]
     fn raw_mac_equals_last_cbc_block() {
-        let aes = Aes::new_128(&[9u8; 16]);
-        let data: Vec<u8> = (0..64u8).collect();
-        let mac = cbc_mac_raw(&aes, &data).unwrap();
-        let mut cbc = data.clone();
-        cbc_encrypt(&aes, &[0u8; 16], &mut cbc).unwrap();
-        assert_eq!(mac.as_slice(), &cbc[48..64]);
+        let iv = hex("000102030405060708090a0b0c0d0e0f");
+        let mut data = hex("6bc1bee22e409f96e93d7e117393172a\
+             ae2d8a571e03ac9c9eb76fac45af8e51\
+             30c81c46a35ce411e5fbc1191a0a52ef\
+             f69f2445df4f9b17ad2b417be66c3710");
+        xor_in_place(&mut data[..16], &iv);
+        let aes128 = Aes::new(&hex("2b7e151628aed2a6abf7158809cf4f3c"));
+        let cbc = hex("7649abac8119b246cee98e9b12e9197d\
+             5086cb9b507219ee95db113a917678b2\
+             73bed6b8e3c1743b7116e69e22229516\
+             3ff1caa1681fac09120eca307586e1a7");
+        for k in 1..=4 {
+            let mac = cbc_mac_raw(&aes128, &data[..16 * k]).unwrap();
+            assert_eq!(mac.as_slice(), &cbc[16 * (k - 1)..16 * k], "block {k}");
+        }
+        let aes256 = Aes::new(&hex("603deb1015ca71be2b73aef0857d7781\
+             1f352c073b6108d72d9810a30914dff4"));
+        let mac = cbc_mac_raw(&aes256, &data[..16]).unwrap();
+        assert_eq!(mac.to_vec(), hex("f58c4c04d6e5f1ba779eabfb5f7bfbd6"));
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Block-cipher modes of operation supported by the MCCP.
 //!
 //! The paper (§IV.D) lists **GCM, CCM, CTR and CBC-MAC** as the modes the
-//! cryptographic cores execute; ECB and CBC are included as substrates and
-//! for the Table III comparison points (Cryptonite reports ECB, Celator
-//! reports CBC). All implementations are generic over [`BlockCipher128`],
-//! because the paper's design brief is that AES "may be easily replaced by
-//! any other 128-bit block cipher".
+//! cryptographic cores execute. Each runs the block cipher forward in both
+//! directions, so no mode here needs an inverse cipher. All
+//! implementations are generic over [`BlockCipher128`], because the
+//! paper's design brief is that AES "may be easily replaced by any other
+//! 128-bit block cipher".
 //!
 //! These are the oracle implementations; the cycle-accurate simulator
 //! executes the same computations on the modeled hardware and is tested
@@ -13,21 +13,17 @@
 //! them directly, through the cipher's fastest arm (see
 //! [`BlockCipher128`]).
 
-pub mod cbc;
 pub mod cbc_mac;
 pub mod ccm;
 pub mod ctr;
-pub mod ecb;
 pub mod gcm;
 
-pub use cbc::{cbc_decrypt, cbc_encrypt};
 pub use cbc_mac::{cbc_mac, CbcMacState};
 pub use ccm::{
     ccm_open, ccm_open_detached, ccm_open_detached_into, ccm_seal, ccm_seal_into, CcmDirection,
     CcmPacket, CcmParams,
 };
 pub use ctr::{ctr_xcrypt, ctr_xcrypt_scalar};
-pub use ecb::{ecb_decrypt, ecb_encrypt};
 pub use gcm::{
     gcm_open, gcm_open_detached, gcm_open_detached_scalar, gcm_seal, gcm_seal_scalar, GcmContext,
 };

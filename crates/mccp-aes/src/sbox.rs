@@ -1,6 +1,6 @@
-//! The AES S-box and its inverse, computed at compile time from first
-//! principles (GF(2^8) inversion + affine transform) rather than embedded as
-//! opaque literals, so a table typo is impossible.
+//! The AES S-box, computed at compile time from first principles
+//! (GF(2^8) inversion + affine transform) rather than embedded as an
+//! opaque literal, so a table typo is impossible.
 
 /// Multiplies two elements of GF(2^8) modulo the AES polynomial
 /// `x^8 + x^4 + x^3 + x + 1` (0x11B).
@@ -65,32 +65,13 @@ const fn build_sbox() -> [u8; 256] {
     t
 }
 
-const fn build_inv_sbox(sbox: &[u8; 256]) -> [u8; 256] {
-    let mut t = [0u8; 256];
-    let mut i = 0usize;
-    while i < 256 {
-        t[sbox[i] as usize] = i as u8;
-        i += 1;
-    }
-    t
-}
-
 /// The AES SubBytes table.
 pub const SBOX: [u8; 256] = build_sbox();
-
-/// The AES InvSubBytes table.
-pub const INV_SBOX: [u8; 256] = build_inv_sbox(&SBOX);
 
 /// Applies SubBytes to a single byte.
 #[inline]
 pub fn sub_byte(b: u8) -> u8 {
     SBOX[b as usize]
-}
-
-/// Applies InvSubBytes to a single byte.
-#[inline]
-pub fn inv_sub_byte(b: u8) -> u8 {
-    INV_SBOX[b as usize]
 }
 
 #[cfg(test)]
@@ -105,14 +86,6 @@ mod tests {
         assert_eq!(SBOX[0x53], 0xed);
         assert_eq!(SBOX[0xff], 0x16);
         assert_eq!(SBOX[0x9a], 0xb8);
-    }
-
-    #[test]
-    fn inverse_is_inverse() {
-        for b in 0..=255u8 {
-            assert_eq!(inv_sub_byte(sub_byte(b)), b);
-            assert_eq!(sub_byte(inv_sub_byte(b)), b);
-        }
     }
 
     #[test]

@@ -233,32 +233,6 @@ impl BlockCipher128 for Twofish {
         }
     }
 
-    fn decrypt_block(&self, block: &mut [u8; 16]) {
-        let mut r = [0u32; 4];
-        for i in 0..4 {
-            r[i] = u32::from_le_bytes(block[4 * i..4 * i + 4].try_into().expect("4 bytes"))
-                ^ self.k[4 + i];
-        }
-        // Re-apply the final swap the encryptor undid.
-        r = [r[2], r[3], r[0], r[1]];
-        for round in (0..16).rev() {
-            // Invert: r = [nr2, nr3, old0, old1]
-            let (old0, old1) = (r[2], r[3]);
-            let t0 = self.g(old0);
-            let t1 = self.g(old1.rotate_left(8));
-            let f0 = t0.wrapping_add(t1).wrapping_add(self.k[8 + 2 * round]);
-            let f1 = t0
-                .wrapping_add(t1.wrapping_mul(2))
-                .wrapping_add(self.k[9 + 2 * round]);
-            let old2 = r[0].rotate_left(1) ^ f0;
-            let old3 = (r[1] ^ f1).rotate_right(1);
-            r = [old0, old1, old2, old3];
-        }
-        for i in 0..4 {
-            block[4 * i..4 * i + 4].copy_from_slice(&(r[i] ^ self.k[i]).to_le_bytes());
-        }
-    }
-
     fn name(&self) -> &'static str {
         match self.key_bits {
             128 => "Twofish-128",
@@ -284,8 +258,6 @@ mod tests {
         let mut block = [0u8; 16];
         tf.encrypt_block(&mut block);
         assert_eq!(block.to_vec(), hex("9f589f5cf6122c32b6bfec2f2ae8c35a"));
-        tf.decrypt_block(&mut block);
-        assert_eq!(block, [0u8; 16]);
     }
 
     #[test]
@@ -304,19 +276,6 @@ mod tests {
         let mut block = [0u8; 16];
         tf.encrypt_block(&mut block);
         assert_eq!(block.to_vec(), hex("37527be0052334b89f0cfccae87cfa20"));
-        tf.decrypt_block(&mut block);
-        assert_eq!(block, [0u8; 16]);
-    }
-
-    #[test]
-    fn roundtrip_random_blocks() {
-        let tf = Twofish::new(&[0x5Au8; 16]);
-        let mut block: [u8; 16] = core::array::from_fn(|i| (i as u8).wrapping_mul(41));
-        let orig = block;
-        tf.encrypt_block(&mut block);
-        assert_ne!(block, orig);
-        tf.decrypt_block(&mut block);
-        assert_eq!(block, orig);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! short/long IVs. The NIST SP 800-38D vectors are additionally replayed
 //! through both arms.
 
-use mccp_aes::block::{decrypt_with_round_keys, encrypt_with_round_keys};
+use mccp_aes::block::encrypt_with_round_keys;
 use mccp_aes::modes::{
     ccm_open_detached, ccm_open_detached_into, ccm_seal, ctr_xcrypt, ctr_xcrypt_scalar,
     gcm_open_detached, gcm_open_detached_scalar, gcm_seal, gcm_seal_scalar, CcmParams, GcmContext,
@@ -192,9 +192,6 @@ struct BytewiseAes(RoundKeys);
 impl BlockCipher128 for BytewiseAes {
     fn encrypt_block(&self, block: &mut [u8; 16]) {
         encrypt_with_round_keys(&self.0, block);
-    }
-    fn decrypt_block(&self, block: &mut [u8; 16]) {
-        decrypt_with_round_keys(&self.0, block);
     }
     fn name(&self) -> &'static str {
         "AES (byte-wise reference)"

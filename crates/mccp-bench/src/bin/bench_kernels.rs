@@ -72,9 +72,6 @@ impl BlockCipher128 for SerialCcm<'_> {
     fn encrypt_block(&self, block: &mut [u8; 16]) {
         self.0.encrypt_block(block);
     }
-    fn decrypt_block(&self, block: &mut [u8; 16]) {
-        self.0.decrypt_block(block);
-    }
     fn name(&self) -> &'static str {
         self.0.name()
     }

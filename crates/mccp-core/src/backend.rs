@@ -71,11 +71,6 @@ impl EngineHealth {
             .saturating_sub(self.quarantined.len())
             .saturating_sub(self.reconfiguring)
     }
-
-    /// True when no core can serve work.
-    pub fn is_dead(&self) -> bool {
-        self.available() == 0 && self.cores > 0
-    }
 }
 
 /// A multi-channel crypto engine: the protocol surface of the paper's
@@ -419,10 +414,7 @@ impl ChannelBackend for Mccp {
         let latency_cycles = self.request_cycles(id).unwrap_or(0);
         let epoch = self.requests.get(&id.0).map(|r| r.epoch).unwrap_or(0);
         let (auth_ok, body, tag, fault) = match self.retrieve(id) {
-            Ok(out) => {
-                let tag = out.tag.as_deref().map_or(Tag::EMPTY, Tag::from_slice);
-                (true, out.body, tag, None)
-            }
+            Ok(out) => (true, out.body, out.tag.unwrap_or_default(), None),
             Err(MccpError::AuthFail) => (false, Vec::new(), Tag::EMPTY, None),
             // Fault-plane terminations surface as typed faults; anything
             // else on a Data Available request is unexpected but must not

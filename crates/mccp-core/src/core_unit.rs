@@ -203,11 +203,6 @@ impl CryptoCore {
         self.stall = self.stall.saturating_add(cycles);
     }
 
-    /// True while an injected clock stall is freezing the core.
-    pub fn is_stalled(&self) -> bool {
-        self.stall > 0
-    }
-
     /// Quarantines the core at `cycle` (watchdog containment): the
     /// dispatcher treats it as permanently busy until a hard reset.
     pub fn quarantine(&mut self, cycle: u64) {
@@ -287,9 +282,9 @@ impl CryptoCore {
         self.cu.fg_wait_cycles()
     }
 
-    /// Conservative fast-forward horizon for the whole core (see
-    /// `mccp_sim::Clocked`), given the occupancy of the inter-core
-    /// mailboxes this core is wired to.
+    /// Conservative fast-forward horizon for the whole core (DESIGN.md
+    /// §5d), given the occupancy of the inter-core mailboxes this core is
+    /// wired to.
     pub fn quiescent_for(&self, from_left_full: bool, to_right_full: bool) -> u64 {
         // A stalled core is frozen solid: nothing observable happens until
         // the stall countdown runs out, so that span is exactly skippable.

@@ -6,14 +6,15 @@
 //! Split out of the `Mccp` monolith; every method here is an `impl Mccp`
 //! block so the public API surface is unchanged.
 
+use crate::bytes::Tag;
 use crate::core_unit::Personality;
 use crate::crossbar::Route;
 use crate::format::{format_request, parse_output, Direction, FormattedRequest, ProcessedPacket};
 use crate::key::SessionKey;
 use crate::mccp::Mccp;
 use crate::pipeline::{
-    stage_counter, whirlpool_hmac, whirlpool_hmac_cycles, PipelineGraph, PipelineKind,
-    PipelinePlan, ResolvedPipeline, ResolvedStage, StageOp,
+    stage_counter, whirlpool_hmac, whirlpool_hmac_cycles, PipelineGraph, PipelinePlan,
+    ResolvedPipeline, ResolvedStage, StageOp,
 };
 use crate::protocol::{Algorithm, ChannelId, CipherSel, KeyId, MccpError, Mode, RequestId};
 use crate::reconfig::{
@@ -38,9 +39,6 @@ pub(crate) struct Channel {
     /// Multi-stage pipeline graph, for channels opened through
     /// [`Mccp::open_pipeline`].
     pub(crate) pipeline: Option<Arc<ResolvedPipeline>>,
-    /// Prefer the two-core CCM schedule on this channel regardless of
-    /// `MccpConfig::ccm_two_core` (the `FusedCcm2` pipeline form).
-    pub(crate) fused_two_core: bool,
     /// Key epoch: bumped by every REKEY. Submissions are stamped with the
     /// epoch they were accepted under, so in-flight packets finish on the
     /// key they started with while new traffic uses the rotated one.
@@ -91,7 +89,6 @@ impl Mccp {
                 tag_len,
                 cipher,
                 pipeline: None,
-                fused_two_core: false,
                 epoch: 0,
                 ready_at: 0,
             },
@@ -137,32 +134,18 @@ impl Mccp {
 
     /// OPEN a pipeline channel: the channel's transform is the graph's
     /// ordered stage chain, each stage dispatched to a core hosting the
-    /// matching personality, intermediate bytes handed core-to-core. The
-    /// `FusedCcm2` form lowers to the legacy two-core CCM schedule and is
-    /// byte- and cycle-identical to a `ccm_two_core` channel.
+    /// matching personality, intermediate bytes handed core-to-core.
     ///
     /// Stage keys are carried as bytes and stored into free Key Memory
     /// slots here (the main controller's key-load step); a refused open
     /// releases every slot it took.
     pub fn open_pipeline(&mut self, graph: &PipelineGraph) -> Result<ChannelId, MccpError> {
         graph.validate()?;
-        let stages = match &graph.kind {
-            PipelineKind::FusedCcm2 { algorithm, key } => {
-                let ch = self.open_on_fresh_key(*algorithm, key.as_bytes(), |m, kid| {
-                    m.open_with_cipher(*algorithm, kid, graph.tag_len, CipherSel::Aes)
-                })?;
-                if let Some(c) = self.channels.get_mut(&ch.0) {
-                    c.fused_two_core = true;
-                }
-                return Ok(ch);
-            }
-            PipelineKind::Stages(stages) => stages,
-        };
         let id = (0..=u8::MAX)
             .find(|i| !self.channels.contains_key(i))
             .ok_or(MccpError::NoChannelId)?;
-        let mut resolved: Vec<ResolvedStage> = Vec::with_capacity(stages.len());
-        for st in stages {
+        let mut resolved: Vec<ResolvedStage> = Vec::with_capacity(graph.stages.len());
+        for st in &graph.stages {
             let algorithm = st.algorithm()?;
             // Whirlpool stages hash key bytes directly; CU stages go
             // through the write-protected Key Memory.
@@ -197,7 +180,6 @@ impl Mccp {
                     stages: resolved,
                     tag_len: graph.tag_len,
                 })),
-                fused_two_core: false,
                 epoch: 0,
                 ready_at: 0,
             },
@@ -389,7 +371,7 @@ impl Mccp {
             self.refuse(demand);
             return Err(MccpError::NoResource);
         }
-        let two_core = (self.config.ccm_two_core || ch.fused_two_core)
+        let two_core = self.config.ccm_two_core
             && ch.algorithm.mode() == Mode::Ccm
             && self.idle_pair(want).is_some();
         let fmt = format_request(
@@ -633,12 +615,12 @@ impl Mccp {
         if !auth_ok {
             return Err(MccpError::AuthFail);
         }
-        if let Some(plan) = &req.pipeline {
+        if let Some(plan) = &mut req.pipeline {
             // Pipeline output was collected stage by stage; the final body
             // and tag are already assembled in the plan.
             let packet = ProcessedPacket {
-                body: plan.out_body.clone(),
-                tag: plan.tag.clone(),
+                body: std::mem::take(&mut plan.out_body),
+                tag: plan.tag.take(),
             };
             let (request, core) = (id.0, req.producing_core);
             self.telemetry
@@ -653,7 +635,13 @@ impl Mccp {
                 .output
                 .pop_bytes(remaining)
                 .ok_or(MccpError::Busy)?;
-            raw.extend_from_slice(&fifo_bytes);
+            // A packet that never streamed out early has collected
+            // nothing: the drain is its whole output, kept without a copy.
+            if raw.is_empty() {
+                raw = fifo_bytes;
+            } else {
+                raw.extend_from_slice(&fifo_bytes);
+            }
         }
         if self.telemetry.is_enabled() {
             let core = req.producing_core;
@@ -679,7 +667,7 @@ impl Mccp {
             req.direction,
             req.payload_len,
             req.tag_len,
-            &raw,
+            raw,
         ))
     }
 
@@ -877,7 +865,7 @@ impl Mccp {
             req.deadline = deadline;
             req.state = ReqState::Hashing { left: cycles };
             let plan = req.pipeline.as_mut().expect("pipeline plan");
-            plan.tag = Some(digest[..tag_len.min(64)].to_vec());
+            plan.tag = Some(Tag::from_slice(&digest[..tag_len.min(64)]));
             return;
         }
 
@@ -1026,7 +1014,7 @@ impl Mccp {
                     plan.out_body = plan.body.clone();
                 }
                 StageOp::CbcMac => {
-                    plan.tag = Some(raw[..tag_len.min(raw.len())].to_vec());
+                    plan.tag = Some(Tag::from_slice(&raw[..tag_len.min(raw.len())]));
                 }
                 // The Whirlpool tag landed when the hash countdown expired.
                 StageOp::WhirlpoolHmac => {}

@@ -373,11 +373,10 @@ impl AdversaryPlan {
     }
 }
 
-/// The armed half of a plan inside a running engine: entries not yet
-/// fired, plus the injection counter.
+/// The armed half of a plan inside a running engine: the entries not yet
+/// fired.
 pub(crate) struct FaultState {
     pending: Vec<FaultEntry>,
-    pub(crate) injected: u64,
 }
 
 impl FaultState {
@@ -391,7 +390,6 @@ impl FaultState {
                 .filter(|e| !matches!(e.kind, FaultKind::KillShard { .. }))
                 .copied()
                 .collect(),
-            injected: 0,
         }
     }
 

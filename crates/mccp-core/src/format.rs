@@ -15,6 +15,7 @@
 //! controller must never see. (The reference implementation in `mccp-aes`
 //! supports arbitrary IVs for comparison.)
 
+use crate::bytes::Tag;
 use crate::core_unit::ParamBank;
 use crate::firmware::FirmwareId;
 use crate::protocol::{Algorithm, MccpError, Mode};
@@ -341,32 +342,30 @@ pub struct ProcessedPacket {
     pub body: Vec<u8>,
     /// The (truncated) tag, for encrypt on authenticated modes and for
     /// CBC-MAC.
-    pub tag: Option<Vec<u8>>,
+    pub tag: Option<Tag>,
 }
 
-/// Parses the producing core's output-FIFO bytes.
+/// Parses the producing core's output-FIFO bytes. `raw` becomes the body
+/// in place: the tag is copied out inline, then `raw` is cut to the
+/// payload.
 pub fn parse_output(
     algorithm: Algorithm,
     direction: Direction,
     payload_len: usize,
     tag_len: usize,
-    raw: &[u8],
+    mut raw: Vec<u8>,
 ) -> ProcessedPacket {
     let npad = 16 * blocks(payload_len) as usize;
-    match (algorithm.mode(), direction) {
-        (Mode::Gcm | Mode::Ccm, Direction::Encrypt) => ProcessedPacket {
-            body: raw[..payload_len].to_vec(),
-            tag: Some(raw[npad..npad + tag_len].to_vec()),
-        },
-        (Mode::Gcm | Mode::Ccm, Direction::Decrypt) | (Mode::Ctr, _) => ProcessedPacket {
-            body: raw[..payload_len].to_vec(),
-            tag: None,
-        },
-        (Mode::CbcMac, _) => ProcessedPacket {
-            body: Vec::new(),
-            tag: Some(raw[..tag_len].to_vec()),
-        },
-    }
+    let (body_len, tag) = match (algorithm.mode(), direction) {
+        (Mode::Gcm | Mode::Ccm, Direction::Encrypt) => {
+            (payload_len, Some(&raw[npad..npad + tag_len]))
+        }
+        (Mode::Gcm | Mode::Ccm, Direction::Decrypt) | (Mode::Ctr, _) => (payload_len, None),
+        (Mode::CbcMac, _) => (0, Some(&raw[..tag_len])),
+    };
+    let tag = tag.map(Tag::from_slice);
+    raw.truncate(body_len);
+    ProcessedPacket { body: raw, tag }
 }
 
 #[cfg(test)]
@@ -509,14 +508,26 @@ mod tests {
         for (i, b) in raw.iter_mut().enumerate() {
             *b = i as u8;
         }
-        let p = parse_output(Algorithm::AesGcm128, Direction::Encrypt, 20, 12, &raw);
+        let p = parse_output(
+            Algorithm::AesGcm128,
+            Direction::Encrypt,
+            20,
+            12,
+            raw.clone(),
+        );
         assert_eq!(p.body.len(), 20);
         assert_eq!(p.body[..4], [0, 1, 2, 3]);
         let tag = p.tag.unwrap();
         assert_eq!(tag.len(), 12);
         assert_eq!(tag[0], 32);
 
-        let p = parse_output(Algorithm::AesCcm128, Direction::Decrypt, 20, 8, &raw[..32]);
+        let p = parse_output(
+            Algorithm::AesCcm128,
+            Direction::Decrypt,
+            20,
+            8,
+            raw[..32].to_vec(),
+        );
         assert_eq!(p.body.len(), 20);
         assert!(p.tag.is_none());
 
@@ -525,7 +536,7 @@ mod tests {
             Direction::Encrypt,
             0,
             16,
-            &raw[..16],
+            raw[..16].to_vec(),
         );
         assert!(p.body.is_empty());
         assert_eq!(p.tag.unwrap().len(), 16);

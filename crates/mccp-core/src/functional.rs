@@ -15,7 +15,7 @@ use crate::bytes::Tag;
 use crate::fault::{FaultKind, FaultPlan, FaultTrigger};
 use crate::format::Direction;
 use crate::key::SessionKey;
-use crate::pipeline::{run_stages_functional, PipelineGraph, PipelineKind, PipelineStage};
+use crate::pipeline::{run_stages_functional, PipelineGraph, PipelineStage};
 use crate::protocol::{Algorithm, ChannelId, MccpError, Mode, RequestId};
 use mccp_aes::modes::{
     cbc_mac, ccm_open_detached_into, ccm_seal_into, ctr_xcrypt, CcmParams, GcmContext, ModeError,
@@ -217,27 +217,17 @@ impl FunctionalBackend {
 
     /// OPEN a pipeline channel — the functional mirror of
     /// [`Mccp::open_pipeline`](crate::Mccp::open_pipeline). Stage chains
-    /// run through [`run_stages_functional`] at submission; the `FusedCcm2`
-    /// form is an ordinary CCM channel (no cores to schedule in pairs).
+    /// run through [`run_stages_functional`] at submission.
     pub fn open_pipeline(&mut self, graph: &PipelineGraph) -> Result<ChannelId, MccpError> {
         graph.validate()?;
-        match &graph.kind {
-            PipelineKind::FusedCcm2 { algorithm, key } => self.insert(
-                *algorithm,
-                KeyCtx::new(*algorithm, key.as_bytes()),
-                graph.tag_len,
-            ),
-            // The algorithm field is bookkeeping only for stage chains
-            // (telemetry labels); the stages drive the processing, each on
-            // the channel's own copy of its key.
-            PipelineKind::Stages(stages) => {
-                let copy = |st: &PipelineStage| {
-                    SessionKey::new(st.key.as_bytes()).map(|key| PipelineStage { key, ..*st })
-                };
-                let stages = stages.iter().map(copy).collect::<Result<_, _>>()?;
-                self.insert(Algorithm::AesCtr128, KeyCtx::Stages(stages), graph.tag_len)
-            }
-        }
+        // The algorithm field is bookkeeping only for stage chains
+        // (telemetry labels); the stages drive the processing, each on the
+        // channel's own copy of its key.
+        let copy = |st: &PipelineStage| {
+            SessionKey::new(st.key.as_bytes()).map(|key| PipelineStage { key, ..*st })
+        };
+        let stages = graph.stages.iter().map(copy).collect::<Result<_, _>>()?;
+        self.insert(Algorithm::AesCtr128, KeyCtx::Stages(stages), graph.tag_len)
     }
 
     /// Arms the packet-triggered subset of a fault schedule: the `n`-th

@@ -58,6 +58,6 @@ pub use format::{Direction, ProcessedPacket};
 pub use functional::FunctionalBackend;
 pub use key::SessionKey;
 pub use mccp::{DecryptedPacket, EncryptedPacket, Mccp, MccpConfig};
-pub use pipeline::{PipelineGraph, PipelineKind, PipelineStage, StageOp};
+pub use pipeline::{PipelineGraph, PipelineStage, StageOp};
 pub use protocol::{Algorithm, ChannelId, KeyId, MccpError, Mode, RequestId};
 pub use reconfig::{PolicyConfig, PolicyEngine};

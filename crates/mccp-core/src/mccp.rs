@@ -367,11 +367,6 @@ impl Mccp {
         self.watchdog_margin = Some(margin.max(1));
     }
 
-    /// Faults injected so far by the armed schedule.
-    pub fn faults_injected(&self) -> u64 {
-        self.faults.as_ref().map_or(0, |f| f.injected)
-    }
-
     /// Core-pool health: total cores, the quarantined subset, and the
     /// cores mid-reconfiguration (a transient capacity dip).
     pub fn health(&self) -> EngineHealth {
@@ -452,7 +447,7 @@ impl Mccp {
         self.transfer_done(id)?;
         Ok(EncryptedPacket {
             ciphertext: out.body,
-            tag: out.tag.unwrap_or_default(),
+            tag: out.tag.map(|t| t.to_vec()).unwrap_or_default(),
             cycles,
         })
     }

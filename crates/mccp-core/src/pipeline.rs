@@ -25,6 +25,7 @@
 //!   ([`stage_counter`]), so a two-cipher cascade never feeds the same
 //!   counter stream to both stages.
 
+use crate::bytes::Tag;
 use crate::core_unit::Personality;
 use crate::key::SessionKey;
 use crate::protocol::{Algorithm, CipherSel, KeyId, MccpError};
@@ -97,88 +98,53 @@ impl PipelineStage {
     }
 }
 
-/// The shape of a pipeline graph.
-#[derive(Debug)]
-pub enum PipelineKind {
-    /// An ordered chain of 1–3 stages, each carrying its own key.
-    Stages(Vec<PipelineStage>),
-    /// The paper's two-core CCM schedule re-expressed as a 2-stage graph
-    /// (CBC-MAC left core → CTR right core over the inter-core port).
-    /// Lowered to the existing concurrent two-core schedule, so it is
-    /// byte- and cycle-identical to `MccpConfig::ccm_two_core`.
-    FusedCcm2 {
-        algorithm: Algorithm,
-        key: SessionKey,
-    },
-}
-
-/// A per-channel pipeline graph. Keys are carried as bytes; each engine
-/// maps them into its own key store when the channel opens (the
-/// cycle-accurate engine allocates [`KeyId`]s in the write-protected Key
-/// Memory, the functional engine keeps the bytes).
+/// A per-channel pipeline graph: an ordered chain of 1–3 stages, each
+/// carrying its own key. Keys are carried as bytes; each engine maps them
+/// into its own key store when the channel opens (the cycle-accurate
+/// engine allocates [`KeyId`]s in the write-protected Key Memory, the
+/// functional engine keeps the bytes).
+///
+/// The paper's two-core CCM schedule is not a graph: it is the engine-wide
+/// `MccpConfig::ccm_two_core` knob.
 #[derive(Debug)]
 pub struct PipelineGraph {
-    pub kind: PipelineKind,
+    pub stages: Vec<PipelineStage>,
     /// Tag length in bytes for the final MAC stage (≤ 16 for CBC-MAC,
-    /// ≤ 64 for HMAC-Whirlpool); the CCM tag length for `FusedCcm2`.
+    /// ≤ 64 for HMAC-Whirlpool).
     pub tag_len: usize,
 }
 
 impl PipelineGraph {
-    /// A plain stage chain.
+    /// A stage chain.
     pub fn new(stages: Vec<PipelineStage>, tag_len: usize) -> Self {
-        PipelineGraph {
-            kind: PipelineKind::Stages(stages),
-            tag_len,
-        }
-    }
-
-    /// The two-core CCM schedule as a pipeline graph.
-    pub fn two_core_ccm(algorithm: Algorithm, key: SessionKey, tag_len: usize) -> Self {
-        PipelineGraph {
-            kind: PipelineKind::FusedCcm2 { algorithm, key },
-            tag_len,
-        }
+        PipelineGraph { stages, tag_len }
     }
 
     /// Validates the graph: 1–3 stages, MAC stages final-only, legal key
     /// sizes (Twofish stages are fixed at 128-bit keys; HMAC-Whirlpool
     /// takes any [`SessionKey`]), tag length in range for the final stage.
     pub fn validate(&self) -> Result<(), MccpError> {
-        match &self.kind {
-            PipelineKind::FusedCcm2 { algorithm, key } => {
-                if algorithm.mode() != crate::protocol::Mode::Ccm {
-                    return Err(MccpError::BadInstruction);
-                }
-                algorithm.check_key(key.as_bytes())?;
-                if self.tag_len == 0 || self.tag_len > 16 {
-                    return Err(MccpError::BadInstruction);
-                }
+        let stages = &self.stages;
+        if stages.is_empty() || stages.len() > 3 {
+            return Err(MccpError::BadInstruction);
+        }
+        for (i, st) in stages.iter().enumerate() {
+            if st.op.is_mac() && i + 1 != stages.len() {
+                return Err(MccpError::BadInstruction);
             }
-            PipelineKind::Stages(stages) => {
-                if stages.is_empty() || stages.len() > 3 {
-                    return Err(MccpError::BadInstruction);
-                }
-                for (i, st) in stages.iter().enumerate() {
-                    if st.op.is_mac() && i + 1 != stages.len() {
+            match st.op {
+                StageOp::WhirlpoolHmac => {
+                    if self.tag_len == 0 || self.tag_len > 64 {
                         return Err(MccpError::BadInstruction);
                     }
-                    match st.op {
-                        StageOp::WhirlpoolHmac => {
-                            if self.tag_len == 0 || self.tag_len > 64 {
-                                return Err(MccpError::BadInstruction);
-                            }
-                        }
-                        _ => {
-                            st.algorithm()?;
-                            if st.cipher == CipherSel::Twofish && st.key.as_bytes().len() != 16 {
-                                return Err(MccpError::BadKey);
-                            }
-                            if st.op == StageOp::CbcMac && (self.tag_len == 0 || self.tag_len > 16)
-                            {
-                                return Err(MccpError::BadInstruction);
-                            }
-                        }
+                }
+                _ => {
+                    st.algorithm()?;
+                    if st.cipher == CipherSel::Twofish && st.key.as_bytes().len() != 16 {
+                        return Err(MccpError::BadKey);
+                    }
+                    if st.op == StageOp::CbcMac && (self.tag_len == 0 || self.tag_len > 16) {
+                        return Err(MccpError::BadInstruction);
                     }
                 }
             }
@@ -186,23 +152,14 @@ impl PipelineGraph {
         Ok(())
     }
 
-    /// The stage chain (empty for `FusedCcm2`, which lowers to the legacy
-    /// two-core schedule instead of the stage machinery).
-    pub fn stages(&self) -> &[PipelineStage] {
-        match &self.kind {
-            PipelineKind::Stages(s) => s,
-            PipelineKind::FusedCcm2 { .. } => &[],
-        }
-    }
-
     /// True when any stage needs a 16-byte CTR counter block as the IV.
     pub fn needs_iv(&self) -> bool {
-        self.stages().iter().any(|s| s.op == StageOp::Ctr)
+        self.stages.iter().any(|s| s.op == StageOp::Ctr)
     }
 
     /// The distinct core personalities the graph dispatches to.
     pub fn personalities(&self) -> Vec<Personality> {
-        let mut ps: Vec<Personality> = self.stages().iter().map(|s| s.personality()).collect();
+        let mut ps: Vec<Personality> = self.stages.iter().map(|s| s.personality()).collect();
         ps.dedup();
         ps
     }
@@ -342,7 +299,7 @@ pub(crate) struct PipelinePlan {
     /// ciphertext).
     pub(crate) out_body: Vec<u8>,
     /// The final MAC tag, once computed.
-    pub(crate) tag: Option<Vec<u8>>,
+    pub(crate) tag: Option<Tag>,
     /// The producing core of the previously completed stage (the next
     /// stage prefers a *different* core — the inter-core transfer is the
     /// point of the pipeline).
@@ -421,21 +378,6 @@ mod tests {
             vec![Personality::AesUnit, Personality::WhirlpoolUnit]
         );
         assert!(good.needs_iv());
-    }
-
-    #[test]
-    fn fused_ccm_carries_its_key() {
-        let g = PipelineGraph::two_core_ccm(Algorithm::AesCcm128, key(0x42, 16), 8);
-        assert!(g.validate().is_ok());
-        let PipelineKind::FusedCcm2 { key: fused, .. } = &g.kind else {
-            panic!("fused form");
-        };
-        assert_eq!(fused.as_bytes(), &[0x42u8; 16]);
-        assert!(g.stages().is_empty());
-        let bad = PipelineGraph::two_core_ccm(Algorithm::AesGcm128, key(0x42, 16), 8);
-        assert!(bad.validate().is_err());
-        let short = PipelineGraph::two_core_ccm(Algorithm::AesCcm256, key(0x42, 16), 8);
-        assert_eq!(short.validate(), Err(MccpError::BadKey));
     }
 
     #[test]

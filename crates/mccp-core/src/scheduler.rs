@@ -210,9 +210,6 @@ impl Mccp {
         if core >= self.cores.len() {
             return;
         }
-        if let Some(f) = &mut self.faults {
-            f.injected += 1;
-        }
         let cycle = self.cycle;
         let label = kind.label();
         self.telemetry.emit_with(cycle, || Event::FaultInjected {

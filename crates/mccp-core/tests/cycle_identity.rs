@@ -138,7 +138,7 @@ fn drain(
                         iv.clone(),
                         aad.clone(),
                         out.body,
-                        out.tag.unwrap_or_default(),
+                        out.tag.unwrap_or_default().to_vec(),
                     ));
                 }
             }

@@ -348,7 +348,7 @@ impl CryptoUnit {
         }
     }
 
-    /// Conservative fast-forward horizon (see `mccp_sim::Clocked`): how many
+    /// Conservative fast-forward horizon (DESIGN.md §5d): how many
     /// upcoming ticks are a pure countdown, given the current state of the
     /// core's FIFOs and inter-core mailboxes.
     ///

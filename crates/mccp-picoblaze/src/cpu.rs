@@ -151,11 +151,6 @@ impl PicoBlaze {
         self.regs[i & 0xF]
     }
 
-    /// Register write (used by test harnesses to seed parameters).
-    pub fn set_reg(&mut self, i: usize, v: u8) {
-        self.regs[i & 0xF] = v;
-    }
-
     /// Scratchpad read.
     pub fn scratch(&self, addr: usize) -> u8 {
         self.scratch[addr % SCRATCHPAD]
@@ -440,7 +435,7 @@ impl PicoBlaze {
         self.pc = next_pc;
     }
 
-    /// Conservative fast-forward horizon (see `mccp_sim::Clocked`): how many
+    /// Conservative fast-forward horizon (DESIGN.md §5d): how many
     /// upcoming ticks have no architectural effect beyond cycle counting.
     ///
     /// `wake_incoming` is the level the environment will drive onto the wake
@@ -480,16 +475,6 @@ impl PicoBlaze {
         // second cycle, exactly as per-tick stepping would retire it.
         self.retired += (n + self.phase as u64) / 2;
         self.phase = ((self.phase as u64 + n) % 2) as u32;
-    }
-
-    /// Runs until the CPU sleeps, faults, or `max_cycles` elapse. Returns
-    /// the number of cycles consumed.
-    pub fn run_until_sleep<P: PortIo>(&mut self, ports: &mut P, max_cycles: u64) -> u64 {
-        let start = self.cycles;
-        while !self.sleeping && !self.fault && self.cycles - start < max_cycles {
-            self.tick(ports);
-        }
-        self.cycles - start
     }
 }
 

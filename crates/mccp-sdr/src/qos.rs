@@ -78,28 +78,19 @@ pub fn qos_class(standard: crate::standards::Standard) -> QosClass {
     }
 }
 
-/// Admission-control watermarks: the fraction of a shard's queue capacity
-/// each class may fill before its traffic is shed. Critical traffic runs
-/// to 100%; lower classes are cut off earlier, which *reserves* the
-/// remaining headroom for more important streams — the mechanism that
-/// lets secure voice preempt best-effort under overload without explicit
-/// preemption.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct AdmissionConfig {
-    /// Queue-fill fraction above which [`QosClass::BestEffort`] is shed.
-    pub best_effort_watermark: f64,
-    /// Queue-fill fraction above which [`QosClass::Standard`] is shed.
-    pub standard_watermark: f64,
-}
+/// Queue-fill fraction above which [`QosClass::BestEffort`] is shed.
+const BEST_EFFORT_WATERMARK: f64 = 0.50;
+/// Queue-fill fraction above which [`QosClass::Standard`] is shed.
+const STANDARD_WATERMARK: f64 = 0.85;
 
-impl Default for AdmissionConfig {
-    fn default() -> Self {
-        AdmissionConfig {
-            best_effort_watermark: 0.50,
-            standard_watermark: 0.85,
-        }
-    }
-}
+/// Admission control by watermark: the fraction of a shard's queue
+/// capacity each class may fill before its traffic is shed. Critical
+/// traffic runs to 100%, Standard to 85% and BestEffort to 50%. Cutting
+/// lower classes off earlier *reserves* the remaining headroom for more
+/// important streams — the mechanism that lets secure voice preempt
+/// best-effort under overload without explicit preemption.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct AdmissionConfig {}
 
 impl AdmissionConfig {
     /// The queue depth (in packets) at which `class` stops being admitted,
@@ -107,8 +98,8 @@ impl AdmissionConfig {
     pub fn limit(&self, class: QosClass, capacity: usize) -> usize {
         let frac = match class {
             QosClass::Critical => 1.0,
-            QosClass::Standard => self.standard_watermark,
-            QosClass::BestEffort => self.best_effort_watermark,
+            QosClass::Standard => STANDARD_WATERMARK,
+            QosClass::BestEffort => BEST_EFFORT_WATERMARK,
         };
         ((capacity as f64 * frac).floor() as usize).min(capacity)
     }

@@ -15,7 +15,7 @@
 //!   engine handles (the service-level analogue of the hardware's Key
 //!   Cache).
 //! * **Ingestion** — each shard fronts its engine with a bounded FIFO.
-//!   Admission control sheds by QoS class at configurable watermarks
+//!   Admission control sheds by QoS class at fixed watermarks
 //!   ([`AdmissionConfig`]): best-effort first, secure voice last, with an
 //!   explicit [`ServiceError::Busy`] retry-after verdict instead of
 //!   silent loss or unbounded memory.
@@ -65,7 +65,7 @@ pub struct ServiceConfig {
     /// Engine bindings kept warm per shard, 1 to 254: the engines run out
     /// of channel handles at 256.
     pub warm_set_capacity: usize,
-    /// QoS admission watermarks.
+    /// QoS admission (fixed watermarks per class).
     pub admission: AdmissionConfig,
     /// Cycles each shard's engine may advance per pump while it has work.
     pub step_bound: u64,

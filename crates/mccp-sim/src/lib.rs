@@ -2,32 +2,25 @@
 //!
 //! The building blocks every modeled hardware component of the MCCP shares:
 //!
-//! * [`clocked::Clocked`] — the lock-step simulation contract (one call =
-//!   one clock cycle at the modeled 190 MHz).
 //! * [`fifo::HwFifo`] — the 512 × 32-bit FIFOs each Cryptographic Core uses
 //!   for packet I/O (one 2048-byte packet per FIFO), including the
 //!   security-relevant *wipe* operation the paper mandates on
 //!   authentication failure.
-//! * [`shift_register::ShiftRegister32`] — the 4 × 32-bit shift register on
-//!   each core's I/O path.
-//! * [`bram::Bram`] — block-RAM models, including the dual-port 1024×18-bit
-//!   instruction memory two neighbouring cores share.
 //! * [`resources`] — FPGA area accounting (slices / BRAMs on the paper's
 //!   Virtex-4 SX35) used to regenerate the area columns of Tables III/IV.
 //! * [`vcd`] — a Value Change Dump writer, so simulations can be inspected
 //!   in GTKWave like any other hardware model.
+//!
+//! The clock itself is [`CLOCK_HZ`]. Each simulated component (Cryptographic
+//! Core, PicoBlaze, Cryptographic Unit, ...) keeps its own `tick` and
+//! fast-forward horizon, under the contract in DESIGN.md §5d.
 
-pub mod bram;
-pub mod clocked;
 pub mod fifo;
 pub mod resources;
-pub mod shift_register;
 pub mod vcd;
 
-pub use clocked::Clocked;
 pub use fifo::HwFifo;
 pub use resources::{ResourceReport, Resources};
-pub use shift_register::ShiftRegister32;
 pub use vcd::VcdWriter;
 
 /// The MCCP's clock frequency on the Virtex-4 SX35-11 (paper §VII.A).

@@ -1,9 +1,8 @@
 //! Property tests for the hardware substrate: the FIFO against a
-//! reference queue model, shift-register serial/parallel equivalence, and
-//! resource-accounting arithmetic.
+//! reference queue model, and resource-accounting arithmetic.
 
 use mccp_sim::resources::{ResourceReport, Resources};
-use mccp_sim::{HwFifo, ShiftRegister32};
+use mccp_sim::HwFifo;
 use proptest::prelude::*;
 use std::collections::VecDeque;
 
@@ -60,19 +59,6 @@ proptest! {
         prop_assert!(f.push_bytes(&data));
         prop_assert_eq!(f.pop_bytes(data.len()).unwrap(), data);
         prop_assert!(f.is_empty());
-    }
-
-    #[test]
-    fn shift_register_serial_parallel_equivalence(block in proptest::array::uniform16(any::<u8>())) {
-        // Parallel load, serial drain, serial refill, parallel read.
-        let mut sr = ShiftRegister32::new();
-        sr.load_block(&block);
-        let words: Vec<u32> = (0..4).map(|_| sr.shift_out().unwrap()).collect();
-        prop_assert!(sr.is_empty());
-        for w in &words {
-            prop_assert!(sr.shift_in(*w));
-        }
-        prop_assert_eq!(sr.read_block(), block);
     }
 
     #[test]

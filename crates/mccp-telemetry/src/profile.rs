@@ -24,16 +24,6 @@ use std::fmt::Write as _;
 
 use crate::metrics::Snapshot;
 
-/// The stage labels in canonical (export) order.
-pub const STAGES: [&str; 6] = [
-    "key_expand",
-    "aes_rounds",
-    "ghash",
-    "fifo_wait",
-    "reconfig_stall",
-    "quarantine_idle",
-];
-
 /// One `shard;core;stage cycles` sample of the hierarchical profile.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StageSample {

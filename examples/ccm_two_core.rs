@@ -9,9 +9,9 @@
 //! ```
 
 use mccp::core::protocol::{Algorithm, KeyId};
-use mccp::core::{Direction, Mccp, MccpConfig};
+use mccp::core::{Direction, Mccp, MccpConfig, Tag};
 
-fn run(two_core: bool, payload: &[u8]) -> (u64, Vec<u8>, Vec<u8>, Vec<usize>) {
+fn run(two_core: bool, payload: &[u8]) -> (u64, Vec<u8>, Tag, Vec<usize>) {
     let mut mccp = Mccp::new(MccpConfig {
         ccm_two_core: two_core,
         ..MccpConfig::default()

@@ -253,6 +253,27 @@ PY
 
 stage_benches_compile() { cargo bench -p mccp-bench --no-run; }
 
+# sdrbench/ is a workspace of its own that links mccp-aes, mccp-core,
+# mccp-sdr and mccp-telemetry by path, so a change to their public API can
+# break it unseen. Build it under target/ and run each workload for one
+# second: sdrbench exits non-zero on any oracle mismatch and on any lost or
+# duplicated packet, and the stage reads only that exit code (it gates no
+# metric). Every build rewrites sdrbench/Cargo.lock; the committed file is
+# put back afterwards, whatever the verdict.
+stage_sdrbench_smoke() {
+  local lock workload status=0
+  lock="$(mktemp)"
+  cp sdrbench/Cargo.lock "$lock"
+  for workload in bulk_gcm voice_churn sim_paper; do
+    CARGO_TARGET_DIR="$PWD/target/sdrbench" python3 sdrbench/run.py \
+      --workload "$workload" --seed 1 --seconds 1 --trace 0 || status=$?
+    [ "$status" -eq 0 ] || break
+  done
+  cp "$lock" sdrbench/Cargo.lock
+  rm -f "$lock"
+  return "$status"
+}
+
 stage_clippy() { cargo clippy --workspace --all-targets -- -D warnings; }
 
 stage_fmt() { cargo fmt --all -- --check; }
@@ -277,6 +298,7 @@ STAGES=(
   adversarial
   bench-schema
   benches-compile
+  sdrbench-smoke
   clippy
   fmt
 )
@@ -285,7 +307,7 @@ BUILD_TEST_STAGES=(
   build test golden cycle-identity backend-equivalence fault-plane service-churn
   pipeline-equivalence service-smoke chaos-smoke obs-overhead
   kernel-equivalence perf-smoke bench-reconfig keylife adversarial
-  bench-schema benches-compile
+  bench-schema benches-compile sdrbench-smoke
 )
 
 LINT_STAGES=(clippy fmt)

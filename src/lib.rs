@@ -6,13 +6,15 @@
 //!
 //! The sub-crates, bottom-up:
 //!
-//! * [`aes`] — from-scratch AES-128/192/256 plus the block-cipher modes the
-//!   MCCP supports (CTR, CBC-MAC, CCM, GCM), Whirlpool and Twofish for the
-//!   reconfiguration story, and NIST test vectors.
+//! * [`aes`] — from-scratch AES-128/192/256 (encryption only, like the
+//!   paper's AES core) plus the block-cipher modes the MCCP supports (CTR,
+//!   CBC-MAC, CCM, GCM), Whirlpool and Twofish for the reconfiguration
+//!   story, and NIST test vectors.
 //! * [`gf128`] — GF(2^128) arithmetic, GHASH, and the digit-serial multiplier
 //!   cycle model used by the hardware GHASH core.
-//! * [`sim`] — the hardware-simulation substrate: clocked components, FIFOs,
-//!   BRAM, and FPGA resource accounting (slices / BRAMs on a Virtex-4 SX35).
+//! * [`sim`] — the hardware-simulation substrate: the modeled clock, FIFOs,
+//!   FPGA resource accounting (slices / BRAMs on a Virtex-4 SX35) and a VCD
+//!   writer.
 //! * [`picoblaze`] — a PicoBlaze (KCPSM3)-compatible 8-bit controller:
 //!   assembler, disassembler and cycle-accurate simulator.
 //! * [`cryptounit`] — the paper's Cryptographic Unit: bank register, decoder,

@@ -254,7 +254,7 @@ proptest! {
         }
         let graph = PipelineGraph::new(stages, tag_len);
         prop_assert!(graph.validate().is_ok());
-        let authenticated = graph.stages().last().unwrap().op.is_mac();
+        let authenticated = graph.stages.last().unwrap().op.is_mac();
         let mut iv = [0u8; 16];
         iv[..12].copy_from_slice(&iv_head);
         let forged_tag: Vec<u8> = (0..tag_len).map(|_| mix(&mut k) as u8).collect();

@@ -8,16 +8,18 @@
 //! claim.
 
 use crate::modes::ccm::{ccm_pass_serial, CcmPacket};
+use crate::modes::gcm::{gcm_pass_two_pass, GcmPacket};
 
 /// A block cipher with a 128-bit block.
 ///
 /// Every MCCP mode (CTR, CBC-MAC, CCM, GCM) runs its cipher forward in
 /// both directions, like the paper's encryption-only AES core, so there
 /// is no inverse cipher. An implementor supplies [`encrypt_block`] and
-/// [`name`]. The two kernel seams default to loops over
-/// [`encrypt_block`]: [`encrypt_blocks4`] for independent blocks and
-/// [`ccm_pass`] for a whole CCM packet. [`crate::Aes`] overrides all
-/// three encrypt paths with AES-NI when the CPU has it and keeps the
+/// [`name`]. The three kernel seams default to code over
+/// [`encrypt_block`]: [`encrypt_blocks4`] for independent blocks,
+/// [`ccm_pass`] for a whole CCM packet and [`gcm_pass`] for a whole GCM
+/// packet. [`crate::Aes`] overrides all four with AES-NI (with PCLMULQDQ
+/// and SSSE3 too, for [`gcm_pass`]) when the CPU has it and keeps the
 /// T-table and serial paths otherwise; [`crate::twofish::Twofish`] takes
 /// the defaults.
 ///
@@ -25,6 +27,7 @@ use crate::modes::ccm::{ccm_pass_serial, CcmPacket};
 /// [`name`]: BlockCipher128::name
 /// [`encrypt_blocks4`]: BlockCipher128::encrypt_blocks4
 /// [`ccm_pass`]: BlockCipher128::ccm_pass
+/// [`gcm_pass`]: BlockCipher128::gcm_pass
 pub trait BlockCipher128 {
     /// Encrypts one 16-byte block in place.
     fn encrypt_block(&self, block: &mut [u8; 16]);
@@ -72,6 +75,24 @@ pub trait BlockCipher128 {
     fn ccm_pass(&self, packet: &CcmPacket<'_>, data: &mut [u8]) -> [u8; 16] {
         ccm_pass_serial(self, packet, data)
     }
+
+    /// Runs one GCM packet (SP 800-38D) over `data` in place and returns
+    /// the full 16-byte tag, `GHASH(A, C) ^ E(K, J0)`.
+    ///
+    /// The CTR keystream from `inc32(J0)` turns the plaintext into the
+    /// ciphertext `C` on a seal and back on an open
+    /// ([`GcmPacket::direction`]); GHASH always covers `C`. The default
+    /// makes two passes: the keystream through [`encrypt_blocks4`], then
+    /// GHASH over the packet's [`GcmPacket::powers`]. [`crate::Aes`]
+    /// overrides it on hosts with AES-NI, PCLMULQDQ and SSSE3 with one pass
+    /// that folds eight ciphertext blocks into GHASH while eight counter
+    /// blocks run through the AES rounds. Every implementation must be
+    /// byte-identical to the default.
+    ///
+    /// [`encrypt_blocks4`]: BlockCipher128::encrypt_blocks4
+    fn gcm_pass(&self, packet: &GcmPacket<'_>, data: &mut [u8]) -> [u8; 16] {
+        gcm_pass_two_pass(self, packet, data)
+    }
 }
 
 impl<T: BlockCipher128 + ?Sized> BlockCipher128 for &T {
@@ -86,6 +107,9 @@ impl<T: BlockCipher128 + ?Sized> BlockCipher128 for &T {
     }
     fn ccm_pass(&self, packet: &CcmPacket<'_>, data: &mut [u8]) -> [u8; 16] {
         (**self).ccm_pass(packet, data)
+    }
+    fn gcm_pass(&self, packet: &GcmPacket<'_>, data: &mut [u8]) -> [u8; 16] {
+        (**self).gcm_pass(packet, data)
     }
 }
 

@@ -27,10 +27,11 @@
 //! T-table kernels ([`tables`]) and the serial `*_scalar` mode arms. The
 //! *fast arms* serve the functional packet path: 4-wide batched
 //! keystreams, batched GHASH, and on x86-64 hosts with AES-NI the
-//! [`aesni`] routines — single blocks, four-block batches and a stitched
-//! one-pass CCM ([`BlockCipher128::ccm_pass`]). The CPU alone picks the
-//! arm at run time; every fast arm is tested byte for byte against a
-//! reference.
+//! [`aesni`] routines — single blocks, four-block batches, a stitched
+//! one-pass CCM ([`BlockCipher128::ccm_pass`]) and, with PCLMULQDQ too, a
+//! stitched one-pass GCM ([`BlockCipher128::gcm_pass`]). The CPU alone
+//! picks the arm at run time; every fast arm is tested byte for byte
+//! against a reference.
 //!
 //! ```
 //! use mccp_aes::{Aes, BlockCipher128};
@@ -63,7 +64,7 @@ pub mod whirlpool;
 pub use cipher::BlockCipher128;
 pub use key_schedule::{KeySize, RoundKeys};
 
-use modes::CcmPacket;
+use modes::{CcmPacket, GcmPacket};
 
 /// An AES cipher instance with a pre-expanded key schedule.
 #[derive(Clone)]
@@ -133,6 +134,17 @@ impl BlockCipher128 for Aes {
             return unsafe { crate::aesni::ccm_pass(&self.round_keys, packet, data) };
         }
         modes::ccm::ccm_pass_serial(self, packet, data)
+    }
+
+    fn gcm_pass(&self, packet: &GcmPacket<'_>, data: &mut [u8]) -> [u8; 16] {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(powers) = packet.powers().clmul_powers() {
+            if crate::aesni::gcm_supported() {
+                // SAFETY: feature presence just checked.
+                return unsafe { crate::aesni::gcm_pass(&self.round_keys, powers, packet, data) };
+            }
+        }
+        modes::gcm::gcm_pass_two_pass(self, packet, data)
     }
 
     fn name(&self) -> &'static str {

@@ -23,7 +23,7 @@
 //! communication controller's job (paper §VI.B); `mccp-sdr` reuses the
 //! functions exposed here.
 
-use super::{tags_equal, xor_in_place, xor_keystream_blocks, ModeError};
+use super::{tags_equal, xor_in_place, xor_keystream_blocks, ModeError, PassDirection};
 use crate::cipher::BlockCipher128;
 use crate::modes::cbc_mac::CbcMacState;
 
@@ -139,23 +139,13 @@ pub fn format_mac_input(params: &CcmParams, nonce: &[u8], aad: &[u8], payload: &
     blocks
 }
 
-/// Which way a CCM pass runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CcmDirection {
-    /// MAC the plaintext in the buffer, then encrypt it in place.
-    Seal,
-    /// Decrypt the ciphertext in the buffer in place, then MAC the
-    /// plaintext.
-    Open,
-}
-
 /// One packet's formatted CCM control blocks (SP 800-38C A.2–A.3): what
 /// [`BlockCipher128::ccm_pass`] needs besides the payload. Only the seal
 /// and open functions of this module build one, after checking the
 /// parameters, the nonce and the payload length.
 #[derive(Clone, Copy, Debug)]
 pub struct CcmPacket<'a> {
-    direction: CcmDirection,
+    direction: PassDirection,
     b0: [u8; 16],
     ctr0: [u8; 16],
     aad_prefix: [u8; 10],
@@ -165,7 +155,7 @@ pub struct CcmPacket<'a> {
 
 impl<'a> CcmPacket<'a> {
     fn new(
-        direction: CcmDirection,
+        direction: PassDirection,
         params: &CcmParams,
         nonce: &[u8],
         aad: &'a [u8],
@@ -184,7 +174,7 @@ impl<'a> CcmPacket<'a> {
     }
 
     /// Seal or open.
-    pub fn direction(&self) -> CcmDirection {
+    pub fn direction(&self) -> PassDirection {
         self.direction
     }
 
@@ -243,12 +233,12 @@ pub(crate) fn ccm_pass_serial<C: BlockCipher128 + ?Sized>(
         mac.pad_block(cipher);
     }
     match packet.direction {
-        CcmDirection::Seal => {
+        PassDirection::Seal => {
             mac.absorb(cipher, data);
             mac.pad_block(cipher);
             xor_keystream_blocks(cipher, data, counter);
         }
-        CcmDirection::Open => {
+        PassDirection::Open => {
             xor_keystream_blocks(cipher, data, counter);
             mac.absorb(cipher, data);
             mac.pad_block(cipher);
@@ -296,7 +286,7 @@ pub fn ccm_seal_into<C: BlockCipher128>(
     out: &mut Vec<u8>,
 ) -> Result<(), ModeError> {
     check_lengths(params, nonce, payload.len())?;
-    let packet = CcmPacket::new(CcmDirection::Seal, params, nonce, aad, payload.len());
+    let packet = CcmPacket::new(PassDirection::Seal, params, nonce, aad, payload.len());
     out.clear();
     out.reserve(payload.len() + params.tag_len);
     out.extend_from_slice(payload);
@@ -356,7 +346,7 @@ pub fn ccm_open_detached_into<C: BlockCipher128>(
     if tag.len() != params.tag_len {
         return Err(ModeError::InvalidParams("tag length mismatch"));
     }
-    let packet = CcmPacket::new(CcmDirection::Open, params, nonce, aad, ct.len());
+    let packet = CcmPacket::new(PassDirection::Open, params, nonce, aad, ct.len());
     out.clear();
     out.reserve(ct.len());
     out.extend_from_slice(ct);
@@ -511,7 +501,7 @@ mod tests {
         ] {
             let aad = &data[..aad_len];
             let payload = &data[..pt_len];
-            let packet = CcmPacket::new(CcmDirection::Seal, &params, &nonce, aad, pt_len);
+            let packet = CcmPacket::new(PassDirection::Seal, &params, &nonce, aad, pt_len);
             let mut mac =
                 cbc_mac_raw(&k(), &format_mac_input(&params, &nonce, aad, payload)).unwrap();
             xor_in_place(&mut mac, &s0);

@@ -5,22 +5,28 @@
 //! block per `T_SAES + T_FAES = 49` cycles, and four independent cores
 //! reach the paper's headline 1.7 Gbps.
 //!
-//! ## Batched kernels
+//! ## The packet kernel
 //!
 //! The hot path is [`GcmContext`], which caches the expanded cipher plus
 //! the precomputed GHASH key powers `H^1..H^8` so neither is rebuilt per
-//! packet, generates keystream four counter blocks at a time through
-//! [`BlockCipher128::encrypt_blocks4`] (the leftover blocks and the tag
-//! mask `E(K, J0)` included), and folds GHASH eight blocks per step via
-//! [`GhashBatched`] — on PCLMULQDQ when the CPU has it. GF(2^128)
-//! arithmetic is exact, so every output is **byte-identical** to the
-//! scalar path — asserted by the NIST vectors below,
-//! `tests/kernel_equivalence.rs`, and the cross-engine suites. The
+//! packet, and runs each packet through one call of
+//! [`BlockCipher128::gcm_pass`]: CTR from `inc32(J0)`, GHASH over
+//! `pad(A) ‖ pad(C) ‖ len`, and the tag mask `E(K, J0)`. The trait's
+//! default makes two passes over the buffer: the keystream through
+//! [`BlockCipher128::encrypt_blocks4`], then GHASH eight blocks per step
+//! through [`GhashBatched`] (on PCLMULQDQ when the CPU has it). With
+//! AES-NI, PCLMULQDQ and SSSE3, [`crate::Aes`] overrides it with one
+//! stitched pass ([`crate::aesni::gcm_pass`]) that carries eight counter
+//! blocks through the AES rounds while it folds eight ciphertext blocks
+//! into GHASH: the host's form of the CU's overlapped SAES/FAES and
+//! SGFM/FGFM instructions. GF(2^128) arithmetic is exact, so every arm is
+//! **byte-identical** to the scalar path — asserted by the NIST vectors
+//! below, `tests/kernel_equivalence.rs`, and the cross-engine suites. The
 //! pre-batching implementations survive as [`gcm_seal_scalar`] /
 //! [`gcm_open_detached_scalar`] (the reference arm for equivalence tests
 //! and the "before" side of `bench_kernels`).
 
-use super::{tags_equal, xor_keystream, xor_keystream_blocks, ModeError};
+use super::{tags_equal, xor_keystream, xor_keystream_blocks, ModeError, PassDirection};
 use crate::cipher::BlockCipher128;
 use crate::modes::ctr::inc32;
 use mccp_gf128::{Gf128, Ghash, GhashBatched, GhashKey, GhashPowers};
@@ -44,6 +50,99 @@ pub fn j0<C: BlockCipher128>(cipher: &C, key: &GhashKey, iv: &[u8]) -> [u8; 16] 
         g.update_ciphertext(iv);
         g.finalize().to_bytes()
     }
+}
+
+/// One packet's GCM control state: what [`BlockCipher128::gcm_pass`]
+/// needs besides the buffer. Only [`GcmContext`] builds one, after
+/// checking the tag and IV lengths.
+pub struct GcmPacket<'a> {
+    direction: PassDirection,
+    j0: [u8; 16],
+    aad: &'a [u8],
+    powers: &'a GhashPowers,
+}
+
+impl<'a> GcmPacket<'a> {
+    pub(crate) fn new(
+        direction: PassDirection,
+        j0: [u8; 16],
+        aad: &'a [u8],
+        powers: &'a GhashPowers,
+    ) -> Self {
+        GcmPacket {
+            direction,
+            j0,
+            aad,
+            powers,
+        }
+    }
+
+    /// Seal or open.
+    pub fn direction(&self) -> PassDirection {
+        self.direction
+    }
+
+    /// The pre-counter block `J0`, whose encryption masks the tag. Payload
+    /// block `i` (0-based) takes `J0` with its low 32-bit word advanced by
+    /// `i + 1` modulo `2^32` (`inc32`); the upper 96 bits never change.
+    pub fn j0(&self) -> &[u8; 16] {
+        &self.j0
+    }
+
+    /// The additional authenticated data.
+    pub fn aad(&self) -> &'a [u8] {
+        self.aad
+    }
+
+    /// The key's GHASH powers `H^1..H^8`.
+    pub fn powers(&self) -> &'a GhashPowers {
+        self.powers
+    }
+}
+
+/// The two-pass GCM kernel, [`BlockCipher128::gcm_pass`]'s default: the
+/// CTR keystream four counter blocks per [`BlockCipher128::encrypt_blocks4`]
+/// call, then GHASH over `A` and the ciphertext through [`GhashBatched`]
+/// (hashed before decrypting on an open), then the tag mask `E(K, J0)` in
+/// a zero-padded `encrypt_blocks4` call. Returns the full 16-byte tag.
+pub(crate) fn gcm_pass_two_pass<C: BlockCipher128 + ?Sized>(
+    cipher: &C,
+    packet: &GcmPacket<'_>,
+    data: &mut [u8],
+) -> [u8; 16] {
+    let j0 = packet.j0;
+    let first = u32::from_be_bytes(j0[12..16].try_into().expect("4 bytes")).wrapping_add(1);
+    let gctr = |data: &mut [u8]| {
+        xor_keystream_blocks(cipher, data, |i| {
+            let mut c = j0;
+            c[12..16].copy_from_slice(&first.wrapping_add(i as u32).to_be_bytes());
+            c
+        })
+    };
+    let ghash = |ct: &[u8]| {
+        let mut g = GhashBatched::new(packet.powers);
+        g.update_aad(packet.aad);
+        g.update_ciphertext(ct);
+        g.finalize().to_bytes()
+    };
+    let mut tag = match packet.direction {
+        PassDirection::Seal => {
+            gctr(data);
+            ghash(data)
+        }
+        PassDirection::Open => {
+            let s = ghash(data);
+            gctr(data);
+            s
+        }
+    };
+    let mut ek = [0u8; 64];
+    ek[..16].copy_from_slice(&j0);
+    cipher.encrypt_blocks4(&mut ek);
+    for (t, k) in tag.iter_mut().zip(ek.iter()) {
+        *t ^= k;
+    }
+    tag
 }
 
 /// Per-key GCM state: the cipher (with its expanded key schedule) and the
@@ -92,32 +191,8 @@ impl<C: BlockCipher128> GcmContext<C> {
         }
     }
 
-    /// GCTR with four counter blocks per cipher call (`inc32` semantics).
-    fn gctr(&self, icb: &[u8; 16], data: &mut [u8]) {
-        let template = *icb;
-        let base = u32::from_be_bytes(icb[12..16].try_into().expect("4 bytes"));
-        xor_keystream_blocks(&self.cipher, data, |i| {
-            let mut c = template;
-            c[12..16].copy_from_slice(&base.wrapping_add(i as u32).to_be_bytes());
-            c
-        });
-    }
-
-    /// Full 16-byte tag `GCTR(J0, GHASH(A, C))`. The mask `E(K, J0)` takes
-    /// a zero-padded `encrypt_blocks4` call, the batched kernel's cipher
-    /// path, instead of a single-block one.
-    fn tag(&self, j0: &[u8; 16], aad: &[u8], ct: &[u8]) -> [u8; 16] {
-        let mut g = GhashBatched::new(&self.powers);
-        g.update_aad(aad);
-        g.update_ciphertext(ct);
-        let mut tag = g.finalize().to_bytes();
-        let mut ek = [0u8; 64];
-        ek[..16].copy_from_slice(j0);
-        self.cipher.encrypt_blocks4(&mut ek);
-        for (t, k) in tag.iter_mut().zip(ek.iter()) {
-            *t ^= k;
-        }
-        tag
+    fn packet<'a>(&'a self, direction: PassDirection, iv: &[u8], aad: &'a [u8]) -> GcmPacket<'a> {
+        GcmPacket::new(direction, self.derive_j0(iv), aad, &self.powers)
     }
 
     /// Seals `payload` and writes `ciphertext || tag` into `out`.
@@ -138,16 +213,11 @@ impl<C: BlockCipher128> GcmContext<C> {
         if iv.is_empty() {
             return Err(ModeError::InvalidParams("GCM IV must be non-empty"));
         }
-        let j0 = self.derive_j0(iv);
-
+        let packet = self.packet(PassDirection::Seal, iv, aad);
         out.clear();
         out.reserve(payload.len() + tag_len);
         out.extend_from_slice(payload);
-        let mut icb = j0;
-        inc32(&mut icb);
-        self.gctr(&icb, out);
-
-        let tag = self.tag(&j0, aad, out);
+        let tag = self.cipher.gcm_pass(&packet, out);
         out.extend_from_slice(&tag[..tag_len]);
         Ok(())
     }
@@ -166,8 +236,11 @@ impl<C: BlockCipher128> GcmContext<C> {
     }
 
     /// Opens a detached `ciphertext` + `tag`, writing the plaintext into
-    /// `out` (cleared first; warm buffers make this allocation-free). On
-    /// authentication failure `out` is left cleared.
+    /// `out` (cleared first; warm buffers make this allocation-free). The
+    /// pass decrypts while it authenticates, so on authentication failure
+    /// the plaintext it wrote is overwritten with zeros and `out` is left
+    /// empty — the software analogue of the MCCP wiping its output FIFO on
+    /// `AUTH_FAIL`.
     pub fn open_detached_into(
         &self,
         iv: &[u8],
@@ -182,19 +255,16 @@ impl<C: BlockCipher128> GcmContext<C> {
         if iv.is_empty() {
             return Err(ModeError::InvalidParams("GCM IV must be non-empty"));
         }
-        let j0 = self.derive_j0(iv);
-
+        let packet = self.packet(PassDirection::Open, iv, aad);
         out.clear();
-        let expect = self.tag(&j0, aad, ct);
-        if !tags_equal(tag, &expect[..tag.len()]) {
-            return Err(ModeError::AuthFail);
-        }
-
         out.reserve(ct.len());
         out.extend_from_slice(ct);
-        let mut icb = j0;
-        inc32(&mut icb);
-        self.gctr(&icb, out);
+        let expect = self.cipher.gcm_pass(&packet, out);
+        if !tags_equal(tag, &expect[..tag.len()]) {
+            mccp_gf128::wipe(out);
+            out.clear();
+            return Err(ModeError::AuthFail);
+        }
         Ok(())
     }
 
@@ -585,18 +655,54 @@ mod tests {
         assert_eq!(pt, vec![0x33u8; 600]);
     }
 
+    /// A failed open releases nothing: `out` is empty, and the plaintext
+    /// the pass wrote before the tag check (it decrypts while it
+    /// authenticates) is overwritten in the buffer too. Payloads with and
+    /// without whole 8-block batches, on both kernels.
     #[test]
     fn open_detached_into_clears_on_auth_fail() {
-        let ctx = GcmContext::new(Aes::new_128(&[9u8; 16]));
-        let sealed = ctx.seal(&[1u8; 12], &[], b"payload", 16).unwrap();
-        let (ct, tag) = sealed.split_at(sealed.len() - 16);
-        let mut bad_tag = tag.to_vec();
-        bad_tag[0] ^= 1;
-        let mut out = b"stale".to_vec();
-        assert_eq!(
-            ctx.open_detached_into(&[1u8; 12], &[], ct, &bad_tag, &mut out),
-            Err(ModeError::AuthFail)
-        );
-        assert!(out.is_empty(), "no plaintext released on AUTH_FAIL");
+        fn check<C: BlockCipher128>(ctx: &GcmContext<C>, ct: &[u8], bad_tag: &[u8]) {
+            let mut out = b"stale".to_vec();
+            assert_eq!(
+                ctx.open_detached_into(&[1u8; 12], &[], ct, bad_tag, &mut out),
+                Err(ModeError::AuthFail)
+            );
+            assert!(out.is_empty(), "no plaintext released on AUTH_FAIL");
+            // SAFETY: the failed open wrote `ct.len()` bytes into this
+            // buffer before clearing it, so they are initialised, and `u8`
+            // has no destructor.
+            unsafe { out.set_len(ct.len()) };
+            assert!(
+                out.iter().all(|&b| b == 0),
+                "{}: plaintext left in the buffer's spare capacity",
+                ctx.cipher().name()
+            );
+        }
+        let aes = Aes::new_128(&[9u8; 16]);
+        let stitched = GcmContext::new(&aes);
+        let two_pass = GcmContext::new(SingleBlocks(&aes));
+        for len in [7usize, 300] {
+            let sealed = stitched
+                .seal(&[1u8; 12], &[], &vec![0x33u8; len], 16)
+                .unwrap();
+            let (ct, tag) = sealed.split_at(len);
+            let mut bad_tag = tag.to_vec();
+            bad_tag[0] ^= 1;
+            check(&stitched, ct, &bad_tag);
+            check(&two_pass, ct, &bad_tag);
+        }
+    }
+
+    /// `Aes` seen only through `encrypt_block`: GCM over it runs the
+    /// trait's two-pass kernel.
+    struct SingleBlocks<'a>(&'a Aes);
+
+    impl BlockCipher128 for SingleBlocks<'_> {
+        fn encrypt_block(&self, block: &mut [u8; 16]) {
+            self.0.encrypt_block(block);
+        }
+        fn name(&self) -> &'static str {
+            "AES (single blocks)"
+        }
     }
 }

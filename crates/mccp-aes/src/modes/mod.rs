@@ -20,15 +20,28 @@ pub mod gcm;
 
 pub use cbc_mac::{cbc_mac, CbcMacState};
 pub use ccm::{
-    ccm_open, ccm_open_detached, ccm_open_detached_into, ccm_seal, ccm_seal_into, CcmDirection,
-    CcmPacket, CcmParams,
+    ccm_open, ccm_open_detached, ccm_open_detached_into, ccm_seal, ccm_seal_into, CcmPacket,
+    CcmParams,
 };
 pub use ctr::{ctr_xcrypt, ctr_xcrypt_scalar};
 pub use gcm::{
     gcm_open, gcm_open_detached, gcm_open_detached_scalar, gcm_seal, gcm_seal_scalar, GcmContext,
+    GcmPacket,
 };
 
 use crate::cipher::BlockCipher128;
+
+/// Which way a one-pass kernel ([`BlockCipher128::ccm_pass`],
+/// [`BlockCipher128::gcm_pass`]) runs over its buffer.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PassDirection {
+    /// The buffer holds plaintext: encrypt it in place and authenticate
+    /// the plaintext (CCM) or the ciphertext (GCM).
+    Seal,
+    /// The buffer holds ciphertext: decrypt it in place and authenticate
+    /// the plaintext (CCM) or the ciphertext (GCM).
+    Open,
+}
 
 /// Errors from the authenticated modes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -2,11 +2,11 @@
 //!
 //! The batched kernels — eight-block GHASH folding over precomputed
 //! `H^1..H^8`, four-wide CTR keystream generation, the per-key
-//! [`GcmContext`] and the stitched CCM pass — must be **byte-identical**
-//! to the scalar reference path on every input shape: payload lengths
-//! 0..=1024 including non-multiple-of-16 tails, AAD-only packets, and
-//! short/long IVs. The NIST SP 800-38D vectors are additionally replayed
-//! through both arms.
+//! [`GcmContext`] with its stitched GCM pass, and the stitched CCM pass —
+//! must be **byte-identical** to the scalar reference path on every input
+//! shape: payload lengths 0..=1024 including non-multiple-of-16 tails,
+//! AAD-only packets, and short/long IVs. The NIST SP 800-38D vectors are
+//! additionally replayed through both arms.
 
 use mccp_aes::block::encrypt_with_round_keys;
 use mccp_aes::modes::{
@@ -246,6 +246,60 @@ fn ccm_stitched_pass_matches_serial_reference_sweep() {
                     "flipped tag: {at}"
                 );
                 assert!(opened.is_empty(), "flipped tag released plaintext: {at}");
+            }
+        }
+    }
+}
+
+/// GCM over a warm [`GcmContext`] of [`Aes`] (the stitched AES-NI +
+/// PCLMULQDQ pass where the CPU has them) against the scalar arm over
+/// [`BytewiseAes`] (byte-wise AES, one block per call, and the serial
+/// Shoup GHASH), which shares no code with the stitched pass. Payloads
+/// 0..=130 bytes (every leftover shape under one 8-block batch) plus
+/// 255/256/257 and 1500/2000/4096 (many batches, with and without a
+/// leftover), AAD lengths around the block and batch edges, 12- and
+/// 8-byte IVs (the second derives `J0` through GHASH, so its counter word
+/// is arbitrary), 128/192/256-bit keys. The context must seal to the
+/// reference's bytes and open them back; a flipped tag bit must fail and
+/// leave `out` empty.
+#[test]
+fn gcm_stitched_pass_matches_serial_reference_sweep() {
+    let data: Vec<u8> = (0..4096u32 + 129).map(|i| (i * 41 % 253) as u8).collect();
+    let payload_lens: Vec<usize> = (0..=130usize)
+        .chain([255, 256, 257, 1500, 2000, 4096])
+        .collect();
+    let (mut sealed, mut opened) = (Vec::new(), Vec::new());
+    for key_len in [16usize, 24, 32] {
+        let key: Vec<u8> = (0..key_len as u8)
+            .map(|i| i.wrapping_mul(7) ^ 0x3C)
+            .collect();
+        let ctx = GcmContext::new(Aes::new(&key));
+        let reference = BytewiseAes(RoundKeys::expand(&key));
+        for iv_len in [12usize, 8] {
+            let iv = &data[7..7 + iv_len];
+            for aad_len in [0usize, 1, 12, 15, 16, 17, 128, 129] {
+                for &pt_len in &payload_lens {
+                    let (aad, pt) = (&data[..aad_len], &data[aad_len..aad_len + pt_len]);
+                    let at = format!("key {key_len} iv {iv_len} aad {aad_len} pt {pt_len}");
+
+                    let expect = gcm_seal_scalar(&reference, iv, aad, pt, 16).unwrap();
+                    ctx.seal_into(iv, aad, pt, 16, &mut sealed).unwrap();
+                    assert_eq!(sealed, expect, "seal: {at}");
+
+                    let (ct, tag) = expect.split_at(pt_len);
+                    ctx.open_detached_into(iv, aad, ct, tag, &mut opened)
+                        .unwrap();
+                    assert_eq!(opened, pt, "open: {at}");
+
+                    let mut bad = tag.to_vec();
+                    bad[pt_len % 16] ^= 1 << (pt_len % 8);
+                    assert_eq!(
+                        ctx.open_detached_into(iv, aad, ct, &bad, &mut opened),
+                        Err(ModeError::AuthFail),
+                        "flipped tag: {at}"
+                    );
+                    assert!(opened.is_empty(), "flipped tag released plaintext: {at}");
+                }
             }
         }
     }

@@ -617,9 +617,15 @@ impl Mccp {
         }
         if let Some(plan) = &mut req.pipeline {
             // Pipeline output was collected stage by stage; the final body
-            // and tag are already assembled in the plan.
+            // and tag are already assembled in the plan. A chain without a
+            // CTR stage delivers only its tag.
+            let ciphered = plan.pipeline.stages.iter().any(|s| s.op == StageOp::Ctr);
             let packet = ProcessedPacket {
-                body: std::mem::take(&mut plan.out_body),
+                body: if ciphered {
+                    std::mem::take(&mut plan.body)
+                } else {
+                    Vec::new()
+                },
                 tag: plan.tag.take(),
             };
             let (request, core) = (id.0, req.producing_core);
@@ -783,7 +789,6 @@ impl Mccp {
                 current: 0,
                 iv: iv.to_vec(),
                 body: body.to_vec(),
-                out_body: Vec::new(),
                 tag: None,
                 prev_core: None,
             }),
@@ -1009,9 +1014,12 @@ impl Mccp {
             let req = self.requests.get_mut(&id.0).expect("request exists");
             let plan = req.pipeline.as_mut().expect("pipeline plan");
             match op {
+                // The drain becomes the body in place: MAC stages never
+                // change it, so after the last stage it is the delivered
+                // ciphertext.
                 StageOp::Ctr => {
-                    plan.body = raw[..payload_len.min(raw.len())].to_vec();
-                    plan.out_body = plan.body.clone();
+                    plan.body = raw;
+                    plan.body.truncate(payload_len);
                 }
                 StageOp::CbcMac => {
                     plan.tag = Some(Tag::from_slice(&raw[..tag_len.min(raw.len())]));

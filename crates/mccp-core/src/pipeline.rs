@@ -230,7 +230,7 @@ pub fn run_stages_functional(
     tag_len: usize,
 ) -> Result<(Vec<u8>, Option<Vec<u8>>), MccpError> {
     let mut cur = body.to_vec();
-    let mut out_body = Vec::new();
+    let mut ciphered = false;
     let mut tag = None;
     for (i, st) in stages.iter().enumerate() {
         match st.op {
@@ -245,7 +245,7 @@ pub fn run_stages_functional(
                     CipherSel::Twofish => ctr_xcrypt(&Twofish::new(key), &ctr, &mut cur),
                 };
                 r.map_err(|_| MccpError::BadInstruction)?;
-                out_body = cur.clone();
+                ciphered = true;
             }
             StageOp::CbcMac => {
                 let key = st.key.as_bytes();
@@ -260,7 +260,12 @@ pub fn run_stages_functional(
             }
         }
     }
-    Ok((out_body, tag))
+    // MAC stages never change the body, so after the chain it is the
+    // body the last `Ctr` stage left.
+    if !ciphered {
+        cur = Vec::new();
+    }
+    Ok((cur, tag))
 }
 
 /// A stage resolved against the cycle-accurate engine's key stores.
@@ -293,11 +298,9 @@ pub(crate) struct PipelinePlan {
     pub(crate) current: usize,
     /// The submitted IV (CTR stages derive their counters from it).
     pub(crate) iv: Vec<u8>,
-    /// The body as it stands entering the current stage.
+    /// The body as it stands entering the current stage; after the last
+    /// stage, the delivered ciphertext (when any stage was `Ctr`).
     pub(crate) body: Vec<u8>,
-    /// The body after the last completed `Ctr` stage (the delivered
-    /// ciphertext).
-    pub(crate) out_body: Vec<u8>,
     /// The final MAC tag, once computed.
     pub(crate) tag: Option<Tag>,
     /// The producing core of the previously completed stage (the next

@@ -51,8 +51,8 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 use mccp_core::backend::ChannelBackend;
 use mccp_core::format::Direction;
 use mccp_core::functional::FunctionalBackend;
-use mccp_core::protocol::{Algorithm, MccpError};
-use mccp_core::{Mccp, MccpConfig};
+use mccp_core::protocol::{Algorithm, CipherSel, MccpError};
+use mccp_core::{Mccp, MccpConfig, PipelineGraph, PipelineStage, SessionKey, StageOp};
 use mccp_gf128::{Gf128, GhashPowers};
 
 #[test]
@@ -88,6 +88,53 @@ fn steady_state_packet_allocs_are_bounded() {
         per_packet <= 1.0,
         "functional path allocates {per_packet} times per packet (expected <= 1)"
     );
+}
+
+/// A warm pipeline channel of one to three AES-CTR stages costs one
+/// allocation per packet on the functional engine, the buffer every stage
+/// ciphers in place and that becomes `Completion.body`: no stage copies
+/// the body out.
+#[test]
+fn pipeline_packet_holds_its_body_once() {
+    for stages in 1..=3u8 {
+        let graph = PipelineGraph::new(
+            (0..stages)
+                .map(|i| PipelineStage {
+                    op: StageOp::Ctr,
+                    cipher: CipherSel::Aes,
+                    key: SessionKey::new(&[0x11 + i; 16]).unwrap(),
+                })
+                .collect(),
+            16,
+        );
+        let mut be = FunctionalBackend::new();
+        let ch = be.open_pipeline(&graph).unwrap();
+        let packet = |be: &mut FunctionalBackend| {
+            be.submit_packet(
+                ch,
+                Direction::Encrypt,
+                &[5u8; 16],
+                &[],
+                &[0xC3u8; 512],
+                None,
+            )
+            .unwrap();
+            assert_eq!(be.poll_completion().unwrap().body.len(), 512);
+        };
+        packet(&mut be); // warm-up: grows the completion queue
+
+        const PACKETS: usize = 50;
+        let before = alloc_calls();
+        for _ in 0..PACKETS {
+            packet(&mut be);
+        }
+        let allocs = alloc_calls() - before;
+        assert!(
+            allocs <= PACKETS,
+            "{stages}-stage CTR pipeline: {allocs} allocations over {PACKETS} packets \
+             (expected <= 1 each)"
+        );
+    }
 }
 
 /// Close → open → first packet: what a service pays when a cold channel

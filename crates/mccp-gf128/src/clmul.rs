@@ -19,9 +19,12 @@
 //!   (degree ≥ 128, all in `q`'s low word) are folded back into `q`'s high
 //!   word first.
 //!
-//! [`fold`] accumulates the eight unreduced products of one batch and
-//! reduces once, so a batch costs 32 carry-less multiplies and a single
-//! reduction.
+//! [`Partial`] accumulates unreduced products and reduces once, so a
+//! batch of eight blocks costs 32 carry-less multiplies and a single
+//! reduction. [`fold`] runs one batch for [`crate::GhashPowers::fold`];
+//! `mccp_aes::aesni`'s stitched GCM pass drives [`Partial`] itself, one
+//! product between AES rounds, so both paths share one carry-less product
+//! and one reduction.
 //!
 //! Detection is at run time (`is_x86_feature_detected!`), like
 //! `mccp_aes::aesni`; [`crate::GhashPowers`] picks this arm once per key
@@ -77,14 +80,16 @@ pub unsafe fn fold(
 /// A sum of unreduced 256-bit carry-less products, kept as the three
 /// partial products of the schoolbook split `a = a₁x⁶⁴ + a₀`:
 /// `lo = Σ a₀b₀`, `mid = Σ (a₁b₀ + a₀b₁)`, `hi = Σ a₁b₁` (64-bit halves
-/// by register lane).
-struct Partial {
+/// by register lane). Multiplication distributes over the sum, so
+/// reducing it once gives `Σ aᵢ·bᵢ` in the field.
+pub struct Partial {
     lo: __m128i,
     mid: __m128i,
     hi: __m128i,
 }
 
 impl Default for Partial {
+    #[inline]
     fn default() -> Self {
         let zero = to_m128(0);
         Partial {
@@ -97,9 +102,13 @@ impl Default for Partial {
 
 impl Partial {
     /// XORs the unreduced product `a·b` into the sum.
+    ///
+    /// # Safety
+    /// Outside code compiled with PCLMULQDQ enabled, the caller must
+    /// ensure [`supported`] returned true on this host.
     #[inline]
     #[target_feature(enable = "pclmulqdq")]
-    fn add_product(&mut self, a: Gf128, b: Gf128) {
+    pub fn add_product(&mut self, a: Gf128, b: Gf128) {
         let (a, b) = (to_m128(a.0), to_m128(b.0));
         self.lo = _mm_xor_si128(self.lo, _mm_clmulepi64_si128::<0x00>(a, b));
         self.mid = _mm_xor_si128(self.mid, _mm_clmulepi64_si128::<0x01>(a, b));
@@ -109,7 +118,7 @@ impl Partial {
 
     /// Reduces the sum modulo `x^128 + x^7 + x^2 + x + 1`.
     #[inline]
-    fn reduce(self) -> Gf128 {
+    pub fn reduce(self) -> Gf128 {
         let mid = from_m128(self.mid);
         let lo = from_m128(self.lo) ^ (mid << 64);
         let hi = from_m128(self.hi) ^ (mid >> 64);

@@ -276,6 +276,18 @@ impl GhashPowers {
         }
     }
 
+    /// `H^1..H^8` as field elements when the key is on the carry-less
+    /// multiply arm (so the host has PCLMULQDQ), else `None`. Kernels that
+    /// run their own CLMUL GHASH, like `mccp_aes`'s stitched GCM pass, read
+    /// the powers here.
+    pub fn clmul_powers(&self) -> Option<&[Gf128; GHASH_BATCH_BLOCKS]> {
+        match &self.arm {
+            #[cfg(target_arch = "x86_64")]
+            PowersArm::Clmul(powers) => Some(powers),
+            PowersArm::Table(_) => None,
+        }
+    }
+
     /// The raw hash subkey `H`.
     pub fn h(&self) -> Gf128 {
         match &self.arm {

@@ -133,7 +133,8 @@ stage_kernel_equivalence() {
 # gates the ratios between kernel arms on this host (batched 512 B GCM
 # >= 4x the scalar path; with PCLMULQDQ, batched GHASH >= 8x the serial
 # Shoup arm; with AES-NI, stitched 512 B CCM >= 1.5x the serial CCM
-# pass). bench_snapshot --check replays the
+# pass; with AES-NI and PCLMULQDQ, stitched 512 B GCM >= 1.1x the
+# two-pass GCM kernel). bench_snapshot --check replays the
 # simulator-speed soak per-tick and fast-forwarded, asserts identical
 # records, completion cycles and bytes, and checks both makespans against
 # BENCH_sim_speed.json. None of the three rewrites its JSON.
@@ -171,7 +172,8 @@ stage_adversarial() {
 # Every checked-in BENCH_*.json must parse, declare host_parallelism,
 # and keep the fields other gates read (the floor_* values recording the
 # regression floors that live in bench_kernels and are checked there at
-# 100%, the reconfig gate's loss/shed invariants).
+# 100%, the kernel arms the CPU selected and the GCM stitch ratio, the
+# reconfig gate's loss/shed invariants).
 stage_bench_schema() {
   python3 - <<'PY'
 import glob, json, sys
@@ -198,10 +200,15 @@ for path in files:
         ):
             if key not in doc:
                 failures.append(f"{path}: missing {key} (records a bench_kernels floor)")
+        for key in ("gcm512_two_pass_packets_per_sec", "gcm512_stitch_speedup"):
+            if key not in doc:
+                failures.append(f"{path}: missing {key} (records the GCM stitch ratio)")
         if doc.get("ghash_arm") not in ("clmul", "table"):
             failures.append(f"{path}: ghash_arm must be \"clmul\" or \"table\"")
         if doc.get("aes_arm") not in ("aesni", "ttable"):
             failures.append(f"{path}: aes_arm must be \"aesni\" or \"ttable\"")
+        if doc.get("gcm_arm") not in ("stitched", "two-pass"):
+            failures.append(f"{path}: gcm_arm must be \"stitched\" or \"two-pass\"")
     if path == "BENCH_reconfig.json":
         mix = doc.get("mix_shift", {})
         svc = doc.get("service_swap_window", {})
